@@ -109,8 +109,38 @@ def _exponent_records(exps: ExponentSet):
     return recs
 
 
+def _label_keys(labels: np.ndarray, n_c: int):
+    """Mixed-radix key of each label (one base ``n_c + 1`` digit per exponent)
+    and the weight of each digit; Python ints once the keys outgrow int64."""
+    base = n_c + 1
+    dtype = np.int64 if base ** labels.shape[1] <= 2**63 else object
+    weights = np.array([base**k for k in range(labels.shape[1])], dtype=dtype)
+    return labels.astype(dtype) @ weights, weights
+
+
 def _build_generator(H: Qobj, couplings, n_c: int):
-    """Assemble the sparse hierarchy generator for [(Q, exponent records)...]."""
+    """Assemble the sparse hierarchy generator for [(Q, exponent records)...].
+
+    With ``a`` running over the ADOs and ``k`` over the exponents of all baths,
+    the generator is a sum of Kronecker products over the ADO index:
+
+        I_ado (x) L_sys - diag(damp) (x) I_d2
+        + sum_k U_k (x) (-i comm_k)
+        + sum_k D_k (x) n_k c_k (-i comm_k | anti_k)
+
+    ``U_k`` links each ADO to its neighbour with entry k raised, ``D_k`` to
+    the one with entry k lowered, and ``damp_a = n_a . v``.  Neighbours come
+    from mixed-radix label keys: raising entry k adds ``(n_c + 1)**k`` to the
+    key, so one ``searchsorted`` into the sorted keys per exponent yields
+    every up pair, and the same pairs reversed are the down pairs.
+
+    Each product is written straight into COO form: block positions offset by
+    ``d^2`` times the ADO indices, block values gathered, not multiplied.
+    Every value is made by the same floating-point operation as in a per-ADO
+    sum of blocks, so the CSR is bit-identical to that build.  That is why
+    ``damp`` is taken row by row with ``np.dot``: one matrix product sums in
+    another order and differs in the last bits.
+    """
     d = H.shape[0]
     d2 = d * d
     records = []
@@ -120,44 +150,60 @@ def _build_generator(H: Qobj, couplings, n_c: int):
             raise DimensionMismatchError("coupling operator dims do not match H")
         if not Q.isherm:
             raise NotHermitianError("HEOM coupling operators must be Hermitian")
-        comm = sp.csr_matrix((spre(Q) - spost(Q)).data.scipy_matrix())
-        anti = sp.csr_matrix((spre(Q) + spost(Q)).data.scipy_matrix())
+        comm = sp.csr_matrix((spre(Q) - spost(Q)).data.scipy_matrix()).tocoo()
+        anti = sp.csr_matrix((spre(Q) + spost(Q)).data.scipy_matrix()).tocoo()
         for kind, c, v in recs:
             records.append((kind, c, v))
             per_bath_ops.append((comm, anti))
 
     ados = AdoIndexSet(len(records), n_c)
     n_ado = len(ados)
+    labels = np.array(ados.labels, dtype=np.int64).reshape(n_ado, len(records))
 
     from .superop import liouvillian
 
-    L_sys = sp.csr_matrix(liouvillian(H, ()).data.scipy_matrix())
-    eye = sp.identity(d2, dtype=np.complex128, format="csr")
-
+    L_sys = sp.csr_matrix(liouvillian(H, ()).data.scipy_matrix()).tocoo()
     rows, cols, vals = [], [], []
 
-    def put(a: int, b: int, block):
-        block = block.tocoo()
-        rows.append(block.row + a * d2)
-        cols.append(block.col + b * d2)
-        vals.append(block.data)
+    def add_blocks(src, dst, block_row, block_col, values):
+        """COO entries of the blocks at (src_i, dst_i); values per pair or shared."""
+        rows.append((src[:, None] * d2 + block_row).ravel())
+        cols.append((dst[:, None] * d2 + block_col).ravel())
+        vals.append(np.broadcast_to(values, (src.size, block_row.size)).ravel())
 
+    # Diagonal blocks L_sys - damp * I, entry by entry as a sparse difference
+    # makes them: off-diagonal entries are those of L_sys, a diagonal entry is
+    # L_ii - (1 * damp), and an entry that comes out 0 is dropped.
+    every = np.arange(n_ado)
+    off = (L_sys.row != L_sys.col) & (L_sys.data != 0)
+    add_blocks(every, every, L_sys.row[off], L_sys.col[off], L_sys.data[off])
+    l_diag = np.zeros(d2, dtype=np.complex128)
+    on = L_sys.row == L_sys.col
+    l_diag[L_sys.row[on]] = L_sys.data[on]
     rates = np.array([v for _, _, v in records])
-    for a, label in enumerate(ados.labels):
-        damp = complex(np.dot(np.asarray(label, dtype=float), rates)) if records else 0.0
-        put(a, a, L_sys - damp * eye)
-        for k, (kind, c, v) in enumerate(records):
-            comm, anti = per_bath_ops[k]
-            up = ados.up(label, k)
-            if up is not None:
-                put(a, ados.index(up), -1j * comm)
-            down = ados.down(label, k)
-            if down is not None:
-                n_k = label[k]
-                if kind == "R":
-                    put(a, ados.index(down), (-1j * n_k * c) * comm)
-                else:
-                    put(a, ados.index(down), (n_k * c) * anti)
+    damp = np.array([complex(np.dot(row, rates)) for row in labels.astype(float)])
+    diag = l_diag - np.ones(1, dtype=np.complex128) * damp[:, None]
+    a, i = np.nonzero(diag != 0)
+    rows.append(a * d2 + i)
+    cols.append(a * d2 + i)
+    vals.append(diag[a, i])
+
+    keys, weights = _label_keys(labels, n_c)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    lower = np.flatnonzero(labels.sum(axis=1) < n_c)
+    for k, (kind, c, _) in enumerate(records):
+        comm, anti = per_bath_ops[k]
+        upper = order[np.searchsorted(sorted_keys, keys[lower] + weights[k])]
+        add_blocks(lower, upper, comm.row, comm.col, comm.data * -1j)
+        # Lowering entry k of ``upper`` reaches ``lower``; the entry's value
+        # n = 1..n_c picks the block.
+        if kind == "R":
+            block, coefs = comm, [-1j * n * c for n in range(n_c + 1)]
+        else:
+            block, coefs = anti, [n * c for n in range(n_c + 1)]
+        table = np.array([block.data * coef for coef in coefs])
+        add_blocks(upper, lower, block.row, block.col, table[labels[upper, k]])
 
     size = n_ado * d2
     gen = sp.coo_matrix(
@@ -219,7 +265,9 @@ def heomsolve(
             raise TypeError("each bath must be an ExponentSet or BosonicEnvironment")
         couplings.append((Q, _exponent_records(bath)))
 
+    t_build = time.perf_counter()
     gen, ados = _build_generator(H, couplings, n_c)
+    build_time = time.perf_counter() - t_build
     mat = gen.scipy_matrix()
     d = H.shape[0]
     d2 = d * d
@@ -281,6 +329,7 @@ def heomsolve(
             "solver": "heomsolve",
             "n_ados": len(ados),
             "rhs_evaluations": stepper.nfev,
+            "build_time": build_time,
             "run_time": time.perf_counter() - t_start,
         },
         final_ados=np.asarray(y).reshape(len(ados), d2),

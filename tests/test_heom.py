@@ -4,10 +4,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import oqsim as q
-from oqsim.exceptions import NotHermitianError, RangeError, UnsupportedError
-from oqsim.heom import AdoIndexSet
+from oqsim.exceptions import (
+    DimensionMismatchError,
+    NotHermitianError,
+    RangeError,
+    UnsupportedError,
+)
+from oqsim.heom import AdoIndexSet, _build_generator, _exponent_records
+from oqsim.superop import spost, spre
 
 
 class TestEnvironments:
@@ -186,6 +193,121 @@ class TestHierarchy:
             q.hierarchy_build(0.5 * q.sigmaz(), q.sigmaz(), ex, -1)
 
 
+def loop_build(H, couplings, n_c):
+    """Reference generator: one block sum per (ADO, exponent) pair."""
+    d2 = H.shape[0] ** 2
+    records, per_bath_ops = [], []
+    for Q, recs in couplings:
+        if Q.dims != H.dims:
+            raise DimensionMismatchError("coupling operator dims do not match H")
+        if not Q.isherm:
+            raise NotHermitianError("HEOM coupling operators must be Hermitian")
+        comm = sp.csr_matrix((spre(Q) - spost(Q)).data.scipy_matrix())
+        anti = sp.csr_matrix((spre(Q) + spost(Q)).data.scipy_matrix())
+        for kind, c, v in recs:
+            records.append((kind, c, v))
+            per_bath_ops.append((comm, anti))
+    ados = AdoIndexSet(len(records), n_c)
+    L_sys = sp.csr_matrix(q.liouvillian(H, ()).data.scipy_matrix())
+    eye = sp.identity(d2, dtype=np.complex128, format="csr")
+    rows, cols, vals = [], [], []
+
+    def put(a, b, block):
+        block = block.tocoo()
+        rows.append(block.row + a * d2)
+        cols.append(block.col + b * d2)
+        vals.append(block.data)
+
+    rates = np.array([v for _, _, v in records])
+    for a, label in enumerate(ados.labels):
+        damp = complex(np.dot(np.asarray(label, dtype=float), rates)) if records else 0.0
+        put(a, a, L_sys - damp * eye)
+        for k, (kind, c, v) in enumerate(records):
+            comm, anti = per_bath_ops[k]
+            up = ados.up(label, k)
+            if up is not None:
+                put(a, ados.index(up), -1j * comm)
+            down = ados.down(label, k)
+            if down is not None:
+                n_k = label[k]
+                if kind == "R":
+                    put(a, ados.index(down), (-1j * n_k * c) * comm)
+                else:
+                    put(a, ados.index(down), (n_k * c) * anti)
+    size = len(ados) * d2
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(size, size),
+    ).tocsr()
+
+
+def _underdamped_case():
+    env = q.UnderdampedEnvironment(T=0.5, lam=0.5, Gamma=0.1, w0=1.5)
+    return 0.75 * q.sigmaz() + 0.5 * q.sigmax(), [(q.sigmaz(), q.matsubara_decompose(env, 5))]
+
+
+def _two_bath_case():
+    ex = q.matsubara_decompose(q.DrudeLorentzEnvironment(T=1.0, lam=0.05, gamma=0.5), 1)
+    return 0.5 * q.sigmaz(), [(q.sigmaz(), ex), (q.sigmax(), ex)]
+
+
+def _real_only_case():
+    ex = q.matsubara_decompose(q.DrudeLorentzEnvironment(T=1.0, lam=0.4, gamma=0.7), 2)
+    real = q.ExponentSet(ex.ck_real, ex.vk_real, [], [])
+    return 0.5 * q.sigmaz() + 0.3 * q.sigmax(), [(q.sigmax(), real)]
+
+
+def _wide_case():
+    # 2**64 label keys: more than int64 holds.
+    ex = q.ExponentSet([0.1] * 64, [1.0 + 0.01 * j for j in range(64)], [], [])
+    return 0.5 * q.sigmaz(), [(q.sigmaz(), ex)]
+
+
+class TestKroneckerBuild:
+    @pytest.mark.parametrize(
+        "case, n_c",
+        [
+            (_underdamped_case, 0),
+            (_underdamped_case, 1),
+            (_underdamped_case, 3),
+            # From n_c=4 on a one-shot ``labels @ rates`` rounds some damping
+            # rates differently from the per-row dot products.
+            (_underdamped_case, 4),
+            (_two_bath_case, 3),
+            (_real_only_case, 4),
+            (_wide_case, 1),
+        ],
+    )
+    def test_bit_identical_to_loop_build(self, case, n_c):
+        H, baths = case()
+        couplings = [(Q, _exponent_records(ex)) for Q, ex in baths]
+        ref = loop_build(H, couplings, n_c)
+        gen, ados = _build_generator(H, couplings, n_c)
+        mat = gen.scipy_matrix()
+        assert len(ados) * H.shape[0] ** 2 == mat.shape[0]
+        assert mat.indptr.dtype == ref.indptr.dtype
+        assert mat.indices.dtype == ref.indices.dtype
+        assert np.array_equal(mat.indptr, ref.indptr)
+        assert np.array_equal(mat.indices, ref.indices)
+        assert mat.data.tobytes() == ref.data.tobytes()
+
+    @pytest.mark.parametrize(
+        "Q, n_c, error",
+        [
+            (q.qeye(3), 2, DimensionMismatchError),
+            (q.sigmam(), 2, NotHermitianError),
+            (q.sigmaz(), -1, RangeError),
+        ],
+    )
+    def test_typed_errors_unchanged(self, Q, n_c, error):
+        H = 0.5 * q.sigmaz()
+        couplings = [(Q, _exponent_records(q.ExponentSet([0.5], [1.0], [0.2], [1.0])))]
+        with pytest.raises(error):
+            loop_build(H, couplings, n_c)
+        with pytest.raises(error):
+            _build_generator(H, couplings, n_c)
+
+
 def dephasing_oracle(exponents, t):
     """Exact decoherence exponent 4*Re sum_k c_k (v t - 1 + e^{-v t})/v^2."""
     tot = 0.0 + 0j
@@ -245,6 +367,12 @@ class TestHeomsolve:
         assert np.max(np.abs(res.final_state.full() - res.final_state.full().conj().T)) < 1e-8
         assert res.final_ados.shape == (res.stats["n_ados"], 4)
         assert res.ado_index.labels[0] == (0,) * res.ado_index.n_exponents
+
+    def test_build_time_reported_within_run_time(self):
+        H, [(Q, ex)] = _underdamped_case()
+        res = q.heomsolve(H, (ex, Q), q.basis(2, 0), np.linspace(0, 1, 3), n_c=2,
+                          e_ops=[q.sigmaz()])
+        assert 0 < res.stats["build_time"] <= res.stats["run_time"]
 
     def test_multiple_baths(self):
         env = q.DrudeLorentzEnvironment(T=1.0, lam=0.05, gamma=0.5)
