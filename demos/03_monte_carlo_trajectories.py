@@ -25,8 +25,7 @@ exact = q.mesolve(H, psi0, tlist, c_ops=c_ops, e_ops=[sz1])
 
 for ntraj in (100, 1000):
     res = q.mcsolve(H, psi0, tlist, c_ops=c_ops, e_ops=[sz1],
-                    options={"ntraj": ntraj, "seed": 42, "improved_sampling": True,
-                             "map": "parallel"})
+                    options={"ntraj": ntraj, "seed": 42, "improved_sampling": True})
     sigma_err = res.std_expect[0] / np.sqrt(res.ntraj_used)
     dev = np.abs(res.expect[0] - exact.expect[0])
     print(f"ntraj={ntraj:5d}: max deviation {dev.max():.4f}, "

@@ -43,7 +43,7 @@ psi0 = (q.basis(2, 0) + q.basis(2, 1)).unit()
 exact = q.mesolve(L, psi0.proj(), tlist, e_ops=[n_op])
 
 res = q.nm_mcsolve(H, psi0, tlist, [(q.sigmam(), lambda t: gamma_A(t)[0])],
-                   e_ops=[n_op], options={"ntraj": 1000, "seed": 1, "map": "parallel"})
+                   e_ops=[n_op], options={"ntraj": 1000, "seed": 1})
 
 sigma_err = res.std_expect[0] / np.sqrt(res.ntraj_used)
 dev = np.abs(res.expect[0] - exact.expect[0])

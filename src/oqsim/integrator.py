@@ -78,17 +78,25 @@ _P = np.array(
 
 
 class DenseSegment:
-    """Polynomial interpolant of the solution over one accepted step."""
+    """Polynomial interpolant of the solution over one accepted step.
 
-    __slots__ = ("t_old", "t_new", "y_old", "_q")
+    Most steps are never evaluated, so the interpolant coefficients are built
+    from the stage matrix ``K`` at the first call.
+    """
+
+    __slots__ = ("t_old", "t_new", "y_old", "_K", "_q")
 
     def __init__(self, t_old, t_new, y_old, K):
         self.t_old = t_old
         self.t_new = t_new
         self.y_old = y_old
-        self._q = K.T @ _P  # shape (n, 4)
+        self._K = K
+        self._q = None
 
     def __call__(self, t: float) -> np.ndarray:
+        if self._q is None:
+            self._q = self._K.T @ _P  # shape (n, 4)
+            self._K = None
         h = self.t_new - self.t_old
         x = (t - self.t_old) / h
         p = np.array([x, x**2, x**3, x**4])

@@ -99,6 +99,9 @@ def _mcwf_trajectory(
     ratios: list[float] = []
     expect = [np.empty(tlist.size, dtype=complex) for _ in e_mats]
     states = [] if store_states else None
+    # The step cut short by the latest jump, and the jump time: output times
+    # before the jump read the pre-jump state from it.
+    cut_seg, t_cut = None, -np.inf
 
     for j, target in enumerate(tlist):
         eps_t = 4 * np.finfo(float).eps * max(1.0, abs(target))
@@ -125,8 +128,11 @@ def _mcwf_trajectory(
                 if channels[k].ratio_fn is not None:
                     ratios.append(float(channels[k].ratio_fn(t_jump)))
                 r = rng.uniform()
+                cut_seg, t_cut = seg, t_jump
                 stepper = DP54Stepper(rhs, t_jump, psi_new, integ_opts, t_end)
-        if stepper.segment is None:
+        if target < t_cut:
+            y = cut_seg(target)
+        elif stepper.segment is None:
             y = stepper.y
         else:
             y = stepper.interpolate(min(target, stepper.segment.t_new))
@@ -313,7 +319,7 @@ def _run_trajectories(
             stats.add(w, series)
         return stats
 
-    done = run_map(run_one, jobs, opts.map, timeout=opts.timeout, stop_check=stop_check)
+    done = run_map(run_one, jobs, timeout=opts.timeout, stop_check=stop_check)
     stats = _reduce(done)
     avg, std = stats.finalize()
 

@@ -10,6 +10,28 @@ with one Wiener increment per monitored channel ``s`` and
 renormalized to unit trace after every substep (the measurement nonlinearity
 preserves the trace only on average).  Each trajectory also records the
 homodyne current ``J_x = tr[(s + s^dag) rho] + dW/dt`` on the output grid.
+
+Block layout.  Trajectories advance together in blocks of ``BLOCK``.  Each
+density matrix is held as its d^2 real coordinates (:class:`HermitianCoords`:
+the diagonal, then sqrt(2) Re and sqrt(2) Im of the strict upper triangle), so
+a block is one ``(d^2, B)`` float64 array and every superoperator that maps
+Hermitian matrices to Hermitian matrices is one real ``(d^2, d^2)`` matrix.
+One substep of a block is:
+
+* the deterministic part: the exact propagator ``expm(L dt)`` (the
+  exponential of the real form of L) applied as one real matrix product when
+  H is constant, else the Euler step
+  ``R + dt L(t) R`` with ``L(t)`` summed from the real forms of the constant
+  part and of each coefficient term of H;
+* per monitored channel, in order: one real product for ``s rho + rho s^dag``,
+  its trace as a row sum, and the elementwise Euler-Maruyama update;
+* renormalization of every column to unit trace.
+
+Determinism.  Trajectory ``i`` draws its Wiener increments from
+``Philox((seed, i))`` alone, and blocks are cut from the trajectory indices in
+order at a fixed width, so a rerun with the same ``(seed, ntraj)`` is
+bit-identical.  Runs that cut blocks differently agree to rounding only: BLAS
+may round the columns of a narrower block differently (of order 1e-14).
 """
 
 from __future__ import annotations
@@ -17,15 +39,23 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse
 
 from .dimensions import Dimensions
-from .exceptions import DimensionMismatchError, SolverError
+from .exceptions import DimensionMismatchError, NotHermitianError, SolverError
 from .qobj import Qobj
 from .qobjevo import QobjEvo
 from .result import MultiTrajResult, normalize_e_ops
+from .superop import liouvillian, spost, spre
 from .trajectory import McOptions, WeightedStats, run_map, trajectory_rng
 
-__all__ = ["WienerPath", "smesolve"]
+__all__ = ["HermitianCoords", "WienerPath", "smesolve"]
+
+# Trajectories per block, the same as run_map's default check_every.
+BLOCK = 50
+
+_SQRT2 = np.sqrt(2.0)
 
 
 class WienerPath:
@@ -34,6 +64,66 @@ class WienerPath:
     def __init__(self, rng, n_channels: int, n_steps: int, dt: float):
         self.dt = dt
         self.increments = rng.standard_normal((n_channels, n_steps)) * np.sqrt(dt)
+
+
+class HermitianCoords:
+    """Real coordinates of d x d Hermitian matrices.
+
+    Coordinates are the diagonal, then ``sqrt(2) Re`` and ``sqrt(2) Im`` of
+    the strict upper triangle in ``np.triu_indices`` order.  The map is an
+    isometry of the Hilbert-Schmidt inner product, so ``tr(A B)`` of two
+    Hermitian matrices is the dot product of their coordinates.
+    Superoperators act on column-stacked (Fortran-order) vectors.
+    """
+
+    def __init__(self, d: int):
+        self.d = d
+        self._iu, self._ju = np.triu_indices(d, 1)
+        # The unitary E with vec(rho) = E @ coords(rho), column-stacked vec;
+        # two nonzeros per column at most.
+        n = self._iu.size
+        diag = np.arange(d) * (d + 1)
+        up = self._iu + self._ju * d
+        lo = self._ju + self._iu * d
+        pair = np.arange(n)
+        rows = np.concatenate([diag, up, lo, up, lo])
+        cols = np.concatenate([np.arange(d), d + pair, d + pair, d + n + pair, d + n + pair])
+        vals = np.concatenate([np.ones(d), np.full(2 * n, 1 / _SQRT2),
+                               np.full(n, 1j / _SQRT2), np.full(n, -1j / _SQRT2)])
+        self._E = scipy.sparse.csr_array((vals, (rows, cols)), shape=(d * d, d * d))
+        self._E_dag = self._E.conj().T.tocsr()
+
+    def from_matrix(self, rho: np.ndarray) -> np.ndarray:
+        """Coordinates of the Hermitian part of ``rho``."""
+        up = 0.5 * (rho[self._iu, self._ju] + rho[self._ju, self._iu].conj())
+        return np.concatenate([rho.diagonal().real, _SQRT2 * up.real, _SQRT2 * up.imag])
+
+    def to_matrices(self, R: np.ndarray) -> np.ndarray:
+        """The ``(B, d, d)`` stack of matrices of the columns of ``R``."""
+        d, n = self.d, self._iu.size
+        out = np.zeros((R.shape[1], d, d), dtype=complex)
+        k = np.arange(d)
+        out[:, k, k] = R[:d].T
+        up = (R[d : d + n] + 1j * R[d + n :]).T / _SQRT2
+        out[:, self._iu, self._ju] = up
+        out[:, self._ju, self._iu] = up.conj()
+        return out
+
+    def functional(self, op: np.ndarray) -> np.ndarray:
+        """Complex row ``w`` with ``tr(op rho) = w @ coords(rho)``; real for Hermitian ``op``."""
+        a, b = op[self._iu, self._ju], op[self._ju, self._iu]
+        return np.concatenate([op.diagonal(), (a + b) / _SQRT2, 1j * (b - a) / _SQRT2])
+
+    def superop(self, S) -> scipy.sparse.csr_array:
+        """Real sparse matrix of ``rho -> Hermitian part of S(rho)`` on coordinates.
+
+        ``S`` (dense or sparse) acts on column-stacked vectors; the result is
+        ``Re(E^dag S E)``, exact for a Hermiticity-preserving ``S``.  E has at
+        most two nonzeros per row and column, so this is O(nnz(S)) work.
+        """
+        out = (self._E_dag @ scipy.sparse.csr_array(S) @ self._E).real
+        out.eliminate_zeros()
+        return out
 
 
 def _as_constant_matrix(op, name):
@@ -49,7 +139,11 @@ def smesolve(H, rho0: Qobj, tlist, c_ops=(), sc_ops=(), e_ops=None, options=None
     ``sc_ops`` are the monitored channels (one Wiener process each);
     ``c_ops`` add unmonitored deterministic dissipation.  ``tlist`` must be
     uniform and the substep ``dt_sub`` (options) must divide its spacing;
-    the default substep is spacing/100.
+    the default substep is spacing/100.  ``rho0`` must be Hermitian.
+
+    ``stats`` holds ``build_time`` (everything before the first block),
+    ``run_time`` (the whole call) and ``substeps`` (substeps summed over the
+    trajectories run).
     """
     t_start = time.perf_counter()
     opts = McOptions.coerce(options).validated()
@@ -77,98 +171,123 @@ def smesolve(H, rho0: Qobj, tlist, c_ops=(), sc_ops=(), e_ops=None, options=None
         rho0 = rho0.proj()
     if rho0.dims.ket != H_evo.dims.ket:
         raise DimensionMismatchError("initial state dims do not match H")
+    if not rho0.isherm:
+        raise NotHermitianError("smesolve needs a Hermitian initial density matrix")
     dims = Dimensions(rho0.dims.ket, rho0.dims.bra)
 
-    Hmat = None if not H_evo.isconstant else _as_constant_matrix(H_evo, "H")
     cs = [_as_constant_matrix(c, "c_ops") for c in c_ops]
     ss = [_as_constant_matrix(s, "sc_ops") for s in sc_ops]
-    cs_dag = [m.conj().T for m in cs]
-    ss_dag = [m.conj().T for m in ss]
-    cdc = [md @ m for m, md in zip(cs, cs_dag)]
-    sds = [md @ m for m, md in zip(ss, ss_dag)]
+    d = rho0.shape[0]
+    coords = HermitianCoords(d)
+    # s rho + rho s^dag, and the row of tr[(s + s^dag) rho].
+    meas = [coords.superop((spre(Qobj(m)) + spost(Qobj(m).dag())).data.scipy_matrix())
+            for m in ss]
+    x_rows = np.array([coords.functional(m + m.conj().T).real for m in ss]).reshape(-1, d * d)
 
     # For constant generators the deterministic part of the substep is applied
     # exactly through a precomputed propagator exp(L dt); only the measurement
     # term is then left to the Euler-Maruyama increment.  This keeps the
-    # deterministic truncation error out of the trajectory average.
-    det_prop = None
-    if Hmat is not None:
-        from .superop import liouvillian
-        import scipy.linalg
+    # deterministic truncation error out of the trajectory average.  L maps
+    # Hermitian matrices to Hermitian matrices, so its real form is exact and
+    # the exponential is taken of that real matrix.  Products with the
+    # propagator and the measurement terms are sparse: for a cavity most of
+    # their entries are exact zeros.  The operators are taken as plain
+    # matrices so that their dims agree whatever dims the caller gave them.
+    dissipators = [Qobj(m) for m in cs + ss]
+    if H_evo.isconstant:
+        L = liouvillian(Qobj(H_evo(0.0).full()), dissipators)
+        L = coords.superop(L.data.scipy_matrix()).toarray()
+        prop = scipy.sparse.csr_array(scipy.linalg.expm(L * dt))
 
-        Hq = Qobj(Hmat)
-        L = liouvillian(Hq, [Qobj(m) for m in cs] + [Qobj(m) for m in ss])
-        det_prop = scipy.linalg.expm(L.full() * dt)
+        def deterministic(R, t):
+            return prop @ R
+
+    else:
+        const_H = [Qobj(q.full()) for q, c in H_evo.terms if c.is_constant]
+        L0 = liouvillian(const_H[0] if const_H else None, dissipators)
+        L0 = coords.superop(L0.data.scipy_matrix()).toarray()
+        # -i[H_k, .] and its product with i, for the real and imaginary
+        # parts of the coefficient.
+        td_terms = []
+        for q, c in H_evo.terms:
+            if not c.is_constant:
+                q = Qobj(q.full())
+                comm = (spre(q) - spost(q)).data.scipy_matrix()
+                td_terms.append(
+                    (coords.superop(-1j * comm).toarray(), coords.superop(comm).toarray(), c)
+                )
+
+        def deterministic(R, t):
+            L = L0.copy()
+            for re_part, im_part, c in td_terms:
+                val = complex(c(t))
+                L += val.real * re_part
+                if val.imag:
+                    L += val.imag * im_part
+            return R + dt * (L @ R)
 
     labels, ops = normalize_e_ops(e_ops)
-    e_rows = [op.full().flatten(order="C") for op in ops]
+    e_rows = np.array([coords.functional(op.full()) for op in ops]).reshape(-1, d * d)
     real_flags = [op.isherm for op in ops]
 
     rho_init = rho0.full()
-    rho_init = rho_init / np.trace(rho_init).real
+    r_init = coords.from_matrix(rho_init / np.trace(rho_init).real)
     n_channels = len(ss)
-    n_total_sub = n_sub * (tlist.size - 1)
+    n_times = tlist.size
+    n_total_sub = n_sub * (n_times - 1)
 
-    def lindblad_part(t, rho):
-        if Hmat is not None:
-            h = Hmat
-        else:
-            h = H_evo(t).full()
-        out = -1j * (h @ rho - rho @ h)
-        for m, md, mdm in zip(cs, cs_dag, cdc):
-            out += m @ rho @ md - 0.5 * (mdm @ rho + rho @ mdm)
-        for m, md, mdm in zip(ss, ss_dag, sds):
-            out += m @ rho @ md - 0.5 * (mdm @ rho + rho @ mdm)
-        return out
-
-    def run_one(i):
-        rng = trajectory_rng(opts.seed, i)
-        path = WienerPath(rng, n_channels, n_total_sub, dt)
-        rho = rho_init.copy()
-        expect = [np.empty(tlist.size, dtype=complex) for _ in e_rows]
-        record = np.zeros((n_channels, tlist.size - 1))
-        states = [] if opts.store_states else None
+    def run_block(start):
+        indices = range(start, min(start + BLOCK, opts.ntraj))
+        # (channel, substep, trajectory)
+        dW_all = np.stack(
+            [
+                WienerPath(trajectory_rng(opts.seed, i), n_channels, n_total_sub, dt).increments
+                for i in indices
+            ],
+            axis=-1,
+        )
+        B = len(indices)
+        R = np.repeat(r_init[:, None], B, axis=1)
+        expect = np.empty((B, len(e_rows), n_times), dtype=complex)
+        record = np.empty((B, n_channels, n_times - 1))
+        states = np.empty((B, n_times, d, d), dtype=complex) if opts.store_states else None
 
         def collect(j):
-            flat = rho.flatten(order="F")
-            for series, row in zip(expect, e_rows):
-                series[j] = complex(row @ flat)
+            expect[:, :, j] = (e_rows @ R).T
             if states is not None:
-                states.append(rho.copy())
+                states[:, j] = coords.to_matrices(R)
 
         collect(0)
         ptr = 0
-        for j in range(tlist.size - 1):
+        for j in range(n_times - 1):
             t = tlist[j]
-            x_start = [
-                float(np.trace((m + md) @ rho).real) for m, md in zip(ss, ss_dag)
-            ]
-            dW_sum = np.zeros(n_channels)
+            x_start = x_rows @ R
             for _ in range(n_sub):
-                dW = path.increments[:, ptr]
+                dW = dW_all[:, ptr]
                 ptr += 1
-                if det_prop is not None:
-                    rho = (det_prop @ rho.flatten(order="F")).reshape(
-                        rho.shape, order="F"
-                    )
-                else:
-                    rho = rho + lindblad_part(t, rho) * dt
-                for k, (m, md) in enumerate(zip(ss, ss_dag)):
-                    hrho = m @ rho + rho @ md
-                    hrho = hrho - np.trace(hrho) * rho
-                    rho = rho + hrho * dW[k]
-                rho = rho / np.trace(rho).real
+                R = deterministic(R, t)
+                for k in range(n_channels):
+                    # R + (hR - tr(hR) R) dW, with two passes over R.
+                    hR = meas[k] @ R
+                    R *= 1.0 - hR[:d].sum(axis=0) * dW[k]
+                    hR *= dW[k]
+                    R += hR
+                R /= R[:d].sum(axis=0)
                 t += dt
-                dW_sum += dW
-            for k in range(n_channels):
-                record[k, j] = x_start[k] + dW_sum[k] / dt_out
+            record[:, :, j] = (x_start + dW_all[:, ptr - n_sub : ptr].sum(axis=1) / dt_out).T
             collect(j + 1)
-        return expect, record, states
+        return [
+            (list(expect[b]), record[b], None if states is None else list(states[b]))
+            for b in range(B)
+        ]
 
-    results = run_map(run_one, range(opts.ntraj), opts.map, timeout=opts.timeout)
+    build_time = time.perf_counter() - t_start
+    blocks = run_map(run_block, range(0, opts.ntraj, BLOCK), timeout=opts.timeout,
+                     check_every=1)
+    results = [traj for block in blocks for traj in block]
     ntraj_used = len(results)
 
-    stats = WeightedStats(len(e_rows), tlist.size)
+    stats = WeightedStats(len(e_rows), n_times)
     for expect, _, _ in results:
         stats.add(1.0, expect)
     avg, std = stats.finalize()
@@ -208,6 +327,8 @@ def smesolve(H, rho0: Qobj, tlist, c_ops=(), sc_ops=(), e_ops=None, options=None
         stats={
             "solver": "smesolve",
             "dt_sub": dt,
+            "build_time": build_time,
+            "substeps": n_total_sub * ntraj_used,
             "run_time": time.perf_counter() - t_start,
             "map": opts.map,
         },

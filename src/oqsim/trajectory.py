@@ -1,14 +1,15 @@
 """Shared machinery for the trajectory solvers.
 
 Each trajectory is a pure function of its seed and the immutable problem
-data, so the map layer may run them serially or on a thread pool; results are
-merged in seed order either way, making the output independent of scheduling.
+data, and results are merged in seed order, so the output does not depend on
+how the map layer schedules them.  The map runs serially: a thread pool was
+slower than serial under the GIL, so ``map: parallel`` is kept only as an
+accepted alias of ``serial``.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,8 @@ class McOptions:
 
     ``seed`` is the master seed; trajectory ``i`` draws from an independent
     stream derived from ``(seed, i)`` with a counter-based generator, so runs
-    are reproducible regardless of the map mode.  ``target_tol`` (scalar or
+    are reproducible.  ``map`` is ``"serial"``; ``"parallel"`` is accepted as
+    an alias that also runs serially.  ``target_tol`` (scalar or
     ``(atol, rtol)``) stops the run early once the statistical error of every
     expectation value is below target, checked every 50 trajectories.
     """
@@ -70,9 +72,8 @@ def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((master_seed, index))))
 
 
-def run_map(fn, indices, mode: str, timeout: float | None = None, check_every: int = 50,
-            stop_check=None):
-    """Run ``fn(i)`` for each index, serially or on a thread pool.
+def run_map(fn, indices, timeout: float | None = None, check_every: int = 50, stop_check=None):
+    """Run ``fn(i)`` for each index, in order.
 
     Results are returned as a list aligned with ``indices``.  ``stop_check``
     (if given) is called with the list of completed results every
@@ -85,22 +86,14 @@ def run_map(fn, indices, mode: str, timeout: float | None = None, check_every: i
     indices = list(indices)
     chunk = max(1, check_every)
     pos = 0
-    workers = None
     while pos < len(indices):
         batch = indices[pos : pos + chunk]
-        if mode == "parallel":
-            if workers is None:
-                workers = ThreadPoolExecutor()
-            results.extend(workers.map(fn, batch))
-        else:
-            results.extend(fn(i) for i in batch)
+        results.extend(fn(i) for i in batch)
         pos += len(batch)
         if timeout is not None and time.monotonic() - t0 > timeout:
             break
         if stop_check is not None and pos < len(indices) and stop_check(results):
             break
-    if workers is not None:
-        workers.shutdown()
     return results
 
 

@@ -230,7 +230,13 @@ def test_criterion_05_nm_mcsolve_damped_jc():
                        e_ops=[n_op], options={"ntraj": 1000, "seed": 31})
     sig_err = res.std_expect[0] / np.sqrt(res.ntraj_used)
     dev = np.abs(res.expect[0] - ref.expect[0])
-    ok_pop = bool(np.all(dev <= 5 * sig_err + 1e-12))
+    # Where no trajectory has jumped yet the sample std is zero and the 5 sigma
+    # band has no width.  There, seeing no event among ntraj bounds the event
+    # probability by ln(1/P(>5 sigma))/ntraj, and an event moves the
+    # population by at most 1.
+    band = np.where(res.std_expect[0] < 1e-6, np.log(1 / 5.733e-7) / res.ntraj_used,
+                    5 * sig_err + 1e-12)
+    ok_pop = bool(np.all(dev <= band))
 
     mu_err = 5 * res.trace_std / np.sqrt(res.ntraj_used)
     ok_mu = all(
@@ -241,8 +247,8 @@ def test_criterion_05_nm_mcsolve_damped_jc():
     elapsed = time.perf_counter() - t0
     _report(
         5,
-        f"nm_mcsolve damped JC (max dev/5sig "
-        f"{np.max(dev[1:] / (5 * sig_err[1:] + 1e-15)):.2f}; martingale ok {ok_mu})",
+        f"nm_mcsolve damped JC (max dev/band "
+        f"{np.max(dev[1:] / band[1:]):.2f}; martingale ok {ok_mu})",
         elapsed,
         120.0,
         ok=ok_pop and ok_mu,

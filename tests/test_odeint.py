@@ -1,8 +1,11 @@
 """Adaptive integrator: accuracy, dense output, limits, diagonalization path."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+import oqsim as q
 from oqsim.exceptions import MethodError, StepLimitError
 from oqsim.integrator import DP54Stepper, IntegratorOptions, integrate, propagate_diag
 
@@ -126,3 +129,38 @@ class TestOptionsValidation:
             IntegratorOptions(max_step=0.0).validated()
         with pytest.raises(ValueError):
             IntegratorOptions(method="leapfrog").validated()
+
+
+class TestDenseOutputBytes:
+    """Solver expectations, byte for byte, against fixed-seed digests.
+
+    The digests were taken with the interpolant coefficients built at every
+    accepted step; building them only for the steps that are evaluated must
+    not change a single bit.
+    """
+
+    @staticmethod
+    def digest(res):
+        return hashlib.sha256(
+            b"".join(np.ascontiguousarray(e).tobytes() for e in res.expect)
+        ).hexdigest()
+
+    def test_mcsolve(self):
+        I2 = q.qeye(2)
+        H = 0.5 * (q.sigmaz() & I2) + 0.5 * (I2 & q.sigmaz()) + 0.1 * (q.sigmax() & q.sigmax())
+        c_ops = [np.sqrt(0.1) * (q.sigmam() & I2), np.sqrt(0.1) * (I2 & q.sigmam())]
+        res = q.mcsolve(H, q.basis(2, 0) & q.basis(2, 0), np.linspace(0, 20, 21), c_ops=c_ops,
+                        e_ops=[q.sigmaz() & I2],
+                        options={"ntraj": 40, "seed": 5, "improved_sampling": True})
+        assert self.digest(res) == (
+            "a3b6c4b74a909cdf6fd214f4bcc5d9fc3af7b70327594bd1acae19aede76b7c4"
+        )
+
+    def test_heomsolve(self):
+        env = q.DrudeLorentzEnvironment(T=1.0, lam=0.1, gamma=0.5)
+        ex = q.matsubara_decompose(env, 2)
+        res = q.heomsolve(0.5 * q.sigmaz() + 0.3 * q.sigmax(), (ex, q.sigmaz()), q.basis(2, 0),
+                          np.linspace(0, 5, 11), n_c=4, e_ops=[q.sigmaz(), q.sigmax()])
+        assert self.digest(res) == (
+            "42073663a2ceddd2c9e6c800c2e53c12b5e5f580f32687d110a6ff4eb49883f1"
+        )

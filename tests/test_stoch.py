@@ -1,10 +1,21 @@
 """Trajectory solvers: mcsolve, nm_mcsolve, smesolve."""
 
+import importlib
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oqsim as q
-from oqsim.exceptions import RangeError
+from oqsim.exceptions import NotHermitianError, RangeError
+from oqsim.mcsolve import MCSolver, _mcwf_trajectory
+from oqsim.smesolve import HermitianCoords, WienerPath
+from oqsim.trajectory import McOptions, trajectory_rng
+
+sme_module = importlib.import_module("oqsim.smesolve")
 
 TIGHT = {"atol": 1e-12, "rtol": 1e-10}
 
@@ -136,6 +147,29 @@ class TestMcsolve:
             assert np.max(np.abs(got.full() - want.full())) < 0.15
 
 
+class TestJumpOutputOrder:
+    def test_outputs_before_a_jump_read_the_pre_jump_state(self):
+        # A decaying qubit is excited (<sz> = 1) until its only jump and in the
+        # ground state (<sz> = -1) after it.  An output time that falls in the
+        # accepted step of a jump but before the jump time must still read 1.
+        solver = MCSolver(0.5 * q.sigmaz(), [np.sqrt(0.35) * q.sigmam()])
+        ts = np.linspace(0, 8, 17)
+        opts = McOptions()
+        sz = q.sigmaz().data.scipy_matrix()
+        psi0 = q.basis(2, 0).full().ravel()
+        misplaced = jumped = 0
+        for i in range(300):
+            traj = _mcwf_trajectory(solver.drift_evo, solver.channels, psi0, ts, [sz],
+                                    opts.integrator, opts.norm_tol, trajectory_rng(0, i),
+                                    None, False)
+            t_jump = traj.jumps[0][0] if traj.jumps else np.inf
+            jumped += bool(traj.jumps)
+            expected = np.where(ts < t_jump, 1.0, -1.0)
+            misplaced += int(np.sum(np.abs(traj.expect[0].real - expected) > 1e-6))
+        assert jumped > 250
+        assert misplaced == 0
+
+
 class TestNmMcsolve:
     def test_prepare_no_padding_when_complete(self):
         prep = q.nm_prepare([(q.sigmax(), 1.0)])  # sx^dag sx = identity
@@ -186,7 +220,11 @@ class TestNmMcsolve:
         res = q.nm_mcsolve(H, psi0, ts, [(q.sigmam(), lambda t: gamma_A(t)[0])],
                            e_ops=[n_op], options={"ntraj": 400, "seed": 6})
         dev = np.abs(res.expect[0] - ref.expect[0])[1:]
-        assert np.all(dev <= 5 * sigma_err(res)[1:] + 1e-12)
+        # Zero-event bound where no trajectory has jumped yet (zero sample
+        # std): ln(1/P(>5 sigma))/ntraj, times the population span of 1.
+        band = np.where(res.std_expect[0][1:] < 1e-6, np.log(1 / 5.733e-7) / res.ntraj_used,
+                        5 * sigma_err(res)[1:] + 1e-12)
+        assert np.all(dev <= band)
 
         # E[mu] = 1 wherever gamma(t) >= 0 (exactly 1 before the first
         # negative-rate episode, statistically 1 afterwards)
@@ -300,6 +338,217 @@ class TestSmesolve:
         r2 = q.smesolve(q.qzero(N), q.coherent(N, 1.0), ts, sc_ops=[np.sqrt(kappa) * a],
                         e_ops=[a + a.dag()], options={"ntraj": 10, "seed": 33, "map": "parallel"})
         assert np.array_equal(r1.expect[0], r2.expect[0])
+
+
+def loop_smesolve(H, rho0, tlist, c_ops, sc_ops, e_ops, ntraj, seed):
+    """The per-trajectory Euler-Maruyama loop that the block engine replaced.
+
+    Kept as the oracle for the block engine.  Returns one
+    ``(expect, record, states)`` tuple per trajectory, with the default
+    substep (spacing/100).
+    """
+    tlist = np.asarray(tlist, dtype=float)
+    dt_out = tlist[1] - tlist[0]
+    n_sub = 100
+    dt = dt_out / n_sub
+    H_evo = H if isinstance(H, q.QobjEvo) else q.QobjEvo(H)
+    if rho0.isket:
+        rho0 = rho0.proj()
+    Hmat = H_evo(0.0).full() if H_evo.isconstant else None
+    cs = [c.full() for c in c_ops]
+    ss = [s.full() for s in sc_ops]
+    cs_dag = [m.conj().T for m in cs]
+    ss_dag = [m.conj().T for m in ss]
+    cdc = [md @ m for m, md in zip(cs, cs_dag)]
+    sds = [md @ m for m, md in zip(ss, ss_dag)]
+    det_prop = None
+    if Hmat is not None:
+        L = q.liouvillian(q.Qobj(Hmat), [q.Qobj(m) for m in cs] + [q.Qobj(m) for m in ss])
+        det_prop = scipy.linalg.expm(L.full() * dt)
+    e_rows = [op.full().flatten(order="C") for op in e_ops]
+    rho_init = rho0.full()
+    rho_init = rho_init / np.trace(rho_init).real
+    n_channels = len(ss)
+    n_total_sub = n_sub * (tlist.size - 1)
+
+    def lindblad_part(t, rho):
+        h = Hmat if Hmat is not None else H_evo(t).full()
+        out = -1j * (h @ rho - rho @ h)
+        for m, md, mdm in zip(cs + ss, cs_dag + ss_dag, cdc + sds):
+            out += m @ rho @ md - 0.5 * (mdm @ rho + rho @ mdm)
+        return out
+
+    def run_one(i):
+        path = WienerPath(trajectory_rng(seed, i), n_channels, n_total_sub, dt)
+        rho = rho_init.copy()
+        expect = [np.empty(tlist.size, dtype=complex) for _ in e_rows]
+        record = np.zeros((n_channels, tlist.size - 1))
+        states = []
+
+        def collect(j):
+            flat = rho.flatten(order="F")
+            for series, row in zip(expect, e_rows):
+                series[j] = complex(row @ flat)
+            states.append(rho.copy())
+
+        collect(0)
+        ptr = 0
+        for j in range(tlist.size - 1):
+            t = tlist[j]
+            x_start = [float(np.trace((m + md) @ rho).real) for m, md in zip(ss, ss_dag)]
+            dW_sum = np.zeros(n_channels)
+            for _ in range(n_sub):
+                dW = path.increments[:, ptr]
+                ptr += 1
+                if det_prop is not None:
+                    rho = (det_prop @ rho.flatten(order="F")).reshape(rho.shape, order="F")
+                else:
+                    rho = rho + lindblad_part(t, rho) * dt
+                for k, (m, md) in enumerate(zip(ss, ss_dag)):
+                    hrho = m @ rho + rho @ md
+                    hrho = hrho - np.trace(hrho) * rho
+                    rho = rho + hrho * dW[k]
+                rho = rho / np.trace(rho).real
+                t += dt
+                dW_sum += dW
+            for k in range(n_channels):
+                record[k, j] = x_start[k] + dW_sum[k] / dt_out
+            collect(j + 1)
+        return expect, record, states
+
+    return [run_one(i) for i in range(ntraj)]
+
+
+def block_smesolve(monkeypatch, H, rho0, tlist, c_ops, sc_ops, e_ops, ntraj, seed):
+    """smesolve's result and its per-trajectory ``(expect, record, states)``."""
+    blocks = []
+    run_map = sme_module.run_map
+
+    def capture(fn, *args, **kwargs):
+        def kept(start):
+            out = fn(start)
+            blocks.append(out)
+            return out
+
+        return run_map(kept, *args, **kwargs)
+
+    monkeypatch.setattr(sme_module, "run_map", capture)
+    res = q.smesolve(H, rho0, tlist, c_ops=c_ops, sc_ops=sc_ops, e_ops=e_ops,
+                     options={"ntraj": ntraj, "seed": seed, "store_states": True,
+                              "keep_runs_results": True})
+    return res, [traj for block in blocks for traj in block]
+
+
+def assert_close(new, old):
+    new, old = np.asarray(new), np.asarray(old)
+    assert new.shape == old.shape
+    assert np.max(np.abs(new - old)) <= 1e-12 * max(np.max(np.abs(old)), 1e-300)
+
+
+def _sme_cases():
+    N = 5
+    a = q.destroy(N)
+    n = a.dag() @ a
+    x = a + a.dag()
+    psi0 = q.coherent(N, 0.8)
+    drive = q.QobjEvo([n, [x, lambda t: np.cos(3 * t)]])
+    # A Hermitian H(t) built from non-Hermitian terms with complex coefficients.
+    rotating = q.QobjEvo([n, [a, lambda t: 0.4 * np.exp(1j * t)],
+                          [a.dag(), lambda t: 0.4 * np.exp(-1j * t)]])
+    return {
+        "two_sc_ops": (n, psi0, [], [np.sqrt(0.6) * a, np.sqrt(0.3) * n], [x]),
+        "c_ops_and_sc_ops": (n, psi0, [np.sqrt(0.4) * a], [np.sqrt(0.5) * a], [x, n]),
+        "time_dependent_h": (drive, psi0, [np.sqrt(0.2) * a], [np.sqrt(0.5) * a], [x]),
+        "complex_coefficients": (rotating, psi0, [], [np.sqrt(0.5) * a], [x]),
+        "non_hermitian_e_op": (n, psi0, [], [np.sqrt(0.5) * a], [a, x]),
+    }
+
+
+class TestSmeBlockEngine:
+    @pytest.mark.parametrize("case", sorted(_sme_cases()))
+    @pytest.mark.parametrize("ntraj", [1, 7, 53])
+    def test_matches_the_per_trajectory_loop(self, monkeypatch, case, ntraj):
+        H, psi0, c_ops, sc_ops, e_ops = _sme_cases()[case]
+        ts = np.linspace(0, 0.2, 5)
+        res, trajs = block_smesolve(monkeypatch, H, psi0, ts, c_ops, sc_ops, e_ops, ntraj, 8)
+        oracle = loop_smesolve(H, psi0, ts, c_ops, sc_ops, e_ops, ntraj, 8)
+        assert len(trajs) == res.ntraj_used == ntraj
+        for (expect, record, states), (o_expect, o_record, o_states) in zip(trajs, oracle):
+            for series, o_series in zip(expect, o_expect):
+                assert_close(series, o_series)
+            assert_close(record, o_record)
+            assert_close(states, o_states)
+        for k, op in enumerate(e_ops):
+            runs = np.array([o_expect[k] for o_expect, _, _ in oracle])
+            assert_close(res.runs_expect[k], runs.real if op.isherm else runs)
+        assert_close(np.array(res.measurements), np.array([rec for _, rec, _ in oracle]))
+
+    def test_reruns_are_byte_identical(self):
+        a = q.destroy(6)
+        ts = np.linspace(0, 0.3, 4)
+        runs = [
+            q.smesolve(a.dag() @ a, q.coherent(6, 1.0), ts, sc_ops=[a], e_ops=[a + a.dag()],
+                       options={"ntraj": 53, "seed": 2, "keep_runs_results": True})
+            for _ in range(2)
+        ]
+        assert runs[0].runs_expect[0].tobytes() == runs[1].runs_expect[0].tobytes()
+        assert np.array(runs[0].measurements).tobytes() == np.array(runs[1].measurements).tobytes()
+
+    def test_timeout_returns_a_prefix_of_trajectories(self):
+        a = q.destroy(4)
+        ts = np.linspace(0, 0.2, 3)
+        args = (a.dag() @ a, q.coherent(4, 0.5), ts)
+        kwargs = {"sc_ops": [a], "e_ops": [a + a.dag()]}
+        full = q.smesolve(*args, **kwargs,
+                          options={"ntraj": 120, "seed": 4, "keep_runs_results": True})
+        cut = q.smesolve(*args, **kwargs,
+                         options={"ntraj": 120, "seed": 4, "keep_runs_results": True,
+                                  "timeout": 0.0})
+        assert cut.ntraj_used == sme_module.BLOCK
+        assert cut.seeds == full.seeds[: cut.ntraj_used]
+        assert np.array_equal(cut.runs_expect[0], full.runs_expect[0][: cut.ntraj_used])
+        assert all(np.array_equal(m, f) for m, f in zip(cut.measurements, full.measurements))
+
+    def test_stats_report_build_time_and_substeps(self):
+        a = q.destroy(4)
+        ts = np.linspace(0, 0.2, 5)
+        res = q.smesolve(a.dag() @ a, q.basis(4, 1), ts, sc_ops=[a],
+                         options={"ntraj": 3, "seed": 0})
+        assert 0 < res.stats["build_time"] <= res.stats["run_time"]
+        assert res.stats["substeps"] == 3 * 4 * 100
+
+    def test_non_hermitian_initial_state_rejected(self):
+        a = q.destroy(4)
+        with pytest.raises(NotHermitianError):
+            q.smesolve(a.dag() @ a, q.basis(4, 0) @ q.basis(4, 1).dag(), [0.0, 0.1],
+                       sc_ops=[a])
+
+
+@st.composite
+def _hermitian_and_operator(draw):
+    d = draw(st.integers(1, 6))
+    parts = draw(hnp.arrays(np.float64, (4, d, d), elements=st.floats(-10, 10)))
+    m = parts[0] + 1j * parts[1]
+    return 0.5 * (m + m.conj().T), parts[2] + 1j * parts[3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_hermitian_and_operator())
+def test_hermitian_coordinates_round_trip(pair):
+    rho, op = pair
+    d = rho.shape[0]
+    coords = HermitianCoords(d)
+    r = coords.from_matrix(rho)
+    assert r.shape == (d * d,) and r.dtype == np.float64
+    scale = 1e-13 * (1 + np.max(np.abs(rho))) * (1 + np.max(np.abs(op))) * d
+    assert np.max(np.abs(coords.to_matrices(r[:, None])[0] - rho)) <= scale
+    assert abs(coords.functional(np.eye(d)) @ r - np.trace(rho)) <= scale
+    assert abs(coords.functional(op) @ r - np.trace(op @ rho)) <= scale
+    # rho -> op rho op^dag preserves Hermiticity, so its real form is exact.
+    S = np.kron(op.conj(), op)
+    image = coords.superop(S) @ r
+    assert np.max(np.abs(image - coords.from_matrix(op @ rho @ op.conj().T))) <= scale * (
+        1 + np.max(np.abs(op)))
 
 
 class TestEnsembleProperties:
