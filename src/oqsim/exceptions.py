@@ -14,6 +14,7 @@ __all__ = [
     "ModelError",
     "SolverError",
     "CoefficientError",
+    "OptionError",
 ]
 
 
@@ -67,3 +68,7 @@ class SolverError(OqsimError):
 
 class CoefficientError(OqsimError, TypeError):
     """An object cannot serve as a coefficient (not callable, or a ufunc of the wrong arity)."""
+
+
+class OptionError(OqsimError, TypeError):
+    """An options mapping names an unknown key, or the options are not a mapping."""

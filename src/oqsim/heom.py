@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -29,9 +30,8 @@ from .environment import BosonicEnvironment, ExponentSet, matsubara_decompose
 from .exceptions import DimensionMismatchError, NotHermitianError, RangeError
 from .qobj import Qobj
 from .qobjevo import QobjEvo
-from .result import SolveResult, normalize_e_ops
-from .solver import SolverOptions
-from .integrator import DP54Stepper
+from .result import SolveResult
+from .solver import MESolver, Solver, SolverOptions
 from .superop import spost, spre
 
 __all__ = ["AdoIndexSet", "HEOMResult", "hierarchy_build", "heomsolve", "heom_cutoff_hint"]
@@ -233,6 +233,39 @@ def heom_cutoff_hint(exps: ExponentSet, w_s: float) -> int:
     return int(math.ceil(w_s / float(np.min(rates.real))))
 
 
+class _HEOMSolver(MESolver):
+    """An MESolver whose packed state is the whole ADO stack.
+
+    The initial stack is the system density matrix padded with zero auxiliary
+    ADOs; stored states and expectation values read the level-0 slice.
+    """
+
+    name = "heomsolve"
+
+    def __init__(self, gen, ados: AdoIndexSet, H: Qobj, options):
+        # The generator is the given hierarchy, not a Liouvillian built from H.
+        Solver.__init__(self, QobjEvo(Qobj(gen)), options)
+        self.ados = ados
+        self._op_dims = Dimensions(H.dims.ket, H.dims.bra, enr=H.dims.enr)
+        self._n = H.shape[0]
+
+    def _pack(self, state):
+        y0 = np.zeros(self.rhs_evo.shape[0], dtype=np.complex128)
+        y0[: self._n**2] = super()._pack(state)
+        return y0
+
+    def _unpack(self, y):
+        return super()._unpack(y[: self._n**2])
+
+    def _expect_row(self, e_op: Qobj):
+        row = super()._expect_row(e_op)
+        return lambda y: row(y[: self._n**2])
+
+    def _result(self, y_final, *args, **kwargs):
+        final_ados = y_final.reshape(len(self.ados), -1)
+        return HEOMResult(*args, final_ados=final_ados, ado_index=self.ados, **kwargs)
+
+
 def heomsolve(
     H: Qobj,
     baths,
@@ -268,70 +301,10 @@ def heomsolve(
     t_build = time.perf_counter()
     gen, ados = _build_generator(H, couplings, n_c)
     build_time = time.perf_counter() - t_build
-    mat = gen.scipy_matrix()
-    d = H.shape[0]
-    d2 = d * d
-
-    if rho0.isket:
-        rho0 = rho0.proj()
-    if rho0.dims.ket != H.dims.ket:
-        raise DimensionMismatchError("initial state dims do not match H")
-
-    opts = SolverOptions.coerce(options)
-    tlist = np.asarray(tlist, dtype=float)
-    labels, ops = normalize_e_ops(e_ops)
-    e_rows = [op.full().flatten(order="C") for op in ops]
-    real_flags = [op.isherm for op in ops]
-    store_states = opts.store_states if opts.store_states is not None else not ops
-
-    y0 = np.zeros(len(ados) * d2, dtype=np.complex128)
-    y0[:d2] = rho0.full().flatten(order="F")
-
-    def rhs(t, y):
-        return mat @ y
-
-    stepper = DP54Stepper(rhs, float(tlist[0]), y0, opts.integrator, float(tlist[-1]))
-    expect_out = [np.empty(tlist.size, dtype=complex) for _ in e_rows]
-    states = [] if store_states else None
-    dm_dims = Dimensions(rho0.dims.ket, rho0.dims.bra)
-
-    from .exceptions import StepLimitError
-
-    y = y0
-    for j, target in enumerate(tlist):
-        count = 0
-        eps_t = 4 * np.finfo(float).eps * max(1.0, abs(target))
-        while stepper.t < target - eps_t:
-            if count >= opts.integrator.nsteps:
-                raise StepLimitError(f"exceeded {opts.integrator.nsteps} steps before t={target:.6g}")
-            stepper.step()
-            count += 1
-        y = stepper.y if stepper.segment is None else stepper.interpolate(
-            min(target, stepper.segment.t_new)
-        )
-        level0 = y[:d2]
-        for series, row in zip(expect_out, e_rows):
-            series[j] = complex(row @ level0)
-        if store_states:
-            states.append(Qobj(level0.reshape((d, d), order="F"), dims=dm_dims))
-
-    expect_final = [s.real if flag else s for s, flag in zip(expect_out, real_flags)]
-    final_state = states[-1] if states else Qobj(
-        np.asarray(y)[:d2].reshape((d, d), order="F"), dims=dm_dims
+    # Like the ADO stack, the final state is always returned.
+    opts = replace(SolverOptions.coerce(options), store_final_state=True)
+    res = _HEOMSolver(gen, ados, H, opts).run(rho0, tlist, e_ops=e_ops)
+    res.stats.update(
+        n_ados=len(ados), build_time=build_time, run_time=time.perf_counter() - t_start
     )
-    return HEOMResult(
-        tlist,
-        labels,
-        expect_final,
-        states=states,
-        final_state=final_state,
-        stats={
-            "solver": "heomsolve",
-            "n_ados": len(ados),
-            "rhs_evaluations": stepper.nfev,
-            "build_time": build_time,
-            "run_time": time.perf_counter() - t_start,
-        },
-        final_ados=np.asarray(y).reshape(len(ados), d2),
-        ado_index=ados,
-    )
+    return res

@@ -7,18 +7,24 @@ quantum structure: right-hand sides are plain callables ``(t, y) -> dy`` on
 flat complex arrays.  For constant generators, :func:`propagate_diag` offers a
 one-shot diagonalization route.
 
+:func:`advance` is the single loop that steps a :class:`DP54Stepper` to a list
+of output times; :func:`integrate`, the deterministic solvers (including
+``Solver.step`` and ``heomsolve``) and the quantum-jump trajectories all run
+on it, so ``nsteps`` and the dense read-out rule are the same everywhere.
+
 Integration is deterministic: identical inputs produce bit-identical outputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .exceptions import MethodError, StepLimitError, StiffnessError
+from .exceptions import MethodError, OptionError, RangeError, StepLimitError, StiffnessError
 
-__all__ = ["IntegratorOptions", "DenseSegment", "DP54Stepper", "integrate", "propagate_diag"]
+__all__ = ["IntegratorOptions", "FlatOptions", "DenseSegment", "DP54Stepper", "advance",
+           "integrate", "propagate_diag"]
 
 
 @dataclass
@@ -39,14 +45,44 @@ class IntegratorOptions:
 
     def validated(self) -> "IntegratorOptions":
         if self.atol <= 0 or self.rtol <= 0:
-            raise ValueError("atol and rtol must be positive")
+            raise RangeError("atol and rtol must be positive")
         if self.nsteps < 1:
-            raise ValueError("nsteps must be at least 1")
+            raise RangeError("nsteps must be at least 1")
         if self.max_step is not None and self.max_step <= 0:
-            raise ValueError("max_step must be positive when set")
+            raise RangeError("max_step must be positive when set")
         if self.method not in ("rk45_adaptive", "diag_expm"):
-            raise ValueError(f"unknown integrator method {self.method!r}")
+            raise RangeError(f"unknown integrator method {self.method!r}")
         return self
+
+
+_INTEGRATOR_KEYS = tuple(f.name for f in fields(IntegratorOptions))
+
+
+class FlatOptions:
+    """Mixin for option dataclasses with an ``integrator`` field, built from one
+    flat dict whose :class:`IntegratorOptions` keys go to the integrator."""
+
+    @classmethod
+    def option_keys(cls) -> tuple:
+        return tuple(f.name for f in fields(cls) if f.name != "integrator") + _INTEGRATOR_KEYS
+
+    @classmethod
+    def coerce(cls, options):
+        """Build the options from None, an instance, or a flat dict."""
+        if options is None:
+            return cls()
+        if isinstance(options, cls):
+            return options
+        if not isinstance(options, dict):
+            raise OptionError(f"cannot interpret {type(options).__name__} as {cls.__name__}")
+        keys = cls.option_keys()
+        unknown = [k for k in options if k not in keys]
+        if unknown:
+            raise OptionError(f"unknown {cls.__name__} key {unknown[0]!r}; "
+                              f"accepted keys: {', '.join(keys)}")
+        integ = {k: v for k, v in options.items() if k in _INTEGRATOR_KEYS}
+        own = {k: v for k, v in options.items() if k not in integ}
+        return cls(integrator=IntegratorOptions(**integ), **own)
 
 
 # Dormand-Prince 5(4) tableau.
@@ -225,6 +261,42 @@ def _flatten_stages(K: np.ndarray) -> np.ndarray:
     return K.reshape(7, -1) if K.ndim > 2 else K
 
 
+def advance(stepper: DP54Stepper, tlist, nsteps: int, on_step=None):
+    """Step ``stepper`` to each time of ``tlist`` and yield ``(j, t, y)`` there.
+
+    This is the only loop over :meth:`DP54Stepper.step` in the package.
+    ``tlist`` is ascending from ``stepper.t``; ``y`` comes from the dense
+    output of the step holding ``t`` (a copy of ``stepper.y`` before any
+    step).  More than ``nsteps`` accepted steps between two output times
+    raise :class:`StepLimitError`.
+
+    ``on_step(stepper, seg)`` is called after every accepted step and may
+    return a newly constructed stepper, which carries the integration on from
+    its own start (a quantum jump restarts a trajectory this way).  Output
+    times before that start are read from ``seg``, the step it cut short.
+    """
+    cut_seg, t_cut = None, -np.inf
+    for j, target in enumerate(tlist):
+        count = 0
+        eps_t = 4 * np.finfo(float).eps * max(1.0, abs(target))
+        while stepper.t < target - eps_t:
+            if count >= nsteps:
+                raise StepLimitError(f"exceeded {nsteps} steps before t={target:.6g}")
+            seg = stepper.step()
+            count += 1
+            if on_step is not None:
+                restarted = on_step(stepper, seg)
+                if restarted is not None:
+                    cut_seg, t_cut, stepper = seg, restarted.t, restarted
+        if target < t_cut:
+            y = cut_seg(target)
+        elif stepper.segment is None:
+            y = stepper.y.copy()
+        else:
+            y = stepper.interpolate(min(target, stepper.segment.t_new))
+        yield j, target, y
+
+
 def integrate(rhs, y0, t0: float, t_targets, opts: IntegratorOptions | None = None):
     """Integrate ``y' = rhs(t, y)`` and report ``y`` at each target time.
 
@@ -258,24 +330,10 @@ def integrate(rhs, y0, t0: float, t_targets, opts: IntegratorOptions | None = No
         opts,
         t_end=float(t_targets[-1]),
     )
-    out = []
-    t_prev = t0
-    for target in t_targets:
-        count = 0
-        eps_t = 4 * np.finfo(float).eps * max(1.0, abs(target))
-        while stepper.t < target - eps_t:
-            if count >= opts.nsteps:
-                raise StepLimitError(
-                    f"exceeded {opts.nsteps} steps in output interval [{t_prev:.6g}, {target:.6g}]"
-                )
-            stepper.step()
-            count += 1
-        if stepper.segment is None:
-            y = stepper.y.copy()
-        else:
-            y = stepper.interpolate(min(target, stepper.segment.t_new))
-        out.append(y if flat else y.reshape(y0.shape))
-        t_prev = target
+    out = [
+        y if flat else y.reshape(y0.shape)
+        for _, _, y in advance(stepper, t_targets, opts.nsteps)
+    ]
     return out, stepper.segment
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .coefficient import Coefficient
 from .exceptions import DimensionMismatchError, SolverError
-from .integrator import DP54Stepper
+from .integrator import DP54Stepper, advance
 from .qobj import Qobj
 from .qobjevo import QobjEvo
 from .result import MultiTrajResult, normalize_e_ops
@@ -92,50 +92,38 @@ def _mcwf_trajectory(
     def rhs(t, y):
         return drift_evo.matvec(t, y)
 
-    psi = psi0.copy()
     r = rng.uniform() if r_first is None else r_first
-    stepper = DP54Stepper(rhs, float(tlist[0]), psi, integ_opts, t_end)
+    last = DP54Stepper(rhs, float(tlist[0]), psi0, integ_opts, t_end)
     jumps: list[tuple[float, int]] = []
     ratios: list[float] = []
+
+    def jump(stepper, seg):
+        """Once the norm has fallen to ``r``, jump and restart from the jump time."""
+        nonlocal r, last
+        if float(np.linalg.norm(stepper.y) ** 2) <= r:
+            t_jump = _bisect_jump_time(seg, r, norm_tol)
+            psi_j = seg(t_jump)
+            weights = np.array([ch.weight(t_jump, psi_j) for ch in channels])
+            total = float(weights.sum())
+            if not np.isfinite(total) or total <= 0.0:
+                raise SolverError(f"no jump channel has positive weight at t={t_jump:.6g}")
+            u = rng.uniform() * total
+            k = int(np.searchsorted(np.cumsum(weights), u, side="right"))
+            k = min(k, len(channels) - 1)
+            psi_new = channels[k].apply(psi_j)
+            nrm = np.linalg.norm(psi_new)
+            if nrm == 0.0 or not np.isfinite(nrm):
+                raise SolverError(f"collapse produced a zero-norm state at t={t_jump:.6g}")
+            jumps.append((t_jump, k))
+            if channels[k].ratio_fn is not None:
+                ratios.append(float(channels[k].ratio_fn(t_jump)))
+            r = rng.uniform()
+            last = DP54Stepper(rhs, t_jump, psi_new / nrm, integ_opts, t_end)
+            return last
+
     expect = [np.empty(tlist.size, dtype=complex) for _ in e_mats]
     states = [] if store_states else None
-    # The step cut short by the latest jump, and the jump time: output times
-    # before the jump read the pre-jump state from it.
-    cut_seg, t_cut = None, -np.inf
-
-    for j, target in enumerate(tlist):
-        eps_t = 4 * np.finfo(float).eps * max(1.0, abs(target))
-        while stepper.t < target - eps_t:
-            seg = stepper.step()
-            if float(np.linalg.norm(stepper.y) ** 2) <= r:
-                t_jump = _bisect_jump_time(seg, r, norm_tol)
-                psi_j = seg(t_jump)
-                weights = np.array([ch.weight(t_jump, psi_j) for ch in channels])
-                total = float(weights.sum())
-                if not np.isfinite(total) or total <= 0.0:
-                    raise SolverError(
-                        f"no jump channel has positive weight at t={t_jump:.6g}"
-                    )
-                u = rng.uniform() * total
-                k = int(np.searchsorted(np.cumsum(weights), u, side="right"))
-                k = min(k, len(channels) - 1)
-                psi_new = channels[k].apply(psi_j)
-                nrm = np.linalg.norm(psi_new)
-                if nrm == 0.0 or not np.isfinite(nrm):
-                    raise SolverError(f"collapse produced a zero-norm state at t={t_jump:.6g}")
-                psi_new = psi_new / nrm
-                jumps.append((t_jump, k))
-                if channels[k].ratio_fn is not None:
-                    ratios.append(float(channels[k].ratio_fn(t_jump)))
-                r = rng.uniform()
-                cut_seg, t_cut = seg, t_jump
-                stepper = DP54Stepper(rhs, t_jump, psi_new, integ_opts, t_end)
-        if target < t_cut:
-            y = cut_seg(target)
-        elif stepper.segment is None:
-            y = stepper.y
-        else:
-            y = stepper.interpolate(min(target, stepper.segment.t_new))
+    for j, _, y in advance(last, tlist, integ_opts.nsteps, on_step=jump):
         nrm = np.linalg.norm(y)
         ynorm = y / nrm if nrm > 0 else y
         for series, m in zip(expect, e_mats):
@@ -143,7 +131,7 @@ def _mcwf_trajectory(
         if store_states:
             states.append(ynorm.copy())
 
-    return _Trajectory(expect, jumps, ratios, float(np.linalg.norm(stepper.y) ** 2), states)
+    return _Trajectory(expect, jumps, ratios, float(np.linalg.norm(last.y) ** 2), states)
 
 
 def _allot(ntraj: int, probs) -> list[int]:

@@ -21,8 +21,10 @@ import yaml
 from .coefficient import Coefficient, ConstantCoefficient, FunctionCoefficient, SplineCoefficient
 from .exceptions import ModelError, OqsimError, SolverError
 from .qobj import Qobj, tensor
+from .solver import SolverOptions
 from .states import _STATE_KINDS
 from .operators import _OPERATOR_KINDS
+from .trajectory import McOptions
 
 __all__ = ["ModelSpec", "ResultTable", "parse_model", "run_model", "write_csv"]
 
@@ -630,22 +632,11 @@ def _sum_constant(H):
 
 
 def _det_opts(opts: dict) -> dict:
-    out = {}
-    for key in ("store_states", "store_final_state", "atol", "rtol", "nsteps",
-                "max_step", "first_step", "method", "progress"):
-        if key in opts:
-            out[key] = opts[key]
-    return out
+    return {k: v for k, v in opts.items() if k in SolverOptions.option_keys()}
 
 
 def _mc_opts(opts: dict) -> dict:
-    out = {}
-    for key in ("ntraj", "improved_sampling", "target_tol", "timeout", "seed", "map",
-                "keep_runs_results", "store_states", "norm_tol", "dt_sub", "progress",
-                "atol", "rtol", "nsteps", "max_step", "first_step", "method"):
-        if key in opts:
-            out[key] = opts[key]
-    return out
+    return {k: v for k, v in opts.items() if k in McOptions.option_keys()}
 
 
 def _table_from_result(res, stochastic: bool, trace: bool = False) -> ResultTable:

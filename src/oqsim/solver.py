@@ -2,13 +2,14 @@
 
 A solver is built once from the generator (Hamiltonian and collapse
 operators); evolutions are then launched with :meth:`Solver.run`, or stepped
-manually through :meth:`Solver.start` / :meth:`Solver.step`.  The functions
-:func:`sesolve` and :func:`mesolve` are one-shot wrappers.
+manually through :meth:`Solver.start` / :meth:`Solver.step`.  Both run on
+:func:`~oqsim.integrator.advance`, the package's single stepping loop, so
+``nsteps`` bounds the accepted steps per output interval in either.  The
+functions :func:`sesolve` and :func:`mesolve` are one-shot wrappers.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, field
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .dimensions import Dimensions
 from .exceptions import DimensionMismatchError, MethodError
-from .integrator import DP54Stepper, IntegratorOptions, propagate_diag
+from .integrator import DP54Stepper, FlatOptions, IntegratorOptions, advance, propagate_diag
 from .qobj import Qobj
 from .qobjevo import QobjEvo, liouvillian_evo
 from .result import SolveResult, normalize_e_ops
@@ -25,7 +26,7 @@ __all__ = ["SolverOptions", "Solver", "SESolver", "MESolver", "sesolve", "mesolv
 
 
 @dataclass
-class SolverOptions:
+class SolverOptions(FlatOptions):
     """Output and integrator options shared by the deterministic solvers.
 
     ``store_states=None`` resolves to True exactly when no expectation
@@ -35,31 +36,6 @@ class SolverOptions:
     store_states: bool | None = None
     store_final_state: bool = False
     integrator: IntegratorOptions = field(default_factory=IntegratorOptions)
-    progress: bool = False
-
-    @classmethod
-    def coerce(cls, options) -> "SolverOptions":
-        if options is None:
-            return cls()
-        if isinstance(options, cls):
-            return options
-        if isinstance(options, dict):
-            opts = dict(options)
-            integ = IntegratorOptions()
-            for name in ("atol", "rtol", "nsteps", "max_step", "first_step", "method"):
-                if name in opts:
-                    setattr(integ, name, opts.pop(name))
-            return cls(integrator=integ, **opts)
-        raise TypeError(f"cannot interpret {type(options)} as SolverOptions")
-
-
-class _StepSession:
-    """Mutable state for a start()/step() evolution."""
-
-    def __init__(self, stepper: DP54Stepper, args_holder: dict):
-        self.stepper = stepper
-        self.args_holder = args_holder
-        self.t = stepper.t
 
 
 class Solver:
@@ -70,7 +46,7 @@ class Solver:
     def __init__(self, rhs_evo: QobjEvo, options=None):
         self.rhs_evo = rhs_evo
         self.options = SolverOptions.coerce(options)
-        self._session: _StepSession | None = None
+        self._session = None  # (stepper, args holder) of a start()/step() evolution
 
     # Subclasses define how Qobj states map to flat vectors.
     def _pack(self, state: Qobj) -> np.ndarray:
@@ -112,41 +88,22 @@ class Solver:
 
         y0 = self._pack(state0)
         integ = opts.integrator
-        nfev = 0
+        stepper = None
         if integ.method == "diag_expm":
             if not self.rhs_evo.isconstant:
                 raise MethodError("diag_expm requires a time-independent generator")
             ys = propagate_diag(
                 self.rhs_evo(tlist[0]).full(), y0, tlist, t0=float(tlist[0])
             )
-            for j, y in enumerate(ys):
-                self._collect(j, y, evaluators, expect_out, states_out)
         else:
             holder = {"args": args}
             stepper = DP54Stepper(self._rhs(holder), float(tlist[0]), y0, integ, float(tlist[-1]))
-            from .exceptions import StepLimitError
-
-            progress_mark = 0
-            for j, target in enumerate(tlist):
-                count = 0
-                eps_t = 4 * np.finfo(float).eps * max(1.0, abs(target))
-                while stepper.t < target - eps_t:
-                    if count >= integ.nsteps:
-                        raise StepLimitError(
-                            f"exceeded {integ.nsteps} steps before t={target:.6g}"
-                        )
-                    stepper.step()
-                    count += 1
-                y = stepper.y if stepper.segment is None else stepper.interpolate(
-                    min(target, stepper.segment.t_new)
-                )
-                self._collect(j, y, evaluators, expect_out, states_out)
-                if opts.progress and 10 * j // max(1, tlist.size - 1) > progress_mark:
-                    progress_mark = 10 * j // (tlist.size - 1)
-                    print(".", end="", file=sys.stderr, flush=True)
-            nfev = stepper.nfev
-            if opts.progress:
-                print("", file=sys.stderr)
+            ys = (y for _, _, y in advance(stepper, tlist, integ.nsteps))
+        for j, y in enumerate(ys):
+            for series, ev in zip(expect_out, evaluators):
+                series[j] = ev(y)
+            if states_out is not None:
+                states_out.append(self._unpack(np.asarray(y)))
 
         expect_final = [
             series.real if flag else series for series, flag in zip(expect_out, real_flags)
@@ -156,10 +113,11 @@ class Solver:
             final_state = states_out[-1] if store_states else self._unpack(np.asarray(y))
         stats = {
             "solver": self.name,
-            "rhs_evaluations": nfev,
+            "rhs_evaluations": 0 if stepper is None else stepper.nfev,
             "run_time": time.perf_counter() - t_start,
         }
-        return SolveResult(
+        return self._result(
+            np.asarray(y),
             tlist,
             labels,
             expect_final,
@@ -168,11 +126,9 @@ class Solver:
             stats=stats,
         )
 
-    def _collect(self, j, y, evaluators, expect_out, states_out):
-        for series, ev in zip(expect_out, evaluators):
-            series[j] = ev(y)
-        if states_out is not None:
-            states_out.append(self._unpack(np.asarray(y)))
+    def _result(self, y_final: np.ndarray, *args, **kwargs) -> SolveResult:
+        """Assemble the result; ``y_final`` is the packed state at the last time."""
+        return SolveResult(*args, **kwargs)
 
     # -- manual stepping ------------------------------------------------------
 
@@ -185,33 +141,21 @@ class Solver:
         stepper = DP54Stepper(
             self._rhs(holder), float(t0), self._pack(state0), self.options.integrator, np.inf
         )
-        self._session = _StepSession(stepper, holder)
+        self._session = (stepper, holder)
 
     def step(self, t: float, args=None) -> Qobj:
         """Advance the session to time ``t`` and return the state there."""
         if self._session is None:
             raise RuntimeError("call start() before step()")
-        sess = self._session
+        stepper, holder = self._session
         if args is not None:
-            sess.args_holder["args"] = args
+            holder["args"] = args
             # Changed parameters invalidate the cached FSAL derivative.
-            sess.stepper._f0 = sess.stepper._eval(sess.stepper.t, sess.stepper.y)
-        if t < sess.t - 1e-12:
-            raise ValueError(f"cannot step backwards from t={sess.t} to t={t}")
-        stepper = sess.stepper
-        saved_end = stepper.t_end
+            stepper._f0 = stepper._eval(stepper.t, stepper.y)
+        if t < stepper.t - 1e-12:
+            raise ValueError(f"cannot step backwards from t={stepper.t} to t={t}")
         stepper.t_end = max(float(t), stepper.t)
-        try:
-            eps_t = 4 * np.finfo(float).eps * max(1.0, abs(t))
-            while stepper.t < t - eps_t:
-                stepper.step()
-        finally:
-            stepper.t_end = saved_end
-        sess.t = max(sess.t, float(t))
-        if stepper.segment is None or t <= stepper.segment.t_old:
-            y = stepper.y if stepper.segment is None else stepper.interpolate(t)
-        else:
-            y = stepper.interpolate(min(t, stepper.segment.t_new))
+        [(_, _, y)] = advance(stepper, [t], self.options.integrator.nsteps)
         return self._unpack(np.asarray(y))
 
 

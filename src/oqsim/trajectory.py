@@ -14,13 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .integrator import IntegratorOptions
+from .exceptions import RangeError
+from .integrator import FlatOptions, IntegratorOptions
 
 __all__ = ["McOptions", "trajectory_rng", "run_map", "WeightedStats"]
 
 
 @dataclass
-class McOptions:
+class McOptions(FlatOptions):
     """Options for the Monte Carlo family of solvers.
 
     ``seed`` is the master seed; trajectory ``i`` draws from an independent
@@ -41,29 +42,13 @@ class McOptions:
     store_states: bool = False
     norm_tol: float = 1e-8
     dt_sub: float | None = None
-    progress: bool = False
     integrator: IntegratorOptions = field(default_factory=IntegratorOptions)
-
-    @classmethod
-    def coerce(cls, options) -> "McOptions":
-        if options is None:
-            return cls()
-        if isinstance(options, cls):
-            return options
-        if isinstance(options, dict):
-            opts = dict(options)
-            integ = IntegratorOptions()
-            for name in ("atol", "rtol", "nsteps", "max_step", "first_step", "method"):
-                if name in opts:
-                    setattr(integ, name, opts.pop(name))
-            return cls(integrator=integ, **opts)
-        raise TypeError(f"cannot interpret {type(options)} as McOptions")
 
     def validated(self) -> "McOptions":
         if self.ntraj < 1:
-            raise ValueError("ntraj must be at least 1")
+            raise RangeError("ntraj must be at least 1")
         if self.map not in ("serial", "parallel"):
-            raise ValueError(f"unknown map mode {self.map!r}")
+            raise RangeError(f"unknown map mode {self.map!r}")
         return self
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oqsim as q
-from oqsim.exceptions import ConvergenceError, NotHermitianError, UnsupportedError
+from oqsim.exceptions import ConvergenceError, NotHermitianError, StepLimitError, UnsupportedError
 
 RNG = np.random.default_rng(42)
 TIGHT = {"atol": 1e-12, "rtol": 1e-11}
@@ -204,6 +204,12 @@ class TestSolverClass:
         solver.step(1.0)
         with pytest.raises(ValueError):
             solver.step(0.5)
+
+    def test_step_enforces_nsteps(self):
+        solver = q.SESolver(q.sigmaz(), options={"nsteps": 1, "max_step": 0.1})
+        solver.start(q.basis(2, 0), 0.0)
+        with pytest.raises(StepLimitError):
+            solver.step(50.0)
 
     def test_rerun_is_bit_identical(self):
         H = fig1_hamiltonian()

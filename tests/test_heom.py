@@ -384,6 +384,22 @@ class TestHeomsolve:
         )
         assert abs(res.final_state.tr() - 1) < 1e-6
 
+    def test_diag_expm_matches_rk45(self):
+        env = q.DrudeLorentzEnvironment(T=1.0, lam=0.1, gamma=0.5)
+        ex = q.matsubara_decompose(env, 1)
+        H = 0.5 * q.sigmaz() + 0.4 * q.sigmax()
+        ts = np.linspace(0, 4, 9)
+        e_ops = [q.sigmaz(), q.sigmax()]
+        ref = q.heomsolve(H, (ex, q.sigmaz()), q.basis(2, 0), ts, n_c=2, e_ops=e_ops,
+                          options={"atol": 1e-13, "rtol": 1e-12})
+        res = q.heomsolve(H, (ex, q.sigmaz()), q.basis(2, 0), ts, n_c=2, e_ops=e_ops,
+                          options={"method": "diag_expm"})
+        assert res.stats["rhs_evaluations"] == 0
+        assert np.ptp(ref.expect[1]) > 0.1  # the sigma_x part drives real dynamics
+        for a, b in zip(res.expect, ref.expect):
+            assert np.max(np.abs(a - b)) < 1e-8
+        assert np.max(np.abs(res.final_ados - ref.final_ados)) < 1e-8
+
 
 class TestCutoffConvergence:
     def test_doubling_cutoff_is_cauchy(self):

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import oqsim as q
-from oqsim.exceptions import MethodError, StepLimitError
+from oqsim.exceptions import MethodError, OptionError, OqsimError, RangeError, StepLimitError
 from oqsim.integrator import DP54Stepper, IntegratorOptions, integrate, propagate_diag
+from oqsim.solver import SolverOptions
+from oqsim.trajectory import McOptions
 
 RNG = np.random.default_rng(3)
 
@@ -130,19 +132,54 @@ class TestOptionsValidation:
         with pytest.raises(ValueError):
             IntegratorOptions(method="leapfrog").validated()
 
+    def test_integrator_range_error(self):
+        for bad in ({"atol": -1}, {"rtol": 0.0}, {"nsteps": 0}, {"max_step": 0.0},
+                    {"method": "leapfrog"}):
+            with pytest.raises(RangeError) as info:
+                IntegratorOptions(**bad).validated()
+            assert isinstance(info.value, OqsimError) and isinstance(info.value, ValueError)
+
+    def test_mc_range_error(self):
+        for bad in ({"ntraj": 0}, {"map": "pool"}):
+            with pytest.raises(RangeError) as info:
+                McOptions.coerce(bad).validated()
+            assert isinstance(info.value, ValueError)
+
+    def test_unknown_key_is_option_error(self):
+        for cls in (SolverOptions, McOptions):
+            with pytest.raises(OptionError, match="rtoll") as info:
+                cls.coerce({"rtoll": 1e-3})
+            assert isinstance(info.value, OqsimError) and isinstance(info.value, TypeError)
+        # The removed progress knob is an unknown key like any other.
+        with pytest.raises(OptionError, match="progress"):
+            q.mesolve(q.sigmaz(), q.basis(2, 0), [0.0, 1.0], options={"progress": True})
+
+    def test_non_dict_is_option_error(self):
+        with pytest.raises(OptionError, match="list"):
+            SolverOptions.coerce([("atol", 1e-9)])
+        with pytest.raises(OptionError, match="SolverOptions"):
+            McOptions.coerce(SolverOptions())
+
 
 class TestDenseOutputBytes:
-    """Solver expectations, byte for byte, against fixed-seed digests.
+    """Solver outputs, byte for byte, against fixed-seed digests.
 
     The digests were taken with the interpolant coefficients built at every
-    accepted step; building them only for the steps that are evaluated must
-    not change a single bit.
+    accepted step, and with a separate stepping loop in each solver; building
+    the coefficients only for the steps that are evaluated, and running every
+    solver on the one ``advance`` loop, must not change a single bit.
     """
 
     @staticmethod
     def digest(res):
         return hashlib.sha256(
             b"".join(np.ascontiguousarray(e).tobytes() for e in res.expect)
+        ).hexdigest()
+
+    @staticmethod
+    def digest_arrays(arrays):
+        return hashlib.sha256(
+            b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
         ).hexdigest()
 
     def test_mcsolve(self):
@@ -163,4 +200,63 @@ class TestDenseOutputBytes:
                           np.linspace(0, 5, 11), n_c=4, e_ops=[q.sigmaz(), q.sigmax()])
         assert self.digest(res) == (
             "42073663a2ceddd2c9e6c800c2e53c12b5e5f580f32687d110a6ff4eb49883f1"
+        )
+
+    def test_mesolve_time_dependent(self):
+        a = q.destroy(4)
+        H = q.QobjEvo([a.dag() @ a, [a + a.dag(), lambda t: 0.3 * np.cos(2.0 * t)]])
+        res = q.mesolve(H, q.basis(4, 0), np.linspace(0, 3, 7), c_ops=[np.sqrt(0.2) * a],
+                        e_ops=[a.dag() @ a, a], options={"store_states": True})
+        assert self.digest_arrays(list(res.expect) + [s.full() for s in res.states]) == (
+            "ebd952a68a607b465753ae0be665bb44427858cca70d0b1afcabae1bb14b7f68"
+        )
+
+    def test_sesolve(self):
+        H = q.QobjEvo([0.5 * q.sigmaz() + 0.4 * q.sigmax(), [q.sigmay(), lambda t: np.sin(t)]])
+        res = q.sesolve(H, q.basis(2, 0), np.linspace(0, 4, 9),
+                        e_ops=[q.sigmaz(), q.sigmap()], options={"store_states": True})
+        assert self.digest_arrays(list(res.expect) + [s.full() for s in res.states]) == (
+            "5ef267d9d2bd37bd8b2f00996c161022dd690a8c1b25a7305c8660ba80b57bd2"
+        )
+
+    def test_sesolver_step(self):
+        H = q.QobjEvo([0.5 * q.sigmaz() + 0.4 * q.sigmax(), [q.sigmay(), lambda t: np.sin(t)]])
+        solver = q.SESolver(H)
+        solver.start(q.basis(2, 0), 0.0)
+        states = [solver.step(t).full() for t in (0.3, 0.3, 1.0, 2.5, 4.0)]
+        assert self.digest_arrays(states) == (
+            "29db4cc7e1c8930bc0ac64d484f3782ee9adebbe7ba6f573a3c33b0ebe474e7e"
+        )
+
+    def test_integrate(self):
+        M = np.array([[0.0, 1.0, 0.2], [-1.0, -0.1, 0.0], [0.0, 0.3, -0.5]], dtype=complex)
+        ys, seg = integrate(lambda t, y: (M + 0.2j * np.sin(t) * np.eye(3)) @ y,
+                            np.array([1.0, 0.5j, -0.25]), 0.0, np.linspace(0, 6, 13),
+                            IntegratorOptions(atol=1e-9, rtol=1e-7))
+        assert self.digest_arrays(ys + [seg(seg.t_new)]) == (
+            "8bf3c07d82fffc837966a5c5c3542c545918abe50c43b353c0291d81a6cb1507"
+        )
+
+    def test_heomsolve_states_and_ados(self):
+        env = q.DrudeLorentzEnvironment(T=1.0, lam=0.1, gamma=0.5)
+        ex = q.matsubara_decompose(env, 2)
+        res = q.heomsolve(0.5 * q.sigmaz() + 0.3 * q.sigmax(), (ex, q.sigmaz()), q.basis(2, 0),
+                          np.linspace(0, 5, 11), n_c=3, options={"store_states": True})
+        assert res.stats["rhs_evaluations"] == 350
+        assert self.digest_arrays([s.full() for s in res.states] + [res.final_ados]) == (
+            "aad79f59a956d1b0d208f0dda2b1700e428023923670b2b49d76a9a9b4a46c4c"
+        )
+
+    def test_mcsolve_runs_photocurrent_states(self):
+        I2 = q.qeye(2)
+        H = 0.5 * (q.sigmaz() & I2) + 0.5 * (I2 & q.sigmaz()) + 0.1 * (q.sigmax() & q.sigmax())
+        c_ops = [np.sqrt(0.1) * (q.sigmam() & I2), np.sqrt(0.1) * (I2 & q.sigmam())]
+        res = q.mcsolve(H, q.basis(2, 0) & q.basis(2, 0), np.linspace(0, 20, 21), c_ops=c_ops,
+                        e_ops=[q.sigmaz() & I2],
+                        options={"ntraj": 40, "seed": 5, "improved_sampling": True,
+                                 "keep_runs_results": True, "store_states": True})
+        arrays = list(res.runs_expect) + list(res.photocurrent)
+        arrays += [s.full() for s in res.states] + [np.array(res.weights)]
+        assert self.digest_arrays(arrays) == (
+            "cc7a513f40eedf6da34fe496bbcbdaa00b9d8de6957b3dd8c8acb150a01b3ac4"
         )

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oqsim as q
-from oqsim.exceptions import NotHermitianError, RangeError
+from oqsim.exceptions import NotHermitianError, RangeError, StepLimitError
 from oqsim.mcsolve import MCSolver, _mcwf_trajectory
 from oqsim.smesolve import HermitianCoords, WienerPath
 from oqsim.trajectory import McOptions, trajectory_rng
@@ -34,6 +34,13 @@ class TestMcsolve:
                         e_ops=[q.sigmax()], options={"ntraj": 5, "seed": 1, **TIGHT})
         ref = q.sesolve(H, psi0, ts, e_ops=[q.sigmax()], options=TIGHT)
         assert np.max(np.abs(res.expect[0] - ref.expect[0])) < 1e-6
+
+    def test_nsteps_bounds_trajectories(self):
+        # 500 steps of max_step 0.1 are needed in the one output interval.
+        with pytest.raises(StepLimitError):
+            q.mcsolve(0.5 * q.sigmaz(), q.basis(2, 0), [0.0, 50.0],
+                      c_ops=[np.sqrt(0.1) * q.sigmam()],
+                      options={"ntraj": 3, "seed": 1, "nsteps": 1, "max_step": 0.1})
 
     def test_no_cops_delegates(self):
         res = q.mcsolve(q.sigmaz(), q.basis(2, 0), [0.0, 1.0], e_ops=[q.sigmaz()])
@@ -232,6 +239,11 @@ class TestNmMcsolve:
         for j in range(len(ts)):
             if gams[j] >= 0:
                 assert abs(res.trace[j] - 1) <= mu_err[j] + 1e-12
+
+    def test_nsteps_bounds_trajectories(self):
+        with pytest.raises(StepLimitError):
+            q.nm_mcsolve(0.5 * q.sigmaz(), q.basis(2, 0), [0.0, 50.0], [(q.sigmam(), 0.1)],
+                         options={"ntraj": 3, "seed": 1, "nsteps": 1, "max_step": 0.1})
 
     def test_zero_jump_dynamics_rejected(self):
         with pytest.raises(RangeError):
