@@ -23,7 +23,7 @@ from .integrator import DP54Stepper, advance
 from .qobj import Qobj
 from .qobjevo import QobjEvo
 from .result import MultiTrajResult, normalize_e_ops
-from .solver import sesolve
+from .solver import SolverOptions, sesolve
 from .trajectory import McOptions, WeightedStats, run_map, trajectory_rng
 
 __all__ = ["McOptions", "MCSolver", "mcsolve"]
@@ -32,9 +32,10 @@ __all__ = ["McOptions", "MCSolver", "mcsolve"]
 class _Channel:
     """One jump channel: an operator and an optional time-dependent rate."""
 
-    __slots__ = ("mat", "rate", "ratio_fn")
+    __slots__ = ("op", "mat", "rate", "ratio_fn")
 
     def __init__(self, op: Qobj, rate: Coefficient | None = None, ratio_fn=None):
+        self.op = op
         self.mat = op.data.scipy_matrix()
         self.rate = rate
         self.ratio_fn = ratio_fn  # martingale ratio gamma/Gamma at a jump time
@@ -47,6 +48,18 @@ class _Channel:
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         return self.mat @ psi
+
+
+def _drift(H_evo: QobjEvo, channels) -> QobjEvo:
+    """The no-jump generator ``-iH - 1/2 sum_n rate_n(t) C_n^dag C_n``.
+
+    A channel without a rate enters with rate 1, as a constant term.
+    """
+    terms = list((-1j * H_evo).terms)
+    for ch in channels:
+        cdc = -0.5 * (ch.op.dag() @ ch.op)
+        terms.append(cdc if ch.rate is None else (cdc, ch.rate))
+    return QobjEvo(terms)
 
 
 class _Trajectory:
@@ -162,16 +175,13 @@ class MCSolver:
         self.options = McOptions.coerce(options).validated()
         H_evo = H if isinstance(H, QobjEvo) else QobjEvo(H)
         self.dims = H_evo.dims
-        drift_terms = list((-1j * H_evo).terms)
         channels = []
         for c in c_ops:
             cev = c if isinstance(c, QobjEvo) else QobjEvo(c)
             if cev.dims.ket != H_evo.dims.ket:
                 raise DimensionMismatchError("collapse operator dims do not match H")
             if cev.isconstant:
-                c0 = cev(0.0)
-                channels.append(_Channel(c0))
-                drift_terms.append((-0.5 * (c0.dag() @ c0), None))
+                channels.append(_Channel(cev(0.0)))
             else:
                 if len(cev.terms) != 1:
                     raise ValueError(
@@ -179,9 +189,7 @@ class MCSolver:
                     )
                 base, coeff = cev.terms[0]
                 channels.append(_Channel(base, rate=coeff.abs2()))
-                drift_terms.append((-0.5 * (base.dag() @ base), coeff.abs2()))
-        spec = [(q, c) if c is not None else q for q, c in drift_terms]
-        self.drift_evo = QobjEvo(spec)
+        self.drift_evo = _drift(H_evo, channels)
         self.channels = channels
 
     def run(self, psi0, tlist, e_ops=None) -> MultiTrajResult:
@@ -431,13 +439,15 @@ def mcsolve(H, psi0, tlist, c_ops=(), e_ops=None, options=None) -> MultiTrajResu
     pairs; trajectories are allotted to the components proportionally and the
     results weighted by the component probabilities.  Without collapse
     operators the problem is deterministic and is delegated to
-    :func:`~oqsim.solver.sesolve` (wrapped as a single-trajectory result).
+    :func:`~oqsim.solver.sesolve` with the caller's integrator options
+    (wrapped as a single-trajectory result).
     """
     tlist = np.asarray(tlist, dtype=float)
     if not c_ops:
         if not isinstance(psi0, Qobj):
             raise ValueError("mixed initial states need collapse operators")
-        res = sesolve(H, psi0, tlist, e_ops=e_ops, options=None)
+        opts = McOptions.coerce(options).validated()
+        res = sesolve(H, psi0, tlist, e_ops=e_ops, options=SolverOptions(integrator=opts.integrator))
         std = [np.zeros(tlist.size) for _ in res.expect]
         return MultiTrajResult(
             tlist,

@@ -28,17 +28,15 @@ from .trajectory import McOptions
 
 __all__ = ["ModelSpec", "ResultTable", "parse_model", "run_model", "write_csv"]
 
-SOLVERS = (
-    "sesolve",
-    "mesolve",
-    "brmesolve",
-    "steadystate",
-    "mcsolve",
-    "nm_mcsolve",
-    "smesolve",
-    "heomsolve",
-    "fsesolve",
-)
+_DET, _MC = SolverOptions.option_keys(), McOptions.option_keys()
+# The solver_options keys of each solver: its options class, plus the keys
+# run_model pops for it.  Any other key is a ModelError.
+_OPTION_KEYS = {
+    "sesolve": _DET, "mesolve": _DET, "brmesolve": _DET + ("sec_cutoff",),
+    "steadystate": ("method", "solver"), "mcsolve": _MC, "nm_mcsolve": _MC,
+    "smesolve": _MC, "heomsolve": _DET + ("n_c", "n_k"), "fsesolve": ("period", "n_t"),
+}
+SOLVERS = tuple(_OPTION_KEYS)
 
 _SCALAR_FUNCS = {
     "sqrt": cmath.sqrt,
@@ -511,7 +509,9 @@ def run_model(spec: ModelSpec, *, seed=None, ntraj=None, solver=None) -> ResultT
     """Run a validated model and return its result table.
 
     ``seed``, ``ntraj`` and ``solver`` override the corresponding model
-    fields (the CLI flags map here).
+    fields (the CLI flags map here); ``seed`` and ``ntraj`` apply to the
+    trajectory solvers only.  A ``solver_options`` key the solver does not
+    take raises :class:`ModelError`.
     """
     from . import (
         brmesolve,
@@ -530,10 +530,16 @@ def run_model(spec: ModelSpec, *, seed=None, ntraj=None, solver=None) -> ResultT
     name = solver or spec.solver
     if name not in SOLVERS:
         raise ModelError(f"solver: unknown solver {name!r}")
+    accepted = _OPTION_KEYS[name]
+    for key in spec.solver_options:
+        if key not in accepted:
+            raise ModelError(
+                f"solver_options.{key}: not an option of {name}; accepted: {', '.join(accepted)}"
+            )
     opts = dict(spec.solver_options)
-    if seed is not None:
+    if seed is not None and "seed" in accepted:
         opts["seed"] = int(seed)
-    if ntraj is not None:
+    if ntraj is not None and "ntraj" in accepted:
         opts["ntraj"] = int(ntraj)
 
     labels = [lbl for lbl, _ in spec.e_ops]
@@ -548,12 +554,12 @@ def run_model(spec: ModelSpec, *, seed=None, ntraj=None, solver=None) -> ResultT
 
     try:
         if name == "sesolve":
-            res = sesolve(H, spec.initial_state, tlist, e_ops=e_ops, options=_det_opts(opts))
+            res = sesolve(H, spec.initial_state, tlist, e_ops=e_ops, options=opts)
             return _table_from_result(res, stochastic=False)
         if name == "mesolve":
             res = mesolve(
                 H, spec.initial_state, tlist, c_ops=pairs(spec.c_ops), e_ops=e_ops,
-                options=_det_opts(opts),
+                options=opts,
             )
             return _table_from_result(res, stochastic=False)
         if name == "brmesolve":
@@ -564,7 +570,7 @@ def run_model(spec: ModelSpec, *, seed=None, ntraj=None, solver=None) -> ResultT
                 tlist,
                 e_ops=e_ops,
                 sec_cutoff=float(opts.pop("sec_cutoff", 0.1)),
-                options=_det_opts(opts),
+                options=opts,
             )
             return _table_from_result(res, stochastic=False)
         if name == "steadystate":
@@ -587,26 +593,26 @@ def run_model(spec: ModelSpec, *, seed=None, ntraj=None, solver=None) -> ResultT
         if name == "mcsolve":
             res = mcsolve(
                 H, spec.initial_state, tlist, c_ops=pairs(spec.c_ops), e_ops=e_ops,
-                options=_mc_opts(opts),
+                options=opts,
             )
             return _table_from_result(res, stochastic=True)
         if name == "nm_mcsolve":
             res = nm_mcsolve(
                 H, spec.initial_state, tlist, spec.ops_and_rates, e_ops=e_ops,
-                options=_mc_opts(opts),
+                options=opts,
             )
             return _table_from_result(res, stochastic=True, trace=True)
         if name == "smesolve":
             res = smesolve(
                 H, spec.initial_state, tlist, c_ops=pairs(spec.c_ops),
-                sc_ops=pairs(spec.sc_ops), e_ops=e_ops, options=_mc_opts(opts),
+                sc_ops=pairs(spec.sc_ops), e_ops=e_ops, options=opts,
             )
             return _table_from_result(res, stochastic=True)
         if name == "heomsolve":
             res = heomsolve(
                 _sum_constant(H), spec.environment, spec.initial_state, tlist,
                 n_c=int(opts.pop("n_c", 4)), e_ops=e_ops, n_k=int(opts.pop("n_k", 3)),
-                options=_det_opts(opts),
+                options=opts,
             )
             return _table_from_result(res, stochastic=False)
         if name == "fsesolve":
@@ -629,14 +635,6 @@ def _sum_constant(H):
     if not H.isconstant:
         raise SolverError("this solver requires a time-independent Hamiltonian")
     return H(0.0)
-
-
-def _det_opts(opts: dict) -> dict:
-    return {k: v for k, v in opts.items() if k in SolverOptions.option_keys()}
-
-
-def _mc_opts(opts: dict) -> dict:
-    return {k: v for k, v in opts.items() if k in McOptions.option_keys()}
 
 
 def _table_from_result(res, stochastic: bool, trace: bool = False) -> ResultTable:

@@ -24,7 +24,7 @@ from scipy.integrate import quad
 from . import data as _d
 from .coefficient import Coefficient, ConstantCoefficient, FunctionCoefficient, coefficient
 from .exceptions import DimensionMismatchError, RangeError
-from .mcsolve import _Channel, _run_trajectories
+from .mcsolve import _Channel, _drift, _run_trajectories
 from .qobj import Qobj
 from .qobjevo import QobjEvo
 from .result import MultiTrajResult
@@ -121,7 +121,6 @@ def nm_mcsolve(H, psi0, tlist, ops_and_rates, e_ops=None, options=None) -> Multi
     tlist = np.asarray(tlist, dtype=float)
 
     H_evo = H if isinstance(H, QobjEvo) else QobjEvo(H)
-    drift_terms = list((-1j * H_evo).terms)
     channels = []
     for op, gamma, Gamma in zip(prep.ops, prep.rates, prep.shifted_rates):
         gamma_fn = _real_rate(gamma)
@@ -133,8 +132,6 @@ def nm_mcsolve(H, psi0, tlist, ops_and_rates, e_ops=None, options=None) -> Multi
             return gfn(t) / G
 
         channels.append(_Channel(op, rate=Gamma, ratio_fn=ratio))
-        drift_terms.append((-0.5 * (op.dag() @ op), Gamma))
-    drift_evo = QobjEvo([(q, c) for q, c in drift_terms])
 
     # The exponential martingale factor exp(alpha * int_0^t s) is trajectory
     # independent; accumulate it once on the output grid.
@@ -146,7 +143,7 @@ def nm_mcsolve(H, psi0, tlist, ops_and_rates, e_ops=None, options=None) -> Multi
         cont[j] = np.exp(prep.alpha * acc)
 
     return _run_trajectories(
-        drift_evo,
+        _drift(H_evo, channels),
         channels,
         psi0,
         tlist,

@@ -15,7 +15,7 @@ import numpy as np
 from .coefficient import Coefficient, ConstantCoefficient, coefficient
 from .exceptions import DimensionMismatchError
 from .qobj import Qobj
-from .superop import lindblad_dissipator, spost, spre, sprepost
+from .superop import liouvillian, spost, spre, sprepost
 
 __all__ = ["QobjEvo", "liouvillian_evo"]
 
@@ -34,6 +34,10 @@ class QobjEvo:
         or is named ``args``, else as ``f(t)``; a one-input NumPy ufunc such
         as ``np.cos`` is called as ``f(t)``, and other ufuncs are refused.
         See :class:`~oqsim.coefficient.FunctionCoefficient`.
+
+    Constant terms fold into one leading term with coefficient 1.  They are
+    shared, not copied: a lone constant term with coefficient 1 is the
+    caller's own Qobj, and the integrators multiply by its matrix.
     """
 
     __slots__ = ("terms", "dims", "_const", "_td_mats")
@@ -77,7 +81,8 @@ class QobjEvo:
         rest = []
         for q, c in terms:
             if c.is_constant:
-                scaled = q * c(0.0)
+                value = c(0.0)
+                scaled = q if value == 1 else q * value
                 const = scaled if const is None else const + scaled
             else:
                 rest.append((q, c))
@@ -105,18 +110,13 @@ class QobjEvo:
         return out
 
     def _compiled(self):
-        """Cache raw scipy matrices for fast matvec in the integrators."""
+        """Cache ``(const, td)`` for fast matvec: the folded constant term's
+        own matrix (or None) and ``(matrix, coefficient)`` for the rest."""
         if self._td_mats is None:
-            const = None
-            td = []
-            for q, c in self.terms:
-                if c.is_constant:
-                    m = q.data.scipy_matrix() * c(0.0)
-                    const = m if const is None else const + m
-                else:
-                    td.append((q.data.scipy_matrix(), c))
-            self._const = const
-            self._td_mats = td
+            q0, c0 = self.terms[0]
+            self._const = q0.data.scipy_matrix() if c0.is_constant else None
+            self._td_mats = [(q.data.scipy_matrix(), c) for q, c in self.terms
+                             if not c.is_constant]
         return self._const, self._td_mats
 
     def matvec(self, t: float, y: np.ndarray, args: dict | None = None) -> np.ndarray:
@@ -211,51 +211,43 @@ def _as_evo(x) -> QobjEvo:
     return x if isinstance(x, QobjEvo) else QobjEvo(x)
 
 
-def _lift(evo: QobjEvo, fn) -> list:
-    """Apply an operator->superoperator map termwise."""
-    return [(fn(q), c) for q, c in evo.terms]
-
-
 def liouvillian_evo(H, c_ops=()) -> QobjEvo:
-    """Time-dependent Lindblad generator built termwise.
+    """Time-dependent Lindblad generator ``L(t) = L_0 + sum_k f_k(t) L_k``.
 
     ``H`` may be a Qobj, a QobjEvo, or ``None``; superoperator terms pass
-    through unchanged.  Collapse operators may be constant or time dependent;
-    a coefficient ``f`` on a collapse operator enters the dissipator with
-    ``|f(t)|^2`` on both the sandwich and anticommutator parts, i.e. the
+    through unchanged.  :func:`~oqsim.superop.liouvillian`, the one builder of
+    Lindblad generators, makes the constant part ``L_0`` (the constant part of
+    ``H`` with every constant collapse operator) and the commutator of each
+    time-dependent term of ``H``.  Only the expansion of a time-dependent
+    collapse operator is done here: a coefficient ``f`` enters the dissipator
+    with ``|f(t)|^2`` on both the sandwich and anticommutator parts, i.e. the
     physical-rate semantics ``D[f(t) c]``.
     """
-    parts = []
-    if H is not None:
-        Hev = _as_evo(H)
-        if Hev.terms[0][0].issuper:
-            parts.extend(Hev.terms)
-        else:
-            parts.extend(_lift(Hev, lambda q: -1j * (spre(q) - spost(q))))
-
+    H_terms = [] if H is None else _as_evo(H).terms
+    H0 = next((q for q, c in H_terms if c.is_constant), None)
+    parts = [(liouvillian(q), c) for q, c in H_terms if not c.is_constant]
+    const_c = []
     for c in c_ops or ():
         cev = _as_evo(c)
-        base = cev.terms[0][0]
-        if base.issuper:
-            parts.extend(cev.terms)
-            continue
-        if cev.isconstant:
-            parts.append((lindblad_dissipator(cev(0.0)), ConstantCoefficient(1.0)))
+        if cev.terms[0][0].issuper or cev.isconstant:
+            const_c += [q for q, co in cev.terms if co.is_constant]
+            parts += [(q, co) for q, co in cev.terms if not co.is_constant]
             continue
         # D[c(t)] expanded termwise; for a single term (A, f) the sandwich and
-        # anticommutator pieces both carry |f(t)|^2.
+        # anticommutator pieces both carry |f(t)|^2.  The one constant term
+        # pairs with itself into constant pieces.
         for qa, ca in cev.terms:
             for qb, cb in cev.terms:
-                if ca.is_constant and cb.is_constant:
-                    co = ConstantCoefficient(ca(0.0) * cb(0.0).conjugate())
-                elif ca is cb:
-                    co = ca.abs2()
-                else:
-                    co = ca * cb.conj()
                 bd = qb.dag()
                 ab = bd @ qa
-                parts.append((sprepost(qa, bd), co))
-                parts.append((-0.5 * (spre(ab) + spost(ab)), co))
+                pieces = [sprepost(qa, bd), -0.5 * (spre(ab) + spost(ab))]
+                if ca.is_constant and cb.is_constant:
+                    const_c.extend(pieces)
+                else:
+                    co = ca.abs2() if ca is cb else ca * cb.conj()
+                    parts += [(p, co) for p in pieces]
+    if H0 is not None or const_c:
+        parts.insert(0, (liouvillian(H0, const_c), ConstantCoefficient(1.0)))
     if not parts:
         raise ValueError("liouvillian_evo needs a Hamiltonian or collapse operators")
     dims = parts[0][0].dims

@@ -45,9 +45,9 @@ import scipy.sparse
 from .dimensions import Dimensions
 from .exceptions import DimensionMismatchError, NotHermitianError, SolverError
 from .qobj import Qobj
-from .qobjevo import QobjEvo
+from .qobjevo import QobjEvo, liouvillian_evo
 from .result import MultiTrajResult, normalize_e_ops
-from .superop import liouvillian, spost, spre
+from .superop import spost, spre
 from .trajectory import McOptions, WeightedStats, run_map, trajectory_rng
 
 __all__ = ["HermitianCoords", "WienerPath", "smesolve"]
@@ -193,29 +193,25 @@ def smesolve(H, rho0: Qobj, tlist, c_ops=(), sc_ops=(), e_ops=None, options=None
     # propagator and the measurement terms are sparse: for a cavity most of
     # their entries are exact zeros.  The operators are taken as plain
     # matrices so that their dims agree whatever dims the caller gave them.
-    dissipators = [Qobj(m) for m in cs + ss]
-    if H_evo.isconstant:
-        L = liouvillian(Qobj(H_evo(0.0).full()), dissipators)
-        L = coords.superop(L.data.scipy_matrix()).toarray()
-        prop = scipy.sparse.csr_array(scipy.linalg.expm(L * dt))
+    L = liouvillian_evo(
+        QobjEvo([(Qobj(q.full()), c) for q, c in H_evo.terms]),
+        [Qobj(m) for m in cs + ss],
+    )
+    L0 = coords.superop(L.terms[0][0].data.scipy_matrix()).toarray()
+    if L.isconstant:
+        prop = scipy.sparse.csr_array(scipy.linalg.expm(L0 * dt))
 
         def deterministic(R, t):
             return prop @ R
 
     else:
-        const_H = [Qobj(q.full()) for q, c in H_evo.terms if c.is_constant]
-        L0 = liouvillian(const_H[0] if const_H else None, dissipators)
-        L0 = coords.superop(L0.data.scipy_matrix()).toarray()
         # -i[H_k, .] and its product with i, for the real and imaginary
         # parts of the coefficient.
-        td_terms = []
-        for q, c in H_evo.terms:
-            if not c.is_constant:
-                q = Qobj(q.full())
-                comm = (spre(q) - spost(q)).data.scipy_matrix()
-                td_terms.append(
-                    (coords.superop(-1j * comm).toarray(), coords.superop(comm).toarray(), c)
-                )
+        td_terms = [
+            (coords.superop(q.data.scipy_matrix()).toarray(),
+             coords.superop((1j * q).data.scipy_matrix()).toarray(), c)
+            for q, c in L.terms[1:]
+        ]
 
         def deterministic(R, t):
             L = L0.copy()

@@ -199,14 +199,7 @@ class MESolver(Solver):
     name = "mesolve"
 
     def __init__(self, H, c_ops=(), options=None):
-        if isinstance(H, (Qobj, QobjEvo)) and not c_ops:
-            evo = H if isinstance(H, QobjEvo) else QobjEvo(H)
-            if evo.terms[0][0].issuper:
-                L = evo
-            else:
-                L = liouvillian_evo(H, ())
-        else:
-            L = liouvillian_evo(H, c_ops)
+        L = liouvillian_evo(H, c_ops)
         super().__init__(L, options)
         op_dims = L.dims.ket  # nested [ket_dims, bra_dims] of the operator space
         self._op_dims = Dimensions(op_dims[0], op_dims[1], enr=L.dims.enr)
@@ -242,11 +235,12 @@ def sesolve(H, psi0: Qobj, tlist, e_ops=None, options=None, args=None) -> SolveR
 def mesolve(H, rho0: Qobj, tlist, c_ops=(), e_ops=None, options=None, args=None) -> SolveResult:
     """Integrate a Lindblad (or custom superoperator) master equation.
 
-    With no collapse operators, a ket initial state and an operator-valued
-    ``H``, the problem is pure Schrodinger evolution and is delegated to
-    :func:`sesolve`.
+    ``H`` takes the same forms as in :func:`sesolve` (a Qobj, a QobjEvo or
+    a QobjEvo list spec), or a superoperator.  With no collapse operators, a
+    ket initial state and an operator-valued ``H``, the problem is pure
+    Schrodinger evolution and is delegated to :func:`sesolve`.
     """
-    is_super = (H.terms[0][0].issuper if isinstance(H, QobjEvo) else H.issuper)
-    if not c_ops and rho0.isket and not is_super:
+    H = H if isinstance(H, QobjEvo) else QobjEvo(H)
+    if not c_ops and rho0.isket and not H.terms[0][0].issuper:
         return sesolve(H, rho0, tlist, e_ops=e_ops, options=options, args=args)
     return MESolver(H, c_ops, options).run(rho0, tlist, e_ops=e_ops, args=args)

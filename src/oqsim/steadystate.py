@@ -23,16 +23,6 @@ _RESIDUAL_TOL = 1e-10
 _DEGENERACY_PROBE_LIMIT = 1024
 
 
-def _build_liouvillian(H_or_L, c_ops):
-    if isinstance(H_or_L, QobjEvo):
-        if not H_or_L.isconstant:
-            raise ValueError("steadystate requires a time-independent generator")
-        H_or_L = H_or_L(0.0)
-    if H_or_L.issuper and not c_ops:
-        return H_or_L
-    return liouvillian(H_or_L if not H_or_L.issuper else H_or_L, list(c_ops))
-
-
 def _unvec_to_dm(x, n, op_dims) -> Qobj:
     rho = x.reshape((n, n), order="F")
     rho = (rho + rho.conj().T) / 2
@@ -90,7 +80,11 @@ def steadystate(
     :class:`ConvergenceError` is raised.  If the null space looks degenerate a
     warning is emitted and an arbitrary element is returned.
     """
-    L = _build_liouvillian(H_or_L, c_ops)
+    if isinstance(H_or_L, QobjEvo):
+        if not H_or_L.isconstant:
+            raise ValueError("steadystate requires a time-independent generator")
+        H_or_L = H_or_L(0.0)
+    L = liouvillian(H_or_L, c_ops)
     op_ket = L.dims.ket[0]
     n = 1
     for d in op_ket:

@@ -87,6 +87,11 @@ def lindblad_dissipator(a: Qobj, b: Qobj | None = None) -> Qobj:
 def liouvillian(H: Qobj | None, c_ops=()) -> Qobj:
     """Lindblad generator ``-i[H, .] + sum_n D[C_n]`` as a superoperator.
 
+    This is the one place that assembles a constant Lindblad generator:
+    :func:`~oqsim.qobjevo.liouvillian_evo` calls it for the constant part and
+    for each time-dependent Hamiltonian term, and ``mesolve``, ``smesolve``,
+    ``steadystate`` and the HEOM build go through one of the two.
+
     ``H`` may already be a superoperator, in which case it is passed through
     and the dissipators are added.  Entries of ``c_ops`` that are already
     superoperators are likewise added unchanged.

@@ -113,6 +113,17 @@ solver: sesolve
         table = run_model(parse_model(text))
         assert table.labels == ["time", "sz", "sz_std"]
 
+    def test_unknown_solver_option_is_model_error(self):
+        with pytest.raises(ModelError, match=r"solver_options\.rtoll"):
+            run_model(parse_model(MINIMAL_DECAY + "solver_options: {rtoll: 1.0e-3}\n"))
+        # A key another solver takes is still foreign to this one.
+        with pytest.raises(ModelError, match=r"solver_options\.ntraj"):
+            run_model(parse_model(MINIMAL_DECAY + "solver_options: {ntraj: 10}\n"))
+        text = MINIMAL_DECAY.replace("solver: mesolve", "solver: brmesolve")
+        text += "couplings:\n  - {op: sigmax, spectrum: {type: flat, gamma: 0.1}}\n"
+        text += "solver_options: {sec_cutoff: 0.2, atol: 1.0e-9}\n"
+        run_model(parse_model(text))
+
     def test_seed_determinism(self):
         text = MINIMAL_DECAY.replace("solver: mesolve", "solver: mcsolve") + (
             "solver_options: {ntraj: 25, seed: 4}\n"
@@ -224,6 +235,14 @@ solver: steadystate
         o1, o2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert main(["run", model, "-o", o1, "--seed", "55", "--ntraj", "30"]) == 0
         assert main(["run", model, "-o", o2, "--seed", "55", "--ntraj", "30"]) == 0
+        assert open(o1, "rb").read() == open(o2, "rb").read()
+
+    def test_seed_and_ntraj_flags_on_mesolve_model(self, tmp_path):
+        # A deterministic model takes the trajectory flags and ignores them.
+        model = self._write(tmp_path, MINIMAL_DECAY)
+        o1, o2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        assert main(["run", model, "-o", o1, "--seed", "7", "--ntraj", "30"]) == 0
+        assert main(["run", model, "-o", o2]) == 0
         assert open(o1, "rb").read() == open(o2, "rb").read()
 
     def test_stdout_output(self, tmp_path, capsys):

@@ -157,6 +157,17 @@ class TestMesolve:
         for a, b in zip(r_rho.states, r_psi.states):
             assert np.max(np.abs(a.full() - b.proj().full())) < 1e-8
 
+    def test_list_form_h_matches_qobjevo(self):
+        spec = [q.sigmaz(), [q.sigmax(), np.cos]]
+        for rho0, c_ops in ((q.basis(2, 0), []), (q.basis(2, 0), [0.3 * q.sigmam()]),
+                            (q.basis(2, 1).proj(), [])):
+            r_list = q.mesolve(spec, rho0, [0, 1], c_ops=c_ops, options={"store_states": True})
+            r_evo = q.mesolve(q.QobjEvo(spec), rho0, [0, 1], c_ops=c_ops,
+                              options={"store_states": True})
+            assert [s.full().tobytes() for s in r_list.states] == [
+                s.full().tobytes() for s in r_evo.states
+            ]
+
     def test_ket_no_cops_delegates_to_sesolve(self):
         res = q.mesolve(q.sigmaz(), q.basis(2, 0), [0, 1], e_ops=[q.sigmaz()])
         assert res.stats["solver"] == "sesolve"

@@ -154,6 +154,18 @@ class TestOptionsValidation:
         with pytest.raises(OptionError, match="progress"):
             q.mesolve(q.sigmaz(), q.basis(2, 0), [0.0, 1.0], options={"progress": True})
 
+    def test_option_keys_are_pinned(self):
+        # A new knob needs a deliberate edit here: 8 + 16 = 24 keys.
+        assert SolverOptions.option_keys() == (
+            "store_states", "store_final_state", "atol", "rtol", "nsteps", "max_step",
+            "first_step", "method",
+        )
+        assert McOptions.option_keys() == (
+            "ntraj", "improved_sampling", "target_tol", "timeout", "seed", "map",
+            "keep_runs_results", "store_states", "norm_tol", "dt_sub", "atol", "rtol",
+            "nsteps", "max_step", "first_step", "method",
+        )
+
     def test_non_dict_is_option_error(self):
         with pytest.raises(OptionError, match="list"):
             SolverOptions.coerce([("atol", 1e-9)])
@@ -260,3 +272,75 @@ class TestDenseOutputBytes:
         assert self.digest_arrays(arrays) == (
             "cc7a513f40eedf6da34fe496bbcbdaa00b9d8de6957b3dd8c8acb150a01b3ac4"
         )
+
+    def test_mesolve_constant(self):
+        a = q.destroy(4)
+        H = a.dag() @ a + 0.2 * (a + a.dag())
+        res = q.mesolve(H, q.basis(4, 0), np.linspace(0, 3, 7),
+                        c_ops=[np.sqrt(0.2) * a, np.sqrt(0.05) * a.dag()],
+                        e_ops=[a.dag() @ a, a], options={"store_states": True})
+        assert self.digest_arrays(list(res.expect) + [s.full() for s in res.states]) == (
+            "5657f64904b2f20bbdc5908512530d28cc0921e0236a92fd8f98a6cca83c0066"
+        )
+
+    @staticmethod
+    def smesolve_arrays(res):
+        return (list(res.expect) + [m for rec in res.measurements for m in rec]
+                + [s.full() for s in res.average_states])
+
+    def test_smesolve_constant(self):
+        a = q.destroy(5)
+        res = q.smesolve(a.dag() @ a, q.coherent(5, 1.0), np.linspace(0, 0.5, 6),
+                         c_ops=[np.sqrt(0.1) * a.dag()], sc_ops=[a], e_ops=[a + a.dag()],
+                         options={"ntraj": 4, "seed": 3, "store_states": True})
+        assert self.digest_arrays(self.smesolve_arrays(res)) == (
+            "d06e4a3b21c69f18f959bffac697594bbd77b47e7c936b67a481ad74a382c314"
+        )
+
+    def test_smesolve_time_dependent(self):
+        a = q.destroy(5)
+        H = q.QobjEvo([a.dag() @ a, [a + a.dag(), lambda t: 0.3 * np.cos(2.0 * t)],
+                       [a, lambda t: 0.2 * np.exp(1j * t)], [a.dag(), lambda t: 0.2 * np.exp(-1j * t)]])
+        res = q.smesolve(H, q.coherent(5, 1.0), np.linspace(0, 0.5, 6),
+                         c_ops=[np.sqrt(0.1) * a.dag()], sc_ops=[a], e_ops=[a + a.dag(), a],
+                         options={"ntraj": 4, "seed": 3, "store_states": True})
+        assert self.digest_arrays(self.smesolve_arrays(res)) == (
+            "6860c951e0024c7bc6831f5d30c7872813898fd5fa3e73f8fc24064b3f78ea7e"
+        )
+
+    def test_nm_mcsolve(self):
+        res = q.nm_mcsolve(0.5 * q.sigmaz(), (q.basis(2, 0) + q.basis(2, 1)).unit(),
+                           np.linspace(0, 6, 13), [(q.sigmam(), lambda t: 0.5 * np.cos(t) + 0.2)],
+                           e_ops=[q.sigmaz(), q.sigmap()], options={"ntraj": 20, "seed": 4})
+        assert self.digest_arrays(list(res.expect) + [res.trace]) == (
+            "3401b5276b1c8d4c8924e4d775157bdc101f8a9b758eaf6f85e1cd5c1bc38076"
+        )
+
+    def test_steadystate(self):
+        a = q.destroy(4)
+        H = a.dag() @ a + 0.3 * (a + a.dag())
+        c_ops = [np.sqrt(0.5) * a, np.sqrt(0.1) * a.dag()]
+        rhos = [q.steadystate(H, c_ops), q.steadystate(q.liouvillian(H, c_ops)),
+                q.steadystate(q.liouvillian(H), c_ops)]
+        assert self.digest_arrays([rho.full() for rho in rhos]) == (
+            "4357152b8007a5ab7b492c484f4f2d6625cb0d29b0abfc822ef4748e9df99b4f"
+        )
+
+    def test_liouvillian(self):
+        a = q.destroy(4)
+        H = a.dag() @ a + 0.3 * (a + a.dag())
+        c_ops = [np.sqrt(0.5) * a, np.sqrt(0.1) * a.dag(), q.lindblad_dissipator(a @ a)]
+        mats = [q.liouvillian(H, c_ops).full(), q.liouvillian(None, c_ops).full(),
+                q.liouvillian(q.liouvillian(H), c_ops[:1]).full()]
+        assert self.digest_arrays(mats) == (
+            "9f59664c42f1f4cdfb2d59fbe152190fa544fd3097d73f17d8e3e46deacb848e"
+        )
+
+    def test_heom_generator_is_not_copied(self):
+        from oqsim.heom import _build_generator, _exponent_records, _HEOMSolver
+
+        ex = q.matsubara_decompose(q.DrudeLorentzEnvironment(T=1.0, lam=0.1, gamma=0.5), 2)
+        H = 0.5 * q.sigmaz()
+        gen, ados = _build_generator(H, [(q.sigmaz(), _exponent_records(ex))], 2)
+        solver = _HEOMSolver(gen, ados, H, None)
+        assert solver.rhs_evo._compiled()[0] is gen.scipy_matrix()

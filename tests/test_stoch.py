@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oqsim as q
-from oqsim.exceptions import NotHermitianError, RangeError, StepLimitError
+from oqsim.exceptions import NotHermitianError, OptionError, RangeError, StepLimitError
 from oqsim.mcsolve import MCSolver, _mcwf_trajectory
 from oqsim.smesolve import HermitianCoords, WienerPath
 from oqsim.trajectory import McOptions, trajectory_rng
@@ -46,6 +46,12 @@ class TestMcsolve:
         res = q.mcsolve(q.sigmaz(), q.basis(2, 0), [0.0, 1.0], e_ops=[q.sigmaz()])
         assert res.stats.get("delegated") == "sesolve"
         assert res.ntraj_used == 1
+
+    def test_no_cops_keeps_integrator_options(self):
+        with pytest.raises(StepLimitError):
+            q.mcsolve(q.sigmaz(), q.basis(2, 0), [0, 50], options={"nsteps": 1, "max_step": 0.1})
+        with pytest.raises(OptionError, match="rtoll"):
+            q.mcsolve(q.sigmaz(), q.basis(2, 0), [0, 50], options={"rtoll": 1e-3})
 
     def test_nojump_survival_probability(self):
         # For a single decaying qubit the no-jump norm^2 is exactly exp(-g t).
