@@ -12,6 +12,13 @@ of output times; :func:`integrate`, the deterministic solvers (including
 ``Solver.step`` and ``heomsolve``) and the quantum-jump trajectories all run
 on it, so ``nsteps`` and the dense read-out rule are the same everywhere.
 
+Each stage input is one tableau-row product with the ``(7, n)`` stage
+matrix, ``y + h * (A[i, :i] @ K[:i])``, and likewise ``y + h * (B @ K)`` for
+the new state and ``h * (E @ K)`` for the error estimate.  These products sum
+in a different order than a term-by-term loop, so outputs differ from such a
+loop in the last bits (the number of steps and right-hand-side calls does
+not).
+
 Integration is deterministic: identical inputs produce bit-identical outputs.
 """
 
@@ -21,7 +28,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .exceptions import MethodError, OptionError, RangeError, StepLimitError, StiffnessError
+from .exceptions import (DimensionMismatchError, MethodError, OptionError, RangeError, SolverError,
+                         StepLimitError, StiffnessError)
 
 __all__ = ["IntegratorOptions", "FlatOptions", "DenseSegment", "DP54Stepper", "advance",
            "integrate", "propagate_diag"]
@@ -85,20 +93,32 @@ class FlatOptions:
         return cls(integrator=IntegratorOptions(**integ), **own)
 
 
-# Dormand-Prince 5(4) tableau.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+# Dormand-Prince 5(4) tableau, stored once as complex128: stage ``i`` takes the
+# row product ``_A[i, :i] @ K[:i]`` with the (7, n) stage matrix ``K``, and
+# the solution and error weights are ``_B @ K`` and ``_E @ K``.  The nodes
+# are Python floats.
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = np.array(
+    [
+        [0, 0, 0, 0, 0, 0, 0],
+        [1 / 5, 0, 0, 0, 0, 0, 0],
+        [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
+        [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
+        [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
+    ],
+    dtype=np.complex128,
+)
+_B = _A[6].copy()  # FSAL: the last stage row holds the 5th-order weights
 # Difference between the 5th- and embedded 4th-order weights.
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+_E = np.array(
+    [71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
+    dtype=np.complex128,
+)
+_A_ROWS = [_A[i, :i] for i in range(7)]  # sliced once
+# Smallest step, relative to max(|t|, 1), before the step size counts as underflowed.
+_H_MIN = 16 * np.finfo(float).eps
 # Quartic dense-output coefficients (Shampine's interpolant for this pair).
 _P = np.array(
     [
@@ -151,6 +171,10 @@ class DP54Stepper:
         self.opts = opts.validated()
         self.t = float(t0)
         self.y = np.asarray(y0, dtype=np.complex128).copy()
+        if self.y.ndim != 1:
+            raise DimensionMismatchError(
+                f"DP54Stepper needs a 1-D state; got shape {self.y.shape} (integrate() flattens)"
+            )
         self.t_end = float(t_end)
         self.nfev = 0
         self.segment: DenseSegment | None = None
@@ -193,30 +217,21 @@ class DP54Stepper:
     def step(self) -> DenseSegment:
         """Advance by one accepted step; returns the dense segment covering it."""
         if self.t >= self.t_end:
-            raise RuntimeError("stepper already reached the end of its domain")
+            raise SolverError(f"stepper already reached the end of its domain t={self.t_end:.6g}")
+        y = self.y
         while True:
             self._clamp_h()
             h = self._h
-            if h <= 16 * np.finfo(float).eps * max(abs(self.t), 1.0):
+            if h <= _H_MIN * max(abs(self.t), 1.0):
                 raise StiffnessError(
                     f"step size underflow at t={self.t:.6g}; the problem is likely stiff"
                 )
-            K = np.empty((7,) + self.y.shape, dtype=np.complex128)
+            K = np.empty((7, y.size), dtype=np.complex128)
             K[0] = self._f0
             for i in range(1, 7):
-                a = _A[i]
-                yi = self.y + (h * a[0]) * K[0]
-                for j in range(1, i):
-                    if a[j] != 0.0:
-                        yi += (h * a[j]) * K[j]
-                K[i] = self._eval(self.t + _C[i] * h, yi)
-            y_new = self.y + (h * _B[0]) * K[0]
-            for j in range(2, 6):
-                y_new += (h * _B[j]) * K[j]
-            err_vec = (h * _E[0]) * K[0]
-            for j in range(2, 7):
-                err_vec += (h * _E[j]) * K[j]
-            err = _rms(err_vec / self._scale(self.y, y_new))
+                K[i] = self._eval(self.t + _C[i] * h, y + h * (_A_ROWS[i] @ K[:i]))
+            y_new = y + h * (_B @ K)
+            err = _rms(h * (_E @ K) / self._scale(y, y_new))
             if err <= 1.0:
                 # PI controller (accepted): grow within [0.2, 5].
                 if err == 0.0:
@@ -225,7 +240,7 @@ class DP54Stepper:
                     factor = min(
                         5.0, max(0.2, 0.9 * err ** (-0.17) * self._err_prev**0.04)
                     )
-                seg = DenseSegment(self.t, self.t + h, self.y.copy(), _flatten_stages(K))
+                seg = DenseSegment(self.t, self.t + h, y.copy(), K)
                 self.t = self.t + h
                 self.y = y_new
                 self._f0 = K[6]  # FSAL
@@ -240,25 +255,19 @@ class DP54Stepper:
         if self.segment is None:
             if t == self.t:
                 return self.y.copy()
-            raise RuntimeError("no dense segment available yet")
+            raise SolverError(f"no dense segment available yet to read t={t}")
         slack = 1e-9 * max(1.0, abs(self.segment.t_new))
         if not (self.segment.t_old - slack <= t <= self.segment.t_new + slack):
-            raise RuntimeError(
+            raise SolverError(
                 f"t={t} outside the last step [{self.segment.t_old}, {self.segment.t_new}]"
             )
         return self.segment(t)
 
 
-def _rms(v) -> float:
-    v = np.asarray(v)
+def _rms(v: np.ndarray) -> float:
     if v.size == 0:
         return 0.0
-    return float(np.sqrt(np.mean(np.abs(v) ** 2)))
-
-
-def _flatten_stages(K: np.ndarray) -> np.ndarray:
-    # Dense output only needs the stage matrix with flattened state axes.
-    return K.reshape(7, -1) if K.ndim > 2 else K
+    return float(np.sqrt(np.vdot(v, v).real / v.size))
 
 
 def advance(stepper: DP54Stepper, tlist, nsteps: int, on_step=None):

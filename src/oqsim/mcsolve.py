@@ -21,7 +21,7 @@ from .coefficient import Coefficient
 from .exceptions import DimensionMismatchError, SolverError
 from .integrator import DP54Stepper, advance
 from .qobj import Qobj
-from .qobjevo import QobjEvo
+from .qobjevo import QobjEvo, apply_matrix
 from .result import MultiTrajResult, normalize_e_ops
 from .solver import SolverOptions, sesolve
 from .trajectory import McOptions, WeightedStats, run_map, trajectory_rng
@@ -101,12 +101,8 @@ def _mcwf_trajectory(
     store_states: bool,
 ) -> _Trajectory:
     t_end = float(tlist[-1])
-
-    def rhs(t, y):
-        return drift_evo.matvec(t, y)
-
     r = rng.uniform() if r_first is None else r_first
-    last = DP54Stepper(rhs, float(tlist[0]), psi0, integ_opts, t_end)
+    last = DP54Stepper(drift_evo.matvec, float(tlist[0]), psi0, integ_opts, t_end)
     jumps: list[tuple[float, int]] = []
     ratios: list[float] = []
 
@@ -131,7 +127,7 @@ def _mcwf_trajectory(
             if channels[k].ratio_fn is not None:
                 ratios.append(float(channels[k].ratio_fn(t_jump)))
             r = rng.uniform()
-            last = DP54Stepper(rhs, t_jump, psi_new / nrm, integ_opts, t_end)
+            last = DP54Stepper(drift_evo.matvec, t_jump, psi_new / nrm, integ_opts, t_end)
             return last
 
     expect = [np.empty(tlist.size, dtype=complex) for _ in e_mats]
@@ -140,7 +136,7 @@ def _mcwf_trajectory(
         nrm = np.linalg.norm(y)
         ynorm = y / nrm if nrm > 0 else y
         for series, m in zip(expect, e_mats):
-            series[j] = complex(np.vdot(ynorm, m @ ynorm))
+            series[j] = complex(np.vdot(ynorm, apply_matrix(m, ynorm)))
         if store_states:
             states.append(ynorm.copy())
 

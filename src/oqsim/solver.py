@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dimensions import Dimensions
-from .exceptions import DimensionMismatchError, MethodError
+from .exceptions import DimensionMismatchError, MethodError, SolverError
 from .integrator import DP54Stepper, FlatOptions, IntegratorOptions, advance, propagate_diag
 from .qobj import Qobj
 from .qobjevo import QobjEvo, liouvillian_evo
@@ -146,7 +146,7 @@ class Solver:
     def step(self, t: float, args=None) -> Qobj:
         """Advance the session to time ``t`` and return the state there."""
         if self._session is None:
-            raise RuntimeError("call start() before step()")
+            raise SolverError("call start() before step()")
         stepper, holder = self._session
         if args is not None:
             holder["args"] = args
@@ -238,9 +238,11 @@ def mesolve(H, rho0: Qobj, tlist, c_ops=(), e_ops=None, options=None, args=None)
     ``H`` takes the same forms as in :func:`sesolve` (a Qobj, a QobjEvo or
     a QobjEvo list spec), or a superoperator.  With no collapse operators, a
     ket initial state and an operator-valued ``H``, the problem is pure
-    Schrodinger evolution and is delegated to :func:`sesolve`.
+    Schrodinger evolution and is delegated to :func:`sesolve`.  ``H=None``
+    solves pure dissipation, as ``MESolver(None, c_ops)`` does.
     """
-    H = H if isinstance(H, QobjEvo) else QobjEvo(H)
-    if not c_ops and rho0.isket and not H.terms[0][0].issuper:
+    if H is not None and not isinstance(H, QobjEvo):
+        H = QobjEvo(H)
+    if H is not None and not c_ops and rho0.isket and not H.terms[0][0].issuper:
         return sesolve(H, rho0, tlist, e_ops=e_ops, options=options, args=args)
     return MESolver(H, c_ops, options).run(rho0, tlist, e_ops=e_ops, args=args)

@@ -168,6 +168,16 @@ class TestMesolve:
                 s.full().tobytes() for s in r_evo.states
             ]
 
+    def test_none_hamiltonian_is_pure_dissipation(self):
+        a = q.destroy(3)
+        rho0 = q.basis(3, 2).proj()
+        ts = np.linspace(0, 2, 5)
+        opts = {"store_states": True}
+        res = q.mesolve(None, rho0, ts, c_ops=[a], e_ops=[a.dag() @ a], options=opts)
+        ref = q.MESolver(None, [a], options=opts).run(rho0, ts, e_ops=[a.dag() @ a])
+        assert res.expect[0].tobytes() == ref.expect[0].tobytes()
+        assert [s.full().tobytes() for s in res.states] == [s.full().tobytes() for s in ref.states]
+
     def test_ket_no_cops_delegates_to_sesolve(self):
         res = q.mesolve(q.sigmaz(), q.basis(2, 0), [0, 1], e_ops=[q.sigmaz()])
         assert res.stats["solver"] == "sesolve"

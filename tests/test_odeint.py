@@ -1,13 +1,15 @@
 """Adaptive integrator: accuracy, dense output, limits, diagonalization path."""
 
 import hashlib
+import importlib
 
 import numpy as np
 import pytest
 
 import oqsim as q
-from oqsim.exceptions import MethodError, OptionError, OqsimError, RangeError, StepLimitError
-from oqsim.integrator import DP54Stepper, IntegratorOptions, integrate, propagate_diag
+from oqsim.exceptions import (DimensionMismatchError, MethodError, OptionError, OqsimError,
+                              RangeError, SolverError, StepLimitError, StiffnessError)
+from oqsim.integrator import DenseSegment, DP54Stepper, IntegratorOptions, integrate, propagate_diag
 from oqsim.solver import SolverOptions
 from oqsim.trajectory import McOptions
 
@@ -81,6 +83,32 @@ class TestIntegrate:
             integrate(lambda t, y: -y, np.array([1.0 + 0j]), 0.0, [2.0, 1.0])
         with pytest.raises(ValueError):
             integrate(lambda t, y: -y, np.array([1.0 + 0j]), 1.0, [0.5])
+
+
+class TestStepperContract:
+    def test_rejects_a_non_flat_state(self):
+        with pytest.raises(DimensionMismatchError, match="1-D"):
+            DP54Stepper(lambda t, y: -y, 0.0, np.ones((2, 2)), IntegratorOptions(), 1.0)
+
+    def test_step_past_the_end_is_solver_error(self):
+        stepper = DP54Stepper(lambda t, y: -y, 0.0, np.ones(2), IntegratorOptions(), 0.1)
+        while stepper.t < stepper.t_end:
+            stepper.step()
+        with pytest.raises(SolverError, match="end of its domain"):
+            stepper.step()
+
+    def test_interpolate_outside_is_solver_error(self):
+        stepper = DP54Stepper(lambda t, y: -y, 0.0, np.ones(2), IntegratorOptions(), 1.0)
+        assert np.array_equal(stepper.interpolate(0.0), np.ones(2))
+        with pytest.raises(SolverError, match="no dense segment"):
+            stepper.interpolate(0.5)
+        seg = stepper.step()
+        with pytest.raises(SolverError, match="outside the last step"):
+            stepper.interpolate(seg.t_new + 1.0)
+
+    def test_solver_step_before_start_is_solver_error(self):
+        with pytest.raises(SolverError, match="start"):
+            q.SESolver(q.sigmaz()).step(1.0)
 
 
 class TestPropagateDiag:
@@ -173,20 +201,198 @@ class TestOptionsValidation:
             McOptions.coerce(SolverOptions())
 
 
+def loop_step(self):
+    """``DP54Stepper.step`` as it was before the stages became one tableau-row
+    product each: a Python loop over the nonzero tableau entries, and the
+    ``mean(abs(v)**2)`` RMS norm.  It is the oracle the tableau-product step
+    is compared with; stage ``K`` is 2-D for the 1-D states the stepper
+    takes, so it needs no flattening."""
+    if self.t >= self.t_end:
+        raise RuntimeError("stepper already reached the end of its domain")
+    while True:
+        self._clamp_h()
+        h = self._h
+        if h <= 16 * np.finfo(float).eps * max(abs(self.t), 1.0):
+            raise StiffnessError(
+                f"step size underflow at t={self.t:.6g}; the problem is likely stiff"
+            )
+        K = np.empty((7,) + self.y.shape, dtype=np.complex128)
+        K[0] = self._f0
+        for i in range(1, 7):
+            a = _LOOP_A[i]
+            yi = self.y + (h * a[0]) * K[0]
+            for j in range(1, i):
+                if a[j] != 0.0:
+                    yi += (h * a[j]) * K[j]
+            K[i] = self._eval(self.t + _LOOP_C[i] * h, yi)
+        y_new = self.y + (h * _LOOP_B[0]) * K[0]
+        for j in range(2, 6):
+            y_new += (h * _LOOP_B[j]) * K[j]
+        err_vec = (h * _LOOP_E[0]) * K[0]
+        for j in range(2, 7):
+            err_vec += (h * _LOOP_E[j]) * K[j]
+        scale = self.opts.atol + self.opts.rtol * np.maximum(np.abs(self.y), np.abs(y_new))
+        err = _loop_rms(err_vec / scale)
+        if err <= 1.0:
+            # PI controller (accepted): grow within [0.2, 5].
+            if err == 0.0:
+                factor = 5.0
+            else:
+                factor = min(
+                    5.0, max(0.2, 0.9 * err ** (-0.17) * self._err_prev**0.04)
+                )
+            seg = DenseSegment(self.t, self.t + h, self.y.copy(), K)
+            self.t = self.t + h
+            self.y = y_new
+            self._f0 = K[6]  # FSAL
+            self._err_prev = max(err, 1e-4)
+            self._h = h * factor
+            self.segment = seg
+            return seg
+        self._h = h * max(0.2, 0.9 * err ** (-0.2))
+
+
+def _loop_rms(v) -> float:
+    v = np.asarray(v)
+    if v.size == 0:
+        return 0.0
+    return float(np.sqrt(np.mean(np.abs(v) ** 2)))
+
+
+_LOOP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_LOOP_A = [
+    np.array([]),
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+]
+_LOOP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_LOOP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+
+
+# The ten digest cases that step DP54.  Each returns its outputs as named
+# groups of arrays, in digest order, and the result object (or None).
+def _mc_qubits(**extra):
+    I2 = q.qeye(2)
+    H = 0.5 * (q.sigmaz() & I2) + 0.5 * (I2 & q.sigmaz()) + 0.1 * (q.sigmax() & q.sigmax())
+    c_ops = [np.sqrt(0.1) * (q.sigmam() & I2), np.sqrt(0.1) * (I2 & q.sigmam())]
+    return q.mcsolve(H, q.basis(2, 0) & q.basis(2, 0), np.linspace(0, 20, 21), c_ops=c_ops,
+                     e_ops=[q.sigmaz() & I2],
+                     options={"ntraj": 40, "seed": 5, "improved_sampling": True, **extra})
+
+
+def _heom(n_c, **kwargs):
+    env = q.DrudeLorentzEnvironment(T=1.0, lam=0.1, gamma=0.5)
+    ex = q.matsubara_decompose(env, 2)
+    return q.heomsolve(0.5 * q.sigmaz() + 0.3 * q.sigmax(), (ex, q.sigmaz()), q.basis(2, 0),
+                       np.linspace(0, 5, 11), n_c=n_c, **kwargs)
+
+
+def _td_qubit():
+    return q.QobjEvo([0.5 * q.sigmaz() + 0.4 * q.sigmax(), [q.sigmay(), lambda t: np.sin(t)]])
+
+
+def case_mcsolve():
+    res = _mc_qubits()
+    return {"expect": list(res.expect)}, res
+
+
+def case_heomsolve():
+    res = _heom(4, e_ops=[q.sigmaz(), q.sigmax()])
+    return {"expect": list(res.expect)}, res
+
+
+def case_mesolve_time_dependent():
+    a = q.destroy(4)
+    H = q.QobjEvo([a.dag() @ a, [a + a.dag(), lambda t: 0.3 * np.cos(2.0 * t)]])
+    res = q.mesolve(H, q.basis(4, 0), np.linspace(0, 3, 7), c_ops=[np.sqrt(0.2) * a],
+                    e_ops=[a.dag() @ a, a], options={"store_states": True})
+    return {"expect": list(res.expect), "states": [s.full() for s in res.states]}, res
+
+
+def case_sesolve():
+    res = q.sesolve(_td_qubit(), q.basis(2, 0), np.linspace(0, 4, 9),
+                    e_ops=[q.sigmaz(), q.sigmap()], options={"store_states": True})
+    return {"expect": list(res.expect), "states": [s.full() for s in res.states]}, res
+
+
+def case_sesolver_step():
+    solver = q.SESolver(_td_qubit())
+    solver.start(q.basis(2, 0), 0.0)
+    return {"states": [solver.step(t).full() for t in (0.3, 0.3, 1.0, 2.5, 4.0)]}, None
+
+
+def case_integrate():
+    M = np.array([[0.0, 1.0, 0.2], [-1.0, -0.1, 0.0], [0.0, 0.3, -0.5]], dtype=complex)
+    ys, seg = integrate(lambda t, y: (M + 0.2j * np.sin(t) * np.eye(3)) @ y,
+                        np.array([1.0, 0.5j, -0.25]), 0.0, np.linspace(0, 6, 13),
+                        IntegratorOptions(atol=1e-9, rtol=1e-7))
+    return {"states": ys + [seg(seg.t_new)]}, None
+
+
+def case_heomsolve_states_and_ados():
+    res = _heom(3, options={"store_states": True})
+    return {"states": [s.full() for s in res.states] + [res.final_ados]}, res
+
+
+def case_mcsolve_runs_photocurrent_states():
+    res = _mc_qubits(keep_runs_results=True, store_states=True)
+    return {"runs_expect": list(res.runs_expect), "photocurrent": list(res.photocurrent),
+            "states": [s.full() for s in res.states], "weights": [np.array(res.weights)]}, res
+
+
+def case_mesolve_constant():
+    a = q.destroy(4)
+    H = a.dag() @ a + 0.2 * (a + a.dag())
+    res = q.mesolve(H, q.basis(4, 0), np.linspace(0, 3, 7),
+                    c_ops=[np.sqrt(0.2) * a, np.sqrt(0.05) * a.dag()],
+                    e_ops=[a.dag() @ a, a], options={"store_states": True})
+    return {"expect": list(res.expect), "states": [s.full() for s in res.states]}, res
+
+
+def case_nm_mcsolve():
+    res = q.nm_mcsolve(0.5 * q.sigmaz(), (q.basis(2, 0) + q.basis(2, 1)).unit(),
+                       np.linspace(0, 6, 13), [(q.sigmam(), lambda t: 0.5 * np.cos(t) + 0.2)],
+                       e_ops=[q.sigmaz(), q.sigmap()], options={"ntraj": 20, "seed": 4})
+    return {"expect": list(res.expect), "trace": [res.trace]}, res
+
+
+DP54_CASES = {
+    "mcsolve": case_mcsolve,
+    "heomsolve": case_heomsolve,
+    "mesolve_time_dependent": case_mesolve_time_dependent,
+    "sesolve": case_sesolve,
+    "sesolver_step": case_sesolver_step,
+    "integrate": case_integrate,
+    "heomsolve_states_and_ados": case_heomsolve_states_and_ados,
+    "mcsolve_runs_photocurrent_states": case_mcsolve_runs_photocurrent_states,
+    "mesolve_constant": case_mesolve_constant,
+    "nm_mcsolve": case_nm_mcsolve,
+}
+# Trajectory outputs move with the jump times, which bisection locates to
+# norm_tol = 1e-8; the ensemble weights and the martingale trace do not.
+MC_CASES = {"mcsolve", "mcsolve_runs_photocurrent_states", "nm_mcsolve"}
+MC_TOL = {"expect": 1e-7, "runs_expect": 1e-7, "states": 1e-7, "weights": 1e-13,
+          "trace": 1e-13, "photocurrent": 0.0}
+DET_TOL = 1e-13
+
+
+def _flat(groups):
+    return [a for arrays in groups.values() for a in arrays]
+
+
 class TestDenseOutputBytes:
     """Solver outputs, byte for byte, against fixed-seed digests.
 
-    The digests were taken with the interpolant coefficients built at every
-    accepted step, and with a separate stepping loop in each solver; building
-    the coefficients only for the steps that are evaluated, and running every
-    solver on the one ``advance`` loop, must not change a single bit.
+    The ten digests of solves that step DP54 were re-recorded when each
+    stage became one tableau-row product (``test_tableau_step_matches_loop_step``
+    bounds the change against the loop it replaced).  Building the
+    interpolant coefficients only for the steps that are evaluated, and
+    running every solver on the one ``advance`` loop, did not change a bit.
     """
-
-    @staticmethod
-    def digest(res):
-        return hashlib.sha256(
-            b"".join(np.ascontiguousarray(e).tobytes() for e in res.expect)
-        ).hexdigest()
 
     @staticmethod
     def digest_arrays(arrays):
@@ -194,93 +400,103 @@ class TestDenseOutputBytes:
             b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
         ).hexdigest()
 
+    def dp54_digest(self, name):
+        groups, _ = DP54_CASES[name]()
+        return self.digest_arrays(_flat(groups))
+
+    @staticmethod
+    def run_recorded(name, step, monkeypatch):
+        """Run one case with ``step`` as ``DP54Stepper.step``; return its
+        outputs, total RHS calls, accepted steps and per-trajectory jump channels."""
+        steppers, steps, channels = [], [0], []
+        init = DP54Stepper.__init__
+
+        def recording_init(stepper, *args, **kwargs):
+            init(stepper, *args, **kwargs)
+            steppers.append(stepper)
+
+        def counting_step(stepper):
+            steps[0] += 1
+            return step(stepper)
+
+        mc = importlib.import_module("oqsim.mcsolve")
+        mcwf = mc._mcwf_trajectory
+
+        def recording_mcwf(*args, **kwargs):
+            traj = mcwf(*args, **kwargs)
+            channels.append([k for _, k in traj.jumps])
+            return traj
+
+        monkeypatch.setattr(DP54Stepper, "__init__", recording_init)
+        monkeypatch.setattr(DP54Stepper, "step", counting_step)
+        monkeypatch.setattr(mc, "_mcwf_trajectory", recording_mcwf)
+        try:
+            groups, res = DP54_CASES[name]()
+        finally:
+            monkeypatch.undo()
+        return groups, res, sum(s.nfev for s in steppers), steps[0], channels
+
+    @pytest.mark.parametrize("name", list(DP54_CASES))
+    def test_tableau_step_matches_loop_step(self, name, monkeypatch):
+        old, old_res, old_nfev, old_steps, old_jumps = self.run_recorded(
+            name, loop_step, monkeypatch)
+        new, new_res, new_nfev, new_steps, new_jumps = self.run_recorded(
+            name, DP54Stepper.step, monkeypatch)
+        assert (new_nfev, new_steps) == (old_nfev, old_steps)
+        if old_res is not None and "rhs_evaluations" in old_res.stats:
+            assert new_res.stats["rhs_evaluations"] == old_res.stats["rhs_evaluations"]
+        assert new_jumps == old_jumps
+        for group in old:
+            tol = MC_TOL[group] if name in MC_CASES else DET_TOL
+            for a, b in zip(old[group], new[group], strict=True):
+                assert np.asarray(a).shape == np.asarray(b).shape
+                assert np.max(np.abs(np.asarray(a) - np.asarray(b)), initial=0.0) <= tol, group
+
     def test_mcsolve(self):
-        I2 = q.qeye(2)
-        H = 0.5 * (q.sigmaz() & I2) + 0.5 * (I2 & q.sigmaz()) + 0.1 * (q.sigmax() & q.sigmax())
-        c_ops = [np.sqrt(0.1) * (q.sigmam() & I2), np.sqrt(0.1) * (I2 & q.sigmam())]
-        res = q.mcsolve(H, q.basis(2, 0) & q.basis(2, 0), np.linspace(0, 20, 21), c_ops=c_ops,
-                        e_ops=[q.sigmaz() & I2],
-                        options={"ntraj": 40, "seed": 5, "improved_sampling": True})
-        assert self.digest(res) == (
-            "a3b6c4b74a909cdf6fd214f4bcc5d9fc3af7b70327594bd1acae19aede76b7c4"
+        assert self.dp54_digest("mcsolve") == (
+            "fcd23b38af2fffa74c92214f58bdd86665ea0b4b0bf396343d2b504b1d3084a9"
         )
 
     def test_heomsolve(self):
-        env = q.DrudeLorentzEnvironment(T=1.0, lam=0.1, gamma=0.5)
-        ex = q.matsubara_decompose(env, 2)
-        res = q.heomsolve(0.5 * q.sigmaz() + 0.3 * q.sigmax(), (ex, q.sigmaz()), q.basis(2, 0),
-                          np.linspace(0, 5, 11), n_c=4, e_ops=[q.sigmaz(), q.sigmax()])
-        assert self.digest(res) == (
-            "42073663a2ceddd2c9e6c800c2e53c12b5e5f580f32687d110a6ff4eb49883f1"
+        assert self.dp54_digest("heomsolve") == (
+            "a23ef0d26b9038e16ec090542696c6a79affd947887fb890979a3f1e6fb0f4ff"
         )
 
     def test_mesolve_time_dependent(self):
-        a = q.destroy(4)
-        H = q.QobjEvo([a.dag() @ a, [a + a.dag(), lambda t: 0.3 * np.cos(2.0 * t)]])
-        res = q.mesolve(H, q.basis(4, 0), np.linspace(0, 3, 7), c_ops=[np.sqrt(0.2) * a],
-                        e_ops=[a.dag() @ a, a], options={"store_states": True})
-        assert self.digest_arrays(list(res.expect) + [s.full() for s in res.states]) == (
-            "ebd952a68a607b465753ae0be665bb44427858cca70d0b1afcabae1bb14b7f68"
+        assert self.dp54_digest("mesolve_time_dependent") == (
+            "a76193d9d40c018d0a985f440f45895a6f4135afedbda9aac8c2bd5bef27bbf1"
         )
 
     def test_sesolve(self):
-        H = q.QobjEvo([0.5 * q.sigmaz() + 0.4 * q.sigmax(), [q.sigmay(), lambda t: np.sin(t)]])
-        res = q.sesolve(H, q.basis(2, 0), np.linspace(0, 4, 9),
-                        e_ops=[q.sigmaz(), q.sigmap()], options={"store_states": True})
-        assert self.digest_arrays(list(res.expect) + [s.full() for s in res.states]) == (
-            "5ef267d9d2bd37bd8b2f00996c161022dd690a8c1b25a7305c8660ba80b57bd2"
+        assert self.dp54_digest("sesolve") == (
+            "dc0521d22c9b27274208e9127f301ce5e8fef011c84021b8c4861c7ac35b3e04"
         )
 
     def test_sesolver_step(self):
-        H = q.QobjEvo([0.5 * q.sigmaz() + 0.4 * q.sigmax(), [q.sigmay(), lambda t: np.sin(t)]])
-        solver = q.SESolver(H)
-        solver.start(q.basis(2, 0), 0.0)
-        states = [solver.step(t).full() for t in (0.3, 0.3, 1.0, 2.5, 4.0)]
-        assert self.digest_arrays(states) == (
-            "29db4cc7e1c8930bc0ac64d484f3782ee9adebbe7ba6f573a3c33b0ebe474e7e"
+        assert self.dp54_digest("sesolver_step") == (
+            "39c6cb9d531d933e5b13f7b3306c77555b6efa4c2c85ef805744680bf3c894cb"
         )
 
     def test_integrate(self):
-        M = np.array([[0.0, 1.0, 0.2], [-1.0, -0.1, 0.0], [0.0, 0.3, -0.5]], dtype=complex)
-        ys, seg = integrate(lambda t, y: (M + 0.2j * np.sin(t) * np.eye(3)) @ y,
-                            np.array([1.0, 0.5j, -0.25]), 0.0, np.linspace(0, 6, 13),
-                            IntegratorOptions(atol=1e-9, rtol=1e-7))
-        assert self.digest_arrays(ys + [seg(seg.t_new)]) == (
-            "8bf3c07d82fffc837966a5c5c3542c545918abe50c43b353c0291d81a6cb1507"
+        assert self.dp54_digest("integrate") == (
+            "fe2ed336a0f74b2df3113123d7b74c3129c65a9022a88e14bf0addbf77c7f448"
         )
 
     def test_heomsolve_states_and_ados(self):
-        env = q.DrudeLorentzEnvironment(T=1.0, lam=0.1, gamma=0.5)
-        ex = q.matsubara_decompose(env, 2)
-        res = q.heomsolve(0.5 * q.sigmaz() + 0.3 * q.sigmax(), (ex, q.sigmaz()), q.basis(2, 0),
-                          np.linspace(0, 5, 11), n_c=3, options={"store_states": True})
+        groups, res = case_heomsolve_states_and_ados()
         assert res.stats["rhs_evaluations"] == 350
-        assert self.digest_arrays([s.full() for s in res.states] + [res.final_ados]) == (
-            "aad79f59a956d1b0d208f0dda2b1700e428023923670b2b49d76a9a9b4a46c4c"
+        assert self.digest_arrays(_flat(groups)) == (
+            "3fc94d81c06eecec99cc4a2a7b3be753c3869b09bc28c014c0ad76a7480bbfe7"
         )
 
     def test_mcsolve_runs_photocurrent_states(self):
-        I2 = q.qeye(2)
-        H = 0.5 * (q.sigmaz() & I2) + 0.5 * (I2 & q.sigmaz()) + 0.1 * (q.sigmax() & q.sigmax())
-        c_ops = [np.sqrt(0.1) * (q.sigmam() & I2), np.sqrt(0.1) * (I2 & q.sigmam())]
-        res = q.mcsolve(H, q.basis(2, 0) & q.basis(2, 0), np.linspace(0, 20, 21), c_ops=c_ops,
-                        e_ops=[q.sigmaz() & I2],
-                        options={"ntraj": 40, "seed": 5, "improved_sampling": True,
-                                 "keep_runs_results": True, "store_states": True})
-        arrays = list(res.runs_expect) + list(res.photocurrent)
-        arrays += [s.full() for s in res.states] + [np.array(res.weights)]
-        assert self.digest_arrays(arrays) == (
-            "cc7a513f40eedf6da34fe496bbcbdaa00b9d8de6957b3dd8c8acb150a01b3ac4"
+        assert self.dp54_digest("mcsolve_runs_photocurrent_states") == (
+            "d4432dc8124cf9c5880b9cae7afd158fa91cea1bee910522b49e197223a878af"
         )
 
     def test_mesolve_constant(self):
-        a = q.destroy(4)
-        H = a.dag() @ a + 0.2 * (a + a.dag())
-        res = q.mesolve(H, q.basis(4, 0), np.linspace(0, 3, 7),
-                        c_ops=[np.sqrt(0.2) * a, np.sqrt(0.05) * a.dag()],
-                        e_ops=[a.dag() @ a, a], options={"store_states": True})
-        assert self.digest_arrays(list(res.expect) + [s.full() for s in res.states]) == (
-            "5657f64904b2f20bbdc5908512530d28cc0921e0236a92fd8f98a6cca83c0066"
+        assert self.dp54_digest("mesolve_constant") == (
+            "b2d270d5e159302b353d3e5f2a7507c569449f25c7297705e4c8725d98a2d7a6"
         )
 
     @staticmethod
@@ -309,11 +525,8 @@ class TestDenseOutputBytes:
         )
 
     def test_nm_mcsolve(self):
-        res = q.nm_mcsolve(0.5 * q.sigmaz(), (q.basis(2, 0) + q.basis(2, 1)).unit(),
-                           np.linspace(0, 6, 13), [(q.sigmam(), lambda t: 0.5 * np.cos(t) + 0.2)],
-                           e_ops=[q.sigmaz(), q.sigmap()], options={"ntraj": 20, "seed": 4})
-        assert self.digest_arrays(list(res.expect) + [res.trace]) == (
-            "3401b5276b1c8d4c8924e4d775157bdc101f8a9b758eaf6f85e1cd5c1bc38076"
+        assert self.dp54_digest("nm_mcsolve") == (
+            "3deb49ccd1b7ee2b0a27d94b94807270b9c75371c84e1daa818fe0341901dd12"
         )
 
     def test_steadystate(self):

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import oqsim as q
 from oqsim.coefficient import SplineCoefficient, coefficient
 from oqsim.exceptions import CoefficientError, DimensionMismatchError, RangeError
-from oqsim.qobjevo import liouvillian_evo
+from oqsim.qobjevo import apply_matrix, liouvillian_evo
 
 RNG = np.random.default_rng(11)
 
@@ -172,6 +173,60 @@ class TestQobjEvo:
         y = RNG.normal(size=4) + 1j * RNG.normal(size=4)
         t = 2.2
         assert np.max(np.abs(evo.matvec(t, y) - evo(t).full() @ y)) < 1e-13
+
+    def test_call_shares_a_constant_generator(self):
+        L = q.liouvillian(q.sigmaz(), [q.sigmam()])
+        assert q.QobjEvo(L)(0.0).data.scipy_matrix() is L.data.scipy_matrix()
+        evo = q.QobjEvo([L, (L, np.cos)])
+        assert np.array_equal(evo(0.4).full(), L.full() + np.cos(0.4) * L.full())
+
+
+class TestApplyMatrix:
+    """``apply_matrix`` calls a private SciPy kernel; its bytes must stay ``m @ y``."""
+
+    @staticmethod
+    def random_csr(n, k, density, index_dtype=np.int32):
+        m = sp.random(n, k, density=density, format="csr", random_state=RNG, dtype=float)
+        m = sp.csr_matrix(m + 1j * m.multiply(RNG.normal(size=(n, k))), dtype=np.complex128)
+        m.sort_indices()
+        m.indptr = m.indptr.astype(index_dtype)
+        m.indices = m.indices.astype(index_dtype)
+        return m
+
+    @staticmethod
+    def assert_same_bytes(m, y):
+        ref = m @ y
+        out = apply_matrix(m, y)
+        assert out.dtype == ref.dtype and out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()
+
+    def test_csr_matches_matmul_bytes(self, monkeypatch):
+        cases = [(8, 8, 0.3, np.int32), (7, 5, 0.2, np.int32), (40, 40, 0.05, np.int64),
+                 (6, 6, 0.0, np.int32)]
+        mats = [self.random_csr(*case) for case in cases]
+        mats.append(sp.csr_matrix(np.array([[0.3 - 1.7j]])))
+        assert any(np.any(np.diff(m.indptr) == 0) for m in mats[:3])  # empty rows
+        for m in mats:
+            for _ in range(3):
+                self.assert_same_bytes(m, RNG.normal(size=m.shape[1]) + 1j * RNG.normal(size=m.shape[1]))
+            strided = RNG.normal(size=2 * m.shape[1]) + 1j * RNG.normal(size=2 * m.shape[1])
+            self.assert_same_bytes(m, strided[::2])
+
+        def no_dispatch(*args):
+            raise AssertionError("apply_matrix went through SciPy's sparse dispatch")
+
+        monkeypatch.setattr(sp.csr_matrix, "_matmul_dispatch", no_dispatch)
+        y = np.ones(8, dtype=np.complex128)
+        assert apply_matrix(mats[0], y).shape == (8,)
+
+    def test_other_terms_are_matmul(self):
+        dense = np.asfortranarray(RNG.normal(size=(5, 5)) + 1j * RNG.normal(size=(5, 5)))
+        y = RNG.normal(size=5) + 1j * RNG.normal(size=5)
+        self.assert_same_bytes(dense, y)
+        self.assert_same_bytes(sp.dia_matrix(dense), y)
+        csr = self.random_csr(5, 5, 0.4)
+        self.assert_same_bytes(csr, RNG.normal(size=(5, 3)) + 0j)  # a stack of vectors
+        self.assert_same_bytes(csr, RNG.normal(size=5))  # a real vector
 
 
 class TestLiouvillianEvo:
