@@ -360,6 +360,21 @@ def case_nm_mcsolve():
     return {"expect": list(res.expect), "trace": [res.trace]}, res
 
 
+def _nm_spline_jc(ntraj, seed):
+    """Criterion 11's damped Jaynes-Cummings unraveling with spline rate and
+    spline energy shift, on 301 knots over [0, 3]."""
+    lam, Gam = 1.0, 0.3
+    Delta = 8 * Gam
+    delta = np.sqrt(complex(Gam - 1j * Delta) ** 2 - 2 * lam * Gam)
+    ts = np.linspace(0, 3, 301)
+    val = 2 * lam * Gam * np.sinh(delta * ts / 2) / (
+        delta * np.cosh(delta * ts / 2) + (Gam - 1j * Delta) * np.sinh(delta * ts / 2))
+    H = q.QobjEvo([[q.sigmap() @ q.sigmam(), (ts, 0.5 * val.imag)]])
+    return q.nm_mcsolve(H, (q.basis(2, 0) + q.basis(2, 1)).unit(), np.linspace(0, 3, 31),
+                        [(q.sigmam(), (ts, val.real))], e_ops=[q.sigmap() @ q.sigmam()],
+                        options={"ntraj": ntraj, "seed": seed})
+
+
 DP54_CASES = {
     "mcsolve": case_mcsolve,
     "heomsolve": case_heomsolve,
@@ -547,6 +562,35 @@ class TestDenseOutputBytes:
                 q.liouvillian(q.liouvillian(H), c_ops[:1]).full()]
         assert self.digest_arrays(mats) == (
             "9f59664c42f1f4cdfb2d59fbe152190fa544fd3097d73f17d8e3e46deacb848e"
+        )
+
+    def test_nm_mcsolve_spline(self, monkeypatch):
+        mc = importlib.import_module("oqsim.mcsolve")
+        mcwf, jumps = mc._mcwf_trajectory, []
+
+        def recording_mcwf(*args, **kwargs):
+            traj = mcwf(*args, **kwargs)
+            jumps.extend(traj.jumps)
+            return traj
+
+        monkeypatch.setattr(mc, "_mcwf_trajectory", recording_mcwf)
+        res = _nm_spline_jc(ntraj=40, seed=11)
+        monkeypatch.undo()
+        assert len(jumps) > 0
+        jump_arrays = [np.array([t for t, _ in jumps]), np.array([k for _, k in jumps])]
+        assert self.digest_arrays(list(res.expect) + [res.trace] + jump_arrays) == (
+            "fce6d8fd6077d2bc41ba445df3fc823610d5e0205154ae4a49e4f13d30b50331"
+        )
+
+    def test_mesolve_spline(self):
+        a = q.destroy(4)
+        ts = np.linspace(0, 3, 41)
+        drive = 0.3 * np.exp(1j * 1.3 * ts) * (1 + 0.2 * ts)
+        H = q.QobjEvo([a.dag() @ a, [a, (ts, drive)], [a.dag(), (ts, drive.conj())]])
+        res = q.mesolve(H, q.basis(4, 0), np.linspace(0, 3, 7), c_ops=[np.sqrt(0.2) * a],
+                        e_ops=[a.dag() @ a, a], options={"store_states": True})
+        assert self.digest_arrays(list(res.expect) + [s.full() for s in res.states]) == (
+            "8be4c7924f6a8de770c2b0502e4c165b662e0e56b799b3e607a834711a73fc3f"
         )
 
     def test_heom_generator_is_not_copied(self):
