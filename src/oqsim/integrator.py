@@ -315,6 +315,8 @@ def integrate(rhs, y0, t0: float, t_targets, opts: IntegratorOptions | None = No
 
     Raises
     ------
+    RangeError
+        The targets descend, or the first one precedes ``t0``.
     StepLimitError
         More than ``opts.nsteps`` accepted steps were needed between two
         consecutive targets.
@@ -326,9 +328,9 @@ def integrate(rhs, y0, t0: float, t_targets, opts: IntegratorOptions | None = No
     if t_targets.size == 0:
         return [], None
     if np.any(np.diff(t_targets) < 0):
-        raise ValueError("t_targets must be ascending")
+        raise RangeError("t_targets must be ascending")
     if t_targets[0] < t0:
-        raise ValueError(f"first target {t_targets[0]} precedes t0={t0}")
+        raise RangeError(f"first target {t_targets[0]} precedes t0={t0}")
 
     y0 = np.asarray(y0, dtype=np.complex128)
     flat = y0.ndim == 1

@@ -13,12 +13,13 @@ used).
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
 
 from .coefficient import Coefficient
-from .exceptions import DimensionMismatchError, SolverError
+from .exceptions import DimensionMismatchError, RangeError, SolverError
 from .integrator import DP54Stepper, advance
 from .qobj import Qobj
 from .qobjevo import QobjEvo, apply_matrix
@@ -27,6 +28,15 @@ from .solver import SolverOptions, sesolve
 from .trajectory import McOptions, WeightedStats, run_map, trajectory_rng
 
 __all__ = ["McOptions", "MCSolver", "mcsolve"]
+
+
+def _norm(y: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-D complex vector, with the same bits.
+
+    NumPy computes it as ``sqrt(re . re + im . im)``; this skips its dispatch.
+    """
+    re, im = y.real, y.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 class _Channel:
@@ -41,7 +51,7 @@ class _Channel:
         self.ratio_fn = ratio_fn  # martingale ratio gamma/Gamma at a jump time
 
     def weight(self, t: float, psi: np.ndarray) -> float:
-        w = float(np.linalg.norm(self.mat @ psi) ** 2)
+        w = _norm(self.mat @ psi) ** 2
         if self.rate is not None:
             w *= max(float(self.rate(t).real), 0.0)
         return w
@@ -81,7 +91,7 @@ def _bisect_jump_time(segment, r: float, rel_tol: float) -> float:
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        if np.linalg.norm(segment(mid)) ** 2 > r:
+        if _norm(segment(mid)) ** 2 > r:
             lo = mid
         else:
             hi = mid
@@ -109,7 +119,7 @@ def _mcwf_trajectory(
     def jump(stepper, seg):
         """Once the norm has fallen to ``r``, jump and restart from the jump time."""
         nonlocal r, last
-        if float(np.linalg.norm(stepper.y) ** 2) <= r:
+        if _norm(stepper.y) ** 2 <= r:
             t_jump = _bisect_jump_time(seg, r, norm_tol)
             psi_j = seg(t_jump)
             weights = np.array([ch.weight(t_jump, psi_j) for ch in channels])
@@ -120,7 +130,7 @@ def _mcwf_trajectory(
             k = int(np.searchsorted(np.cumsum(weights), u, side="right"))
             k = min(k, len(channels) - 1)
             psi_new = channels[k].apply(psi_j)
-            nrm = np.linalg.norm(psi_new)
+            nrm = _norm(psi_new)
             if nrm == 0.0 or not np.isfinite(nrm):
                 raise SolverError(f"collapse produced a zero-norm state at t={t_jump:.6g}")
             jumps.append((t_jump, k))
@@ -133,14 +143,14 @@ def _mcwf_trajectory(
     expect = [np.empty(tlist.size, dtype=complex) for _ in e_mats]
     states = [] if store_states else None
     for j, _, y in advance(last, tlist, integ_opts.nsteps, on_step=jump):
-        nrm = np.linalg.norm(y)
+        nrm = _norm(y)
         ynorm = y / nrm if nrm > 0 else y
         for series, m in zip(expect, e_mats):
             series[j] = complex(np.vdot(ynorm, apply_matrix(m, ynorm)))
         if store_states:
             states.append(ynorm.copy())
 
-    return _Trajectory(expect, jumps, ratios, float(np.linalg.norm(last.y) ** 2), states)
+    return _Trajectory(expect, jumps, ratios, _norm(last.y) ** 2, states)
 
 
 def _allot(ntraj: int, probs) -> list[int]:
@@ -224,7 +234,7 @@ def _run_trajectories(
         components = [(k, float(p)) for k, p in psi0]
         total_p = sum(p for _, p in components)
         if abs(total_p - 1.0) > 1e-8:
-            raise ValueError("mixture probabilities must sum to 1")
+            raise RangeError("mixture probabilities must sum to 1")
     for ket, _ in components:
         if not ket.isket:
             raise DimensionMismatchError("initial states must be kets")

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import data as _d
-from .coefficient import Coefficient, ConstantCoefficient, FunctionCoefficient, coefficient
+from .coefficient import Coefficient, ConstantCoefficient, coefficient
 from .exceptions import DimensionMismatchError, RangeError
 from .mcsolve import _Channel, _drift, _run_trajectories
 from .qobj import Qobj
@@ -46,8 +46,41 @@ class NmPrepared:
     shifted_rates: list
 
 
-def _real_rate(coeff: Coefficient):
-    return lambda t: float(coeff(t).real)
+class _RateSet:
+    """The real rates ``gamma_n(t)`` and the shift ``s(t)`` at the last time seen."""
+
+    def __init__(self, rates):
+        self.rates = rates
+        self.t, self.vals, self.shift = None, [], 0.0
+
+    def at(self, t: float) -> "_RateSet":
+        if t != self.t:
+            vals = [float(c(t).real) for c in self.rates]
+            self.vals, self.shift = vals, 2.0 * abs(min(0.0, min(vals)))
+            self.t = t
+        return self
+
+    def shift_at(self, t: float) -> float:
+        return self.at(t).shift
+
+
+class _ShiftedRate(Coefficient):
+    """``Gamma_k(t) = gamma_k(t) + s(t)``, which is never negative."""
+
+    def __init__(self, rate_set: _RateSet, k: int):
+        self.rate_set, self.k = rate_set, k
+
+    def __call__(self, t, args=None):
+        rs = self.rate_set.at(t)
+        return complex(rs.vals[self.k] + rs.shift)
+
+    def ratio(self, t: float) -> float:
+        """The martingale factor ``gamma_k / Gamma_k`` at a jump time."""
+        rs = self.rate_set.at(t)
+        G = rs.vals[self.k] + rs.shift
+        if G < _RATE_GUARD:
+            return 0.0
+        return rs.vals[self.k] / G
 
 
 def nm_prepare(ops_and_rates) -> NmPrepared:
@@ -56,6 +89,10 @@ def nm_prepare(ops_and_rates) -> NmPrepared:
     ``alpha`` is the largest eigenvalue of ``sum A_n^dag A_n``; when the sum
     is not already proportional to the identity, the deficit operator
     ``sqrt(alpha 1 - sum A_n^dag A_n)`` is appended with zero rate.
+
+    The shift and the shifted rates share one evaluation of the rates per
+    distinct time: a right-hand side asks for every shifted rate at one
+    ``t``, and each rate is evaluated there once, not once per use.
     """
     ops = []
     rates = []
@@ -91,16 +128,10 @@ def nm_prepare(ops_and_rates) -> NmPrepared:
         ops = ops + [deficit.sqrtm()]
         rates = rates + [ConstantCoefficient(0.0)]
 
-    rate_fns = [_real_rate(c) for c in rates]
-
-    def shift(t: float) -> float:
-        return 2.0 * abs(min(0.0, min(fn(t) for fn in rate_fns)))
-
-    shifted = [
-        FunctionCoefficient(lambda t, args=None, fn=fn: fn(t) + shift(t))
-        for fn in rate_fns
-    ]
-    return NmPrepared(ops=ops, rates=rates, alpha=alpha, shift=shift, shifted_rates=shifted)
+    rate_set = _RateSet(rates)
+    shifted = [_ShiftedRate(rate_set, k) for k in range(len(rates))]
+    return NmPrepared(ops=ops, rates=rates, alpha=alpha, shift=rate_set.shift_at,
+                      shifted_rates=shifted)
 
 
 def _qeye_like(op: Qobj) -> Qobj:
@@ -121,17 +152,8 @@ def nm_mcsolve(H, psi0, tlist, ops_and_rates, e_ops=None, options=None) -> Multi
     tlist = np.asarray(tlist, dtype=float)
 
     H_evo = H if isinstance(H, QobjEvo) else QobjEvo(H)
-    channels = []
-    for op, gamma, Gamma in zip(prep.ops, prep.rates, prep.shifted_rates):
-        gamma_fn = _real_rate(gamma)
-
-        def ratio(t, gfn=gamma_fn, Gfn=Gamma):
-            G = float(Gfn(t).real)
-            if G < _RATE_GUARD:
-                return 0.0
-            return gfn(t) / G
-
-        channels.append(_Channel(op, rate=Gamma, ratio_fn=ratio))
+    channels = [_Channel(op, rate=Gamma, ratio_fn=Gamma.ratio)
+                for op, Gamma in zip(prep.ops, prep.shifted_rates)]
 
     # The exponential martingale factor exp(alpha * int_0^t s) is trajectory
     # independent; accumulate it once on the output grid.

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dimensions import Dimensions
-from .exceptions import DimensionMismatchError, MethodError, SolverError
+from .exceptions import DimensionMismatchError, MethodError, RangeError, SolverError
 from .integrator import DP54Stepper, FlatOptions, IntegratorOptions, advance, propagate_diag
 from .qobj import Qobj
 from .qobjevo import QobjEvo, liouvillian_evo
@@ -144,7 +144,10 @@ class Solver:
         self._session = (stepper, holder)
 
     def step(self, t: float, args=None) -> Qobj:
-        """Advance the session to time ``t`` and return the state there."""
+        """Advance the session to time ``t`` and return the state there.
+
+        A ``t`` before the session's current time raises :class:`RangeError`.
+        """
         if self._session is None:
             raise SolverError("call start() before step()")
         stepper, holder = self._session
@@ -153,7 +156,7 @@ class Solver:
             # Changed parameters invalidate the cached FSAL derivative.
             stepper._f0 = stepper._eval(stepper.t, stepper.y)
         if t < stepper.t - 1e-12:
-            raise ValueError(f"cannot step backwards from t={stepper.t} to t={t}")
+            raise RangeError(f"cannot step backwards from t={stepper.t} to t={t}")
         stepper.t_end = max(float(t), stepper.t)
         [(_, _, y)] = advance(stepper, [t], self.options.integrator.nsteps)
         return self._unpack(np.asarray(y))

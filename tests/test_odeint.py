@@ -84,6 +84,12 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(lambda t, y: -y, np.array([1.0 + 0j]), 1.0, [0.5])
 
+    def test_targets_validation_is_range_error(self):
+        with pytest.raises(RangeError, match="ascending"):
+            integrate(lambda t, y: -y, np.array([1.0 + 0j]), 0.0, [2.0, 1.0])
+        with pytest.raises(RangeError, match="precedes"):
+            integrate(lambda t, y: -y, np.array([1.0 + 0j]), 1.0, [0.5])
+
 
 class TestStepperContract:
     def test_rejects_a_non_flat_state(self):
@@ -109,6 +115,13 @@ class TestStepperContract:
     def test_solver_step_before_start_is_solver_error(self):
         with pytest.raises(SolverError, match="start"):
             q.SESolver(q.sigmaz()).step(1.0)
+
+    def test_solver_step_backwards_is_range_error(self):
+        solver = q.SESolver(q.sigmaz())
+        solver.start(q.basis(2, 0), 0.0)
+        solver.step(1.0)
+        with pytest.raises(RangeError, match="backwards"):
+            solver.step(0.5)
 
 
 class TestPropagateDiag:

@@ -11,7 +11,8 @@ from hypothesis.extra import numpy as hnp
 
 import oqsim as q
 from oqsim.exceptions import NotHermitianError, OptionError, RangeError, StepLimitError
-from oqsim.mcsolve import MCSolver, _mcwf_trajectory
+from oqsim.coefficient import SplineCoefficient
+from oqsim.mcsolve import MCSolver, _mcwf_trajectory, _norm
 from oqsim.smesolve import HermitianCoords, WienerPath
 from oqsim.trajectory import McOptions, trajectory_rng
 
@@ -34,6 +35,20 @@ class TestMcsolve:
                         e_ops=[q.sigmax()], options={"ntraj": 5, "seed": 1, **TIGHT})
         ref = q.sesolve(H, psi0, ts, e_ops=[q.sigmax()], options=TIGHT)
         assert np.max(np.abs(res.expect[0] - ref.expect[0])) < 1e-6
+
+    def test_mixture_probabilities_range_error(self):
+        mixture = [(q.basis(2, 0), 0.5), (q.basis(2, 1), 0.4)]
+        with pytest.raises(RangeError):
+            q.mcsolve(q.sigmaz(), mixture, [0.0, 1.0], c_ops=[q.sigmam()],
+                      options={"ntraj": 4, "seed": 1})
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.complex128, st.integers(1, 100), elements=st.complex_numbers(
+        max_magnitude=1e100, allow_nan=False, allow_infinity=False)))
+    def test_norm_has_the_bits_of_linalg_norm(self, y):
+        got, want = _norm(y), np.linalg.norm(y)
+        assert got.hex() == float(want).hex()
+        assert (got ** 2).hex() == float(want ** 2).hex()
 
     def test_nsteps_bounds_trajectories(self):
         # 500 steps of max_step 0.1 are needed in the one output interval.
@@ -203,6 +218,40 @@ class TestNmMcsolve:
             expected = 2 * abs(min(0.0, np.cos(t)))
             assert prep.shift(t) == pytest.approx(expected)
             assert prep.shifted_rates[0](t).real == pytest.approx(np.cos(t) + expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_shifted_rates_keep_the_lambda_bits(self, data):
+        ts = np.linspace(0, 3, 31)
+        rates = [(q.sigmam(), SplineCoefficient(ts, np.cos(3 * ts) + 0.2)),
+                 (0.5 * q.sigmaz(), lambda t: 0.5 * np.sin(2 * t))]
+        prep = q.nm_prepare(rates)
+        assert len(prep.rates) == 3  # the padding channel's zero rate
+        # The formula the shifted rates were built from, evaluated afresh.
+        real = [lambda t, c=c: float(c(t).real) for c in prep.rates]
+
+        def shift(t):
+            return 2.0 * abs(min(0.0, min(fn(t) for fn in real)))
+
+        def shifted(k, t):
+            return complex(real[k](t) + shift(t))
+
+        def ratio(k, t):
+            G = float(shifted(k, t).real)
+            return 0.0 if G < 1e-14 else real[k](t) / G
+
+        pool = [0.0, 3.0, float(ts[7]), 0.123, 1.5]
+        times = st.one_of(st.sampled_from(pool), st.floats(0.0, 3.0))
+        calls = data.draw(st.lists(st.tuples(st.integers(0, 6), times), min_size=1, max_size=60))
+        for which, t in calls:
+            if which == 0:
+                got, want = prep.shift(t), shift(t)
+            elif which <= 3:
+                got, want = prep.shifted_rates[which - 1](t), shifted(which - 1, t)
+                assert type(got) is complex
+            else:
+                got, want = prep.shifted_rates[which - 4].ratio(t), ratio(which - 4, t)
+            assert np.array_equal(np.array([got]).view(np.uint8), np.array([want]).view(np.uint8))
 
     def test_constant_positive_rates_reduce_to_mcsolve(self):
         g = 0.3

@@ -5,6 +5,10 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.interpolate import CubicSpline
 
 import oqsim as q
 from oqsim.coefficient import SplineCoefficient, coefficient
@@ -109,6 +113,36 @@ class TestCoefficients:
             SplineCoefficient([0.0], [1.0])
         with pytest.raises(ValueError):
             SplineCoefficient([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
+
+    def test_spline_validation_errors_are_typed(self):
+        for times in ([0.0], [0.0, 0.0, 1.0], [0.0, 2.0, 1.0], [0.0, float("nan"), 1.0]):
+            with pytest.raises(RangeError):
+                SplineCoefficient(times, np.ones(len(times)))
+        with pytest.raises(DimensionMismatchError):
+            SplineCoefficient([0.0, 1.0, 2.0], [1.0, 2.0])
+
+    def test_spline_nan_time_is_range_error(self):
+        c = SplineCoefficient([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+        with pytest.raises(RangeError):
+            c(float("nan"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_spline_bits_match_cubic_spline(self, data):
+        n = data.draw(st.integers(2, 400))
+        t0 = data.draw(st.floats(-100.0, 100.0))
+        gaps = data.draw(hnp.arrays(np.float64, n - 1, elements=st.floats(1e-3, 10.0)))
+        times = t0 + np.concatenate([[0.0], np.cumsum(gaps)])
+        assert np.all(np.diff(times) > 0)
+        values = data.draw(hnp.arrays(np.complex128, n, elements=st.complex_numbers(
+            max_magnitude=1e6, allow_nan=False, allow_infinity=False)))
+        inside = data.draw(st.lists(st.floats(times[0], times[-1]), max_size=50))
+        ref = CubicSpline(times, values, bc_type="natural")
+        c = SplineCoefficient(times, values)
+        for t in [float(x) for x in times] + inside:
+            want, got = complex(ref(t)), c(t)
+            assert type(got) is complex
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), t
 
 
 class TestQobjEvo:
