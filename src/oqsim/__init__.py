@@ -54,7 +54,7 @@ from .steadystate import steadystate
 from .floquet import FloquetBasis, floquet_basis, fsesolve
 from .mcsolve import McOptions, MCSolver, mcsolve
 from .nm_mcsolve import NmPrepared, nm_mcsolve, nm_prepare
-from .smesolve import smesolve
+from .smesolve import SmeOptions, smesolve
 from .environment import (
     BosonicEnvironment,
     CustomEnvironment,

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import data as _d
 from .dimensions import Dimensions
-from .exceptions import DimensionMismatchError, NotHermitianError, UnsupportedError
+from .exceptions import (ArgumentError, DimensionMismatchError, NotHermitianError, RangeError,
+                         UnsupportedError)
 from .qobj import Qobj
 from .qobjevo import QobjEvo
 from .result import SolveResult, normalize_e_ops
@@ -44,7 +45,7 @@ def _as_couplings(couplings):
             op, spec = entry
             out.append(BRCoupling(op, spec))
     if not out:
-        raise ValueError("need at least one (operator, spectrum) coupling")
+        raise RangeError("need at least one (operator, spectrum) coupling")
     return out
 
 
@@ -124,7 +125,7 @@ def brmesolve(
             )
         H = H(0.0)
     if not isinstance(H, Qobj):
-        raise TypeError("H must be a Qobj (or constant QobjEvo)")
+        raise ArgumentError("H must be a Qobj (or constant QobjEvo)")
 
     R_super, ekets = br_tensor(H, couplings, sec_cutoff=sec_cutoff)
     n = H.shape[0]

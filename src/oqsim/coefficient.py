@@ -235,7 +235,7 @@ def coefficient(spec) -> Coefficient:
         return FunctionCoefficient(spec)
     if isinstance(spec, tuple) and len(spec) == 2:
         return SplineCoefficient(*spec)
-    raise TypeError(f"cannot interpret {type(spec)} as a coefficient")
+    raise CoefficientError(f"cannot interpret {type(spec)} as a coefficient")
 
 
 def coeff_eval(c: Coefficient, t: float, args: dict | None = None) -> complex:

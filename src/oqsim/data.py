@@ -25,9 +25,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .exceptions import (
+    ArgumentError,
     ConvergenceError,
     DimensionMismatchError,
     NotHermitianError,
+    RangeError,
     SingularMatrixError,
 )
 
@@ -84,7 +86,7 @@ class DataMatrix:
 
     def __init__(self, payload, fmt: str):
         if fmt not in FORMATS:
-            raise ValueError(f"unknown data format {fmt!r}; expected one of {FORMATS}")
+            raise RangeError(f"unknown data format {fmt!r}; expected one of {FORMATS}")
         self.fmt = fmt
         self._m = payload
 
@@ -109,7 +111,7 @@ class DataMatrix:
     def csr_parts(self):
         """CSR triplet ``(indptr, indices, values)``; only valid for csr format."""
         if self.fmt != "csr":
-            raise ValueError("csr_parts() requires csr format")
+            raise RangeError("csr_parts() requires csr format")
         m = self._m
         return m.indptr.copy(), m.indices.copy(), m.data.copy()
 
@@ -122,7 +124,7 @@ class DataMatrix:
         the diagonal.
         """
         if self.fmt != "dia":
-            raise ValueError("dia_parts() requires dia format")
+            raise RangeError("dia_parts() requires dia format")
         n, m = self.shape
         length = min(n, m)
         offsets = np.asarray(self._m.offsets, dtype=np.int64)
@@ -176,7 +178,7 @@ def from_array(arr, fmt: str = "dense") -> DataMatrix:
         return DataMatrix(_canonical_csr(dense), "csr")
     if fmt == "dia":
         return DataMatrix(_canonical_dia(dense), "dia")
-    raise ValueError(f"unknown data format {fmt!r}")
+    raise RangeError(f"unknown data format {fmt!r}")
 
 
 def identity_data(n: int, fmt: str = "csr", scale: complex = 1.0) -> DataMatrix:
@@ -201,7 +203,7 @@ def convert(m: DataMatrix, fmt: str) -> DataMatrix:
     routes through dense.
     """
     if fmt not in FORMATS:
-        raise ValueError(f"unknown data format {fmt!r}")
+        raise RangeError(f"unknown data format {fmt!r}")
     if m.fmt == fmt:
         return m
     if m.fmt == "dense":
@@ -243,7 +245,7 @@ def add(a: DataMatrix, b: DataMatrix, scale: complex = 1.0) -> DataMatrix:
 def mul(a: DataMatrix, scale: complex) -> DataMatrix:
     """Scalar multiple, format preserved."""
     if not isinstance(scale, numbers.Number):
-        raise TypeError(f"scale must be a number, got {type(scale)}")
+        raise ArgumentError(f"scale must be a number, got {type(scale)}")
     return _coerce(a._m * complex(scale), a.fmt)
 
 
@@ -288,7 +290,7 @@ def unary(m: DataMatrix, kind: str) -> DataMatrix:
     try:
         return _UNARY[kind](m)
     except KeyError:
-        raise ValueError(f"unknown unary kind {kind!r}") from None
+        raise RangeError(f"unknown unary kind {kind!r}") from None
 
 
 def trace(m: DataMatrix) -> complex:
@@ -429,4 +431,4 @@ def solve_linear(
             cols.append(x)
         return DataMatrix(np.asfortranarray(np.column_stack(cols)), "dense")
 
-    raise ValueError(f"unknown linear solver method {method!r}")
+    raise RangeError(f"unknown linear solver method {method!r}")

@@ -22,7 +22,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from .exceptions import ConvergenceError, RangeError, UnsupportedError
+from .exceptions import ConvergenceError, DimensionMismatchError, RangeError, UnsupportedError
 
 __all__ = [
     "BosonicEnvironment",
@@ -216,10 +216,10 @@ class ExponentSet:
         self.ck_imag = np.asarray(ck_imag, dtype=np.complex128)
         self.vk_imag = np.asarray(vk_imag, dtype=np.complex128)
         if self.ck_real.shape != self.vk_real.shape or self.ck_imag.shape != self.vk_imag.shape:
-            raise ValueError("coefficient and rate lists must have equal lengths")
+            raise DimensionMismatchError("coefficient and rate lists must have equal lengths")
         rates = np.concatenate([self.vk_real, self.vk_imag])
         if rates.size == 0:
-            raise ValueError("exponent set cannot be empty")
+            raise RangeError("exponent set cannot be empty")
         if np.any(rates.real <= 0):
             raise RangeError("all exponents must decay: Re(v) > 0")
         if combine:

@@ -15,6 +15,7 @@ __all__ = [
     "SolverError",
     "CoefficientError",
     "OptionError",
+    "ArgumentError",
 ]
 
 
@@ -39,7 +40,8 @@ class NotHermitianError(OqsimError, ValueError):
 
 
 class RangeError(OqsimError, ValueError):
-    """A value lies outside its permitted domain (spline knot range, occupation tuple, ...)."""
+    """A value lies outside its permitted domain (spline knot range, occupation tuple,
+    time grid, unknown method name, empty operator list, ...)."""
 
 
 class StepLimitError(OqsimError):
@@ -71,4 +73,9 @@ class CoefficientError(OqsimError, TypeError):
 
 
 class OptionError(OqsimError, TypeError):
-    """An options mapping names an unknown key, or the options are not a mapping."""
+    """An options mapping names an unknown key or holds a value of the wrong type, or the
+    options are not a mapping."""
+
+
+class ArgumentError(OqsimError, TypeError):
+    """An argument is of the wrong kind (an ``e_ops`` entry that is not a Qobj, ...)."""

@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .dimensions import Dimensions
-from .exceptions import DimensionMismatchError
-from .integrator import IntegratorOptions, integrate
+from .exceptions import DimensionMismatchError, RangeError
+from .integrator import IntegratorOptions, check_tlist, integrate
 from .qobj import Qobj
 from .qobjevo import QobjEvo
 from .result import SolveResult, normalize_e_ops
@@ -75,7 +75,7 @@ def floquet_basis(H, T: float, n_t: int = 64, options: IntegratorOptions | None 
     ``n_t``-step grid covering the period.
     """
     if n_t < 2:
-        raise ValueError("need at least two grid steps per period")
+        raise RangeError("need at least two grid steps per period")
     H_evo = H if isinstance(H, QobjEvo) else QobjEvo(H)
     if H_evo.shape[0] != H_evo.shape[1]:
         raise DimensionMismatchError("Hamiltonian must be square")
@@ -118,9 +118,9 @@ def fsesolve(fb: FloquetBasis, psi0: Qobj, tlist, e_ops=None) -> SolveResult:
         raise DimensionMismatchError("fsesolve needs a ket initial state")
     if psi0.dims.ket != fb.dims.ket:
         raise DimensionMismatchError("initial state dims do not match the Floquet basis")
-    tlist = np.asarray(tlist, dtype=float)
+    tlist = check_tlist(tlist)
     if np.any(tlist < 0):
-        raise ValueError("fsesolve times must be non-negative")
+        raise RangeError("fsesolve times must be non-negative")
 
     coeffs = fb.expand(psi0)
     labels, ops = normalize_e_ops(e_ops)

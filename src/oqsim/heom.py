@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from . import data as _d
 from .dimensions import Dimensions
 from .environment import BosonicEnvironment, ExponentSet, matsubara_decompose
-from .exceptions import DimensionMismatchError, NotHermitianError, RangeError
+from .exceptions import ArgumentError, DimensionMismatchError, NotHermitianError, RangeError
 from .qobj import Qobj
 from .qobjevo import QobjEvo
 from .result import SolveResult
@@ -284,6 +284,8 @@ def heomsolve(
     slice of the stack.
     """
     t_start = time.perf_counter()
+    # Like the ADO stack, the final state is always returned.
+    opts = replace(SolverOptions.coerce(options), store_final_state=True)
     if isinstance(H, QobjEvo):
         if not H.isconstant:
             raise DimensionMismatchError("heomsolve supports time-independent H only")
@@ -295,14 +297,12 @@ def heomsolve(
         if isinstance(bath, BosonicEnvironment):
             bath = matsubara_decompose(bath, n_k)
         if not isinstance(bath, ExponentSet):
-            raise TypeError("each bath must be an ExponentSet or BosonicEnvironment")
+            raise ArgumentError("each bath must be an ExponentSet or BosonicEnvironment")
         couplings.append((Q, _exponent_records(bath)))
 
     t_build = time.perf_counter()
     gen, ados = _build_generator(H, couplings, n_c)
     build_time = time.perf_counter() - t_build
-    # Like the ADO stack, the final state is always returned.
-    opts = replace(SolverOptions.coerce(options), store_final_state=True)
     res = _HEOMSolver(gen, ados, H, opts).run(rho0, tlist, e_ops=e_ops)
     res.stats.update(
         n_ados=len(ados), build_time=build_time, run_time=time.perf_counter() - t_start

@@ -24,6 +24,10 @@ Integration is deterministic: identical inputs produce bit-identical outputs.
 
 from __future__ import annotations
 
+import functools
+import numbers
+import types
+import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -32,7 +36,7 @@ from .exceptions import (DimensionMismatchError, MethodError, OptionError, Range
                          StepLimitError, StiffnessError)
 
 __all__ = ["IntegratorOptions", "FlatOptions", "DenseSegment", "DP54Stepper", "advance",
-           "integrate", "propagate_diag"]
+           "check_tlist", "integrate", "propagate_diag"]
 
 
 @dataclass
@@ -52,6 +56,7 @@ class IntegratorOptions:
     method: str = "rk45_adaptive"
 
     def validated(self) -> "IntegratorOptions":
+        _check_types(self)
         if self.atol <= 0 or self.rtol <= 0:
             raise RangeError("atol and rtol must be positive")
         if self.nsteps < 1:
@@ -66,31 +71,90 @@ class IntegratorOptions:
 _INTEGRATOR_KEYS = tuple(f.name for f in fields(IntegratorOptions))
 
 
+@functools.cache
+def _field_types(cls) -> dict:
+    """``{field: type}`` of an options dataclass, resolved once per class."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def _type_ok(value, tp) -> bool:
+    """Whether an option value fits its annotated type.
+
+    ``int`` takes integers but not ``bool``; ``float`` takes any real number
+    but not ``bool``; ``X | None`` also takes ``None``; ``object`` takes
+    anything.
+    """
+    if isinstance(tp, types.UnionType):
+        return any(_type_ok(value, arg) for arg in tp.__args__)
+    if tp is type(None):
+        return value is None
+    if tp is object:
+        return True
+    if isinstance(value, (bool, np.bool_)):
+        return tp is bool
+    if tp is int:
+        return isinstance(value, numbers.Integral)
+    if tp is float:
+        return isinstance(value, numbers.Real)
+    return isinstance(value, tp)
+
+
+def _check_types(opts) -> None:
+    for key, tp in _field_types(type(opts)).items():
+        value = getattr(opts, key)
+        if not _type_ok(value, tp):
+            name = getattr(tp, "__name__", None) or str(tp)
+            raise OptionError(f"option {key!r} must be {name}; got {value!r}")
+
+
 class FlatOptions:
-    """Mixin for option dataclasses with an ``integrator`` field, built from one
-    flat dict whose :class:`IntegratorOptions` keys go to the integrator."""
+    """Mixin for option dataclasses built from one flat dict.
+
+    :meth:`coerce` is the one place where a solver's options are checked: an
+    unknown key raises :class:`OptionError`, and the options it returns have
+    passed :meth:`validated`, which checks every value's type
+    (:class:`OptionError`) and range.  A class with an ``integrator`` field
+    also takes the :class:`IntegratorOptions` keys, which go to the
+    integrator.
+    """
 
     @classmethod
     def option_keys(cls) -> tuple:
-        return tuple(f.name for f in fields(cls) if f.name != "integrator") + _INTEGRATOR_KEYS
+        own = tuple(f.name for f in fields(cls) if f.name != "integrator")
+        return own + _INTEGRATOR_KEYS if cls._has_integrator() else own
+
+    @classmethod
+    def _has_integrator(cls) -> bool:
+        return any(f.name == "integrator" for f in fields(cls))
 
     @classmethod
     def coerce(cls, options):
-        """Build the options from None, an instance, or a flat dict."""
+        """Build and validate the options from None, an instance, or a flat dict."""
         if options is None:
-            return cls()
-        if isinstance(options, cls):
-            return options
-        if not isinstance(options, dict):
+            options = cls()
+        elif isinstance(options, dict):
+            keys = cls.option_keys()
+            unknown = [k for k in options if k not in keys]
+            if unknown:
+                raise OptionError(f"unknown {cls.__name__} key {unknown[0]!r}; "
+                                  f"accepted keys: {', '.join(keys)}")
+            integ = {k: v for k, v in options.items() if k in _INTEGRATOR_KEYS}
+            own = {k: v for k, v in options.items() if k not in integ}
+            if cls._has_integrator():
+                own["integrator"] = IntegratorOptions(**integ)
+            options = cls(**own)
+        elif not isinstance(options, cls):
             raise OptionError(f"cannot interpret {type(options).__name__} as {cls.__name__}")
-        keys = cls.option_keys()
-        unknown = [k for k in options if k not in keys]
-        if unknown:
-            raise OptionError(f"unknown {cls.__name__} key {unknown[0]!r}; "
-                              f"accepted keys: {', '.join(keys)}")
-        integ = {k: v for k, v in options.items() if k in _INTEGRATOR_KEYS}
-        own = {k: v for k, v in options.items() if k not in integ}
-        return cls(integrator=IntegratorOptions(**integ), **own)
+        return options.validated()
+
+    def validated(self):
+        """Check every field's type, then the integrator's fields; subclasses add
+        their range checks."""
+        _check_types(self)
+        if self._has_integrator():
+            self.integrator.validated()
+        return self
 
 
 # Dormand-Prince 5(4) tableau, stored once as complex128: stage ``i`` takes the
@@ -306,29 +370,53 @@ def advance(stepper: DP54Stepper, tlist, nsteps: int, on_step=None):
         yield j, target, y
 
 
+def check_tlist(tlist, uniform: bool = False) -> np.ndarray:
+    """The output times as a float array, once they pass the grid check.
+
+    Every solver calls this before it integrates.  The grid must be 1-D,
+    finite and non-decreasing, with at least one point; otherwise
+    :class:`RangeError` is raised.  With ``uniform=True`` it also needs two
+    points or more, a positive spacing, and spacings equal to within
+    ``1e-10 * max(dt, 1)``.
+    """
+    try:
+        t = np.asarray(tlist, dtype=float)
+    except (TypeError, ValueError):
+        raise RangeError(f"tlist must be an array of real times; got {tlist!r}") from None
+    if t.ndim != 1 or t.size < 1:
+        raise RangeError(f"tlist must be a non-empty 1-D array; got shape {t.shape}")
+    if not np.all(np.isfinite(t)):
+        raise RangeError("tlist must be finite")
+    dt = np.diff(t)
+    if np.any(dt < 0):
+        raise RangeError("tlist must be ascending (non-decreasing)")
+    if uniform:
+        if t.size < 2 or dt[0] <= 0:
+            raise RangeError("a uniform tlist needs two or more points and a positive spacing")
+        if np.any(np.abs(dt - dt[0]) > 1e-10 * max(dt[0], 1.0)):
+            raise RangeError("tlist must be uniform")
+    return t
+
+
 def integrate(rhs, y0, t0: float, t_targets, opts: IntegratorOptions | None = None):
     """Integrate ``y' = rhs(t, y)`` and report ``y`` at each target time.
 
-    Targets must be ascending with ``t_targets[0] >= t0``.  Dense output is
+    Targets pass :func:`check_tlist`, with ``t_targets[0] >= t0``.  Dense output is
     used to hit the targets without restarting steps.  Returns
     ``(states, final_segment)`` where ``states`` is a list of ndarrays.
 
     Raises
     ------
     RangeError
-        The targets descend, or the first one precedes ``t0``.
+        The targets fail :func:`check_tlist`, or the first one precedes ``t0``.
     StepLimitError
         More than ``opts.nsteps`` accepted steps were needed between two
         consecutive targets.
     StiffnessError
         The adaptive step size underflowed.
     """
-    opts = (opts or IntegratorOptions()).validated()
-    t_targets = np.asarray(t_targets, dtype=float)
-    if t_targets.size == 0:
-        return [], None
-    if np.any(np.diff(t_targets) < 0):
-        raise RangeError("t_targets must be ascending")
+    opts = opts or IntegratorOptions()
+    t_targets = check_tlist(t_targets)
     if t_targets[0] < t0:
         raise RangeError(f"first target {t_targets[0]} precedes t0={t0}")
 
@@ -364,7 +452,7 @@ def propagate_diag(L, y0, t_targets, t0: float = 0.0):
     """
     mat = L.full() if hasattr(L, "full") else np.asarray(L, dtype=np.complex128)
     if mat.shape[0] != mat.shape[1]:
-        raise ValueError("propagate_diag requires a square generator")
+        raise DimensionMismatchError("propagate_diag requires a square generator")
     w, v = np.linalg.eig(mat)
     cond = np.linalg.cond(v)
     if not np.isfinite(cond) or cond > 1e12:

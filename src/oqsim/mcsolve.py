@@ -20,12 +20,12 @@ import numpy as np
 
 from .coefficient import Coefficient
 from .exceptions import DimensionMismatchError, RangeError, SolverError
-from .integrator import DP54Stepper, advance
+from .integrator import DP54Stepper, advance, check_tlist
 from .qobj import Qobj
 from .qobjevo import QobjEvo, apply_matrix
 from .result import MultiTrajResult, normalize_e_ops
 from .solver import SolverOptions, sesolve
-from .trajectory import McOptions, WeightedStats, run_map, trajectory_rng
+from .trajectory import McOptions, WeightedStats, run_map, target_reached, trajectory_rng
 
 __all__ = ["McOptions", "MCSolver", "mcsolve"]
 
@@ -177,8 +177,8 @@ class MCSolver:
 
     def __init__(self, H, c_ops, options=None):
         if not c_ops:
-            raise ValueError("MCSolver needs at least one collapse operator")
-        self.options = McOptions.coerce(options).validated()
+            raise RangeError("MCSolver needs at least one collapse operator")
+        self.options = McOptions.coerce(options)
         H_evo = H if isinstance(H, QobjEvo) else QobjEvo(H)
         self.dims = H_evo.dims
         channels = []
@@ -190,7 +190,7 @@ class MCSolver:
                 channels.append(_Channel(cev(0.0)))
             else:
                 if len(cev.terms) != 1:
-                    raise ValueError(
+                    raise RangeError(
                         "time-dependent collapse operators must be single (Qobj, coeff) terms"
                     )
                 base, coeff = cev.terms[0]
@@ -203,7 +203,7 @@ class MCSolver:
             self.drift_evo,
             self.channels,
             psi0,
-            np.asarray(tlist, dtype=float),
+            check_tlist(tlist),
             e_ops,
             self.options,
             self.dims,
@@ -278,16 +278,7 @@ def _run_trajectories(
     def stop_check(done):
         if opts.target_tol is None or not e_mats:
             return False
-        atol, rtol = _target_tols(opts.target_tol)
-        stats = _reduce(done)
-        avg, std = stats.finalize()
-        n = stats.n
-        for a, s in zip(avg, std):
-            err = s / np.sqrt(max(n, 1))
-            bound = atol + rtol * np.abs(a)
-            if np.any(err > bound):
-                return False
-        return True
+        return target_reached(_reduce(done), opts.target_tol)
 
     def _weights_for(done):
         """Pair every finished trajectory with its ensemble weight."""
@@ -430,14 +421,6 @@ def _photocurrent(all_trajs, n_channels, tlist, w_total):
     return out
 
 
-def _target_tols(target_tol):
-    if isinstance(target_tol, (tuple, list)):
-        atol, rtol = target_tol
-    else:
-        atol, rtol = float(target_tol), 0.0
-    return float(atol), float(rtol)
-
-
 def mcsolve(H, psi0, tlist, c_ops=(), e_ops=None, options=None) -> MultiTrajResult:
     """Lindblad dynamics averaged over quantum-jump trajectories.
 
@@ -448,15 +431,14 @@ def mcsolve(H, psi0, tlist, c_ops=(), e_ops=None, options=None) -> MultiTrajResu
     :func:`~oqsim.solver.sesolve` with the caller's integrator options
     (wrapped as a single-trajectory result).
     """
-    tlist = np.asarray(tlist, dtype=float)
     if not c_ops:
         if not isinstance(psi0, Qobj):
-            raise ValueError("mixed initial states need collapse operators")
-        opts = McOptions.coerce(options).validated()
+            raise RangeError("mixed initial states need collapse operators")
+        opts = McOptions.coerce(options)
         res = sesolve(H, psi0, tlist, e_ops=e_ops, options=SolverOptions(integrator=opts.integrator))
-        std = [np.zeros(tlist.size) for _ in res.expect]
+        std = [np.zeros(res.times.size) for _ in res.expect]
         return MultiTrajResult(
-            tlist,
+            res.times,
             res.e_op_labels,
             res.expect,
             std,

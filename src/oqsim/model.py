@@ -21,6 +21,7 @@ import yaml
 from .coefficient import Coefficient, ConstantCoefficient, FunctionCoefficient, SplineCoefficient
 from .exceptions import ModelError, OqsimError, SolverError
 from .qobj import Qobj, tensor
+from .smesolve import SmeOptions
 from .solver import SolverOptions
 from .states import _STATE_KINDS
 from .operators import _OPERATOR_KINDS
@@ -34,7 +35,8 @@ _DET, _MC = SolverOptions.option_keys(), McOptions.option_keys()
 _OPTION_KEYS = {
     "sesolve": _DET, "mesolve": _DET, "brmesolve": _DET + ("sec_cutoff",),
     "steadystate": ("method", "solver"), "mcsolve": _MC, "nm_mcsolve": _MC,
-    "smesolve": _MC, "heomsolve": _DET + ("n_c", "n_k"), "fsesolve": ("period", "n_t"),
+    "smesolve": SmeOptions.option_keys(), "heomsolve": _DET + ("n_c", "n_k"),
+    "fsesolve": ("period", "n_t"),
 }
 SOLVERS = tuple(_OPTION_KEYS)
 

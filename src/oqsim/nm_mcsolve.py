@@ -24,6 +24,7 @@ from scipy.integrate import quad
 from . import data as _d
 from .coefficient import Coefficient, ConstantCoefficient, coefficient
 from .exceptions import DimensionMismatchError, RangeError
+from .integrator import check_tlist
 from .mcsolve import _Channel, _drift, _run_trajectories
 from .qobj import Qobj
 from .qobjevo import QobjEvo
@@ -102,7 +103,7 @@ def nm_prepare(ops_and_rates) -> NmPrepared:
         ops.append(op)
         rates.append(coefficient(rate))
     if not ops:
-        raise ValueError("need at least one (operator, rate) pair")
+        raise RangeError("need at least one (operator, rate) pair")
     dims = ops[0].dims
     for op in ops[1:]:
         if op.dims != dims:
@@ -147,9 +148,9 @@ def nm_mcsolve(H, psi0, tlist, ops_and_rates, e_ops=None, options=None) -> Multi
     Returns martingale-weighted ensemble statistics; the ``trace`` field of
     the result holds the average influence martingale.
     """
-    opts = McOptions.coerce(options).validated()
+    opts = McOptions.coerce(options)
+    tlist = check_tlist(tlist)
     prep = nm_prepare(ops_and_rates)
-    tlist = np.asarray(tlist, dtype=float)
 
     H_evo = H if isinstance(H, QobjEvo) else QobjEvo(H)
     channels = [_Channel(op, rate=Gamma, ratio_fn=Gamma.ratio)

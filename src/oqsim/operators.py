@@ -200,7 +200,7 @@ def commutator(A: Qobj, B: Qobj, kind: str = "normal") -> Qobj:
         return A @ B - B @ A
     if kind == "anti":
         return A @ B + B @ A
-    raise ValueError(f"unknown commutator kind {kind!r}")
+    raise RangeError(f"unknown commutator kind {kind!r}")
 
 
 _OPERATOR_KINDS = {

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import data as _d
 from .dimensions import Dimensions, infer_kind
-from .exceptions import DimensionMismatchError, NotHermitianError, UnsupportedError
+from .exceptions import (ArgumentError, DimensionMismatchError, NotHermitianError, RangeError,
+                         UnsupportedError)
 
 __all__ = ["Qobj", "tensor", "ptrace", "expect", "qobj_new"]
 
@@ -228,7 +229,7 @@ class Qobj:
             return float(np.linalg.norm(a, "fro"))
         if kind == "tr":
             return float(np.sum(np.linalg.svd(a, compute_uv=False)))
-        raise ValueError(f"unknown norm kind {kind!r}")
+        raise RangeError(f"unknown norm kind {kind!r}")
 
     def unit(self) -> "Qobj":
         """Normalize: 2-norm for states, unit trace for operators."""
@@ -308,9 +309,9 @@ def tensor(*objs) -> Qobj:
     if len(objs) == 1 and isinstance(objs[0], (list, tuple)):
         objs = tuple(objs[0])
     if not objs:
-        raise ValueError("tensor() needs at least one operand")
+        raise RangeError("tensor() needs at least one operand")
     if any(not isinstance(q, Qobj) for q in objs):
-        raise TypeError("tensor() operands must be Qobj")
+        raise ArgumentError("tensor() operands must be Qobj")
     if any(q.dims.enr is not None for q in objs):
         raise UnsupportedError("tensor is not defined for ENR objects")
     kinds = {q.kind for q in objs}

@@ -15,7 +15,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse._sparsetools import csr_matvec
 
 from .coefficient import Coefficient, ConstantCoefficient, coefficient
-from .exceptions import DimensionMismatchError
+from .exceptions import ArgumentError, DimensionMismatchError, RangeError
 from .qobj import Qobj
 from .superop import liouvillian, spost, spre, sprepost
 
@@ -57,13 +57,13 @@ class QobjEvo:
                 elif isinstance(entry, (list, tuple)) and len(entry) == 2 and isinstance(entry[0], Qobj):
                     terms.append((entry[0], coefficient(entry[1])))
                 else:
-                    raise TypeError(
+                    raise ArgumentError(
                         "QobjEvo spec entries must be Qobj or (Qobj, coefficient)"
                     )
             if not terms:
-                raise ValueError("QobjEvo needs at least one term")
+                raise RangeError("QobjEvo needs at least one term")
         else:
-            raise TypeError(f"cannot build QobjEvo from {type(spec)}")
+            raise ArgumentError(f"cannot build QobjEvo from {type(spec)}")
 
         dims = terms[0][0].dims
         for q, _ in terms[1:]:
@@ -277,7 +277,7 @@ def liouvillian_evo(H, c_ops=()) -> QobjEvo:
     if H0 is not None or const_c:
         parts.insert(0, (liouvillian(H0, const_c), ConstantCoefficient(1.0)))
     if not parts:
-        raise ValueError("liouvillian_evo needs a Hamiltonian or collapse operators")
+        raise RangeError("liouvillian_evo needs a Hamiltonian or collapse operators")
     dims = parts[0][0].dims
     for q, _ in parts:
         if q.dims != dims:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .exceptions import ArgumentError
 from .qobj import Qobj, expect
 
 __all__ = ["SolveResult", "MultiTrajResult", "normalize_e_ops"]
@@ -13,15 +14,26 @@ def normalize_e_ops(e_ops):
     """Coerce e_ops into parallel (labels, operators) lists.
 
     Accepts None, a single Qobj, a list of Qobjs, or a dict label -> Qobj.
+    Anything else, or an entry that is not a Qobj, raises
+    :class:`ArgumentError`.
     """
     if e_ops is None:
         return [], []
     if isinstance(e_ops, Qobj):
         return ["e0"], [e_ops]
     if isinstance(e_ops, dict):
-        return list(e_ops.keys()), list(e_ops.values())
-    labels = [f"e{k}" for k in range(len(e_ops))]
-    return labels, list(e_ops)
+        labels, ops = list(e_ops.keys()), list(e_ops.values())
+    else:
+        try:
+            ops = list(e_ops)
+        except TypeError:
+            raise ArgumentError(f"e_ops must be a Qobj, a list or a dict; "
+                                f"got {type(e_ops).__name__}") from None
+        labels = [f"e{k}" for k in range(len(ops))]
+    for label, op in zip(labels, ops):
+        if not isinstance(op, Qobj):
+            raise ArgumentError(f"e_ops entry {label!r} must be a Qobj; got {type(op).__name__}")
+    return labels, ops
 
 
 class SolveResult:

@@ -1,5 +1,7 @@
 """Global defaults for newly created quantum objects."""
 
+from .exceptions import RangeError
+
 __all__ = ["default_dtype", "set_default_dtype"]
 
 # Factory functions create operators in csr and states in dense unless told
@@ -18,9 +20,9 @@ def set_default_dtype(oper: str | None = None, state: str | None = None) -> None
 
     if oper is not None:
         if oper not in FORMATS:
-            raise ValueError(f"unknown format {oper!r}")
+            raise RangeError(f"unknown format {oper!r}")
         _defaults["oper"] = oper
     if state is not None:
         if state not in FORMATS:
-            raise ValueError(f"unknown format {state!r}")
+            raise RangeError(f"unknown format {state!r}")
         _defaults["state"] = state

@@ -37,25 +37,37 @@ may round the columns of a narrower block differently (of order 1e-14).
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
 from .dimensions import Dimensions
-from .exceptions import DimensionMismatchError, NotHermitianError, SolverError
+from .exceptions import DimensionMismatchError, NotHermitianError, RangeError, SolverError
+from .integrator import check_tlist
 from .qobj import Qobj
 from .qobjevo import QobjEvo, liouvillian_evo
 from .result import MultiTrajResult, normalize_e_ops
 from .superop import spost, spre
-from .trajectory import McOptions, WeightedStats, run_map, trajectory_rng
+from .trajectory import TrajectoryOptions, WeightedStats, run_map, target_reached, trajectory_rng
 
-__all__ = ["HermitianCoords", "WienerPath", "smesolve"]
+__all__ = ["SmeOptions", "HermitianCoords", "WienerPath", "smesolve"]
 
 # Trajectories per block, the same as run_map's default check_every.
 BLOCK = 50
 
 _SQRT2 = np.sqrt(2.0)
+
+
+@dataclass
+class SmeOptions(TrajectoryOptions):
+    """Options of :func:`smesolve`: the :class:`~oqsim.trajectory.TrajectoryOptions`
+    keys plus ``dt_sub``, the Euler-Maruyama substep (default: the ``tlist``
+    spacing / 100).  No integrator key applies to its fixed-step loop, and
+    ``target_tol`` is checked every ``BLOCK`` trajectories."""
+
+    dt_sub: float | None = None
 
 
 class WienerPath:
@@ -138,33 +150,32 @@ def smesolve(H, rho0: Qobj, tlist, c_ops=(), sc_ops=(), e_ops=None, options=None
 
     ``sc_ops`` are the monitored channels (one Wiener process each);
     ``c_ops`` add unmonitored deterministic dissipation.  ``tlist`` must be
-    uniform and the substep ``dt_sub`` (options) must divide its spacing;
-    the default substep is spacing/100.  ``rho0`` must be Hermitian.
+    uniform (see :func:`~oqsim.integrator.check_tlist`) and the substep
+    ``dt_sub`` must divide its spacing; the default substep is spacing/100.
+    ``rho0`` must be Hermitian.  ``options`` takes the :class:`SmeOptions`
+    keys.  With ``target_tol`` set, the run stops after the first block of
+    ``BLOCK`` trajectories at which the standard error of every expectation
+    value is within it; the result then holds those blocks only.
 
     ``stats`` holds ``build_time`` (everything before the first block),
     ``run_time`` (the whole call) and ``substeps`` (substeps summed over the
     trajectories run).
     """
     t_start = time.perf_counter()
-    opts = McOptions.coerce(options).validated()
-    tlist = np.asarray(tlist, dtype=float)
-    if tlist.size < 2:
-        raise ValueError("tlist needs at least two points")
-    spacings = np.diff(tlist)
-    dt_out = spacings[0]
-    if np.any(np.abs(spacings - dt_out) > 1e-10 * max(dt_out, 1.0)):
-        raise ValueError("smesolve requires a uniform tlist")
+    opts = SmeOptions.coerce(options)
+    tlist = check_tlist(tlist, uniform=True)
+    dt_out = tlist[1] - tlist[0]
     dt_sub = opts.dt_sub if opts.dt_sub is not None else dt_out / 100.0
     n_sub = dt_out / dt_sub
     if abs(n_sub - round(n_sub)) > 1e-8:
-        raise ValueError(
+        raise RangeError(
             f"dt_sub={dt_sub} does not divide the tlist spacing {dt_out}"
         )
     n_sub = int(round(n_sub))
     dt = dt_out / n_sub
 
     if not sc_ops and not c_ops:
-        raise ValueError("smesolve needs at least one collapse or monitored operator")
+        raise RangeError("smesolve needs at least one collapse or monitored operator")
 
     H_evo = H if isinstance(H, QobjEvo) else QobjEvo(H)
     if rho0.isket:
@@ -277,16 +288,25 @@ def smesolve(H, rho0: Qobj, tlist, c_ops=(), sc_ops=(), e_ops=None, options=None
             for b in range(B)
         ]
 
+    def reduce(results):
+        stats = WeightedStats(len(e_rows), n_times)
+        for expect, _, _ in results:
+            stats.add(1.0, expect)
+        return stats
+
+    def stop_check(blocks):
+        if opts.target_tol is None or not ops:
+            return False
+        return target_reached(reduce([traj for block in blocks for traj in block]),
+                              opts.target_tol)
+
     build_time = time.perf_counter() - t_start
     blocks = run_map(run_block, range(0, opts.ntraj, BLOCK), timeout=opts.timeout,
-                     check_every=1)
+                     check_every=1, stop_check=stop_check)
     results = [traj for block in blocks for traj in block]
     ntraj_used = len(results)
 
-    stats = WeightedStats(len(e_rows), n_times)
-    for expect, _, _ in results:
-        stats.add(1.0, expect)
-    avg, std = stats.finalize()
+    avg, std = reduce(results).finalize()
     avg = [a.real if flag else a for a, flag in zip(avg, real_flags)]
 
     measurements = [rec for _, rec, _ in results]

@@ -17,7 +17,8 @@ import numpy as np
 
 from .dimensions import Dimensions
 from .exceptions import DimensionMismatchError, MethodError, RangeError, SolverError
-from .integrator import DP54Stepper, FlatOptions, IntegratorOptions, advance, propagate_diag
+from .integrator import (DP54Stepper, FlatOptions, IntegratorOptions, advance, check_tlist,
+                         propagate_diag)
 from .qobj import Qobj
 from .qobjevo import QobjEvo, liouvillian_evo
 from .result import SolveResult, normalize_e_ops
@@ -72,11 +73,7 @@ class Solver:
         """Propagate ``state0`` over ``tlist`` and collect the requested output."""
         t_start = time.perf_counter()
         state0 = self._check_state(state0)
-        tlist = np.asarray(tlist, dtype=float)
-        if tlist.ndim != 1 or tlist.size < 1:
-            raise ValueError("tlist must be a non-empty 1D array")
-        if np.any(np.diff(tlist) < 0):
-            raise ValueError("tlist must be ascending")
+        tlist = check_tlist(tlist)
 
         labels, ops = normalize_e_ops(e_ops)
         opts = self.options
@@ -146,10 +143,12 @@ class Solver:
     def step(self, t: float, args=None) -> Qobj:
         """Advance the session to time ``t`` and return the state there.
 
-        A ``t`` before the session's current time raises :class:`RangeError`.
+        A ``t`` that is not finite, or before the session's current time,
+        raises :class:`RangeError`.
         """
         if self._session is None:
             raise SolverError("call start() before step()")
+        check_tlist([t])
         stepper, holder = self._session
         if args is not None:
             holder["args"] = args

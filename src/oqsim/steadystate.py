@@ -10,7 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .dimensions import Dimensions
-from .exceptions import ConvergenceError, SingularMatrixError
+from .exceptions import ConvergenceError, RangeError, SingularMatrixError
 from .qobj import Qobj
 from .qobjevo import QobjEvo
 from .superop import liouvillian
@@ -49,7 +49,7 @@ def _solve_columns(A_sparse, b, solver, rtol=1e-12, maxiter=5000):
         if info != 0:
             raise ConvergenceError(f"GMRES did not converge (info={info})")
         return x
-    raise ValueError(f"unknown linear solver {solver!r}")
+    raise RangeError(f"unknown linear solver {solver!r}")
 
 
 def steadystate(
@@ -82,7 +82,7 @@ def steadystate(
     """
     if isinstance(H_or_L, QobjEvo):
         if not H_or_L.isconstant:
-            raise ValueError("steadystate requires a time-independent generator")
+            raise RangeError("steadystate requires a time-independent generator")
         H_or_L = H_or_L(0.0)
     L = liouvillian(H_or_L, c_ops)
     op_ket = L.dims.ket[0]
@@ -146,7 +146,7 @@ def steadystate(
             )
         x = vh[-1].conj()
     else:
-        raise ValueError(f"unknown steadystate method {method!r}")
+        raise RangeError(f"unknown steadystate method {method!r}")
 
     if method != "svd" and size <= _DEGENERACY_PROBE_LIMIT:
         s = scipy.linalg.svd(Lmat.toarray(), compute_uv=False)

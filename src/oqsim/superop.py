@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from . import data as _d
 from .dimensions import Dimensions
-from .exceptions import DimensionMismatchError
+from .exceptions import DimensionMismatchError, RangeError
 from .qobj import Qobj
 
 __all__ = [
@@ -63,7 +63,7 @@ def sprepost(A: Qobj, B: Qobj) -> Qobj:
 def super_lr(A: Qobj | None = None, B: Qobj | None = None) -> Qobj:
     """General left/right action ``rho -> A rho B`` with identity defaults."""
     if A is None and B is None:
-        raise ValueError("super_lr needs at least one operand")
+        raise RangeError("super_lr needs at least one operand")
     if A is None:
         return spost(B)
     if B is None:
@@ -107,7 +107,7 @@ def liouvillian(H: Qobj | None, c_ops=()) -> Qobj:
         term = c if c.issuper else lindblad_dissipator(c)
         L = term if L is None else L + term
     if L is None:
-        raise ValueError("liouvillian needs a Hamiltonian or at least one collapse operator")
+        raise RangeError("liouvillian needs a Hamiltonian or at least one collapse operator")
     return L
 
 

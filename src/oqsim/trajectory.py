@@ -9,47 +9,103 @@ accepted alias of ``serial``.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import RangeError
+from .exceptions import MethodError, OptionError, RangeError
 from .integrator import FlatOptions, IntegratorOptions
 
-__all__ = ["McOptions", "trajectory_rng", "run_map", "WeightedStats"]
+__all__ = ["TrajectoryOptions", "McOptions", "target_reached", "trajectory_rng", "run_map",
+           "WeightedStats"]
 
 
 @dataclass
-class McOptions(FlatOptions):
-    """Options for the Monte Carlo family of solvers.
+class TrajectoryOptions(FlatOptions):
+    """Options shared by the trajectory solvers.
 
     ``seed`` is the master seed; trajectory ``i`` draws from an independent
     stream derived from ``(seed, i)`` with a counter-based generator, so runs
     are reproducible.  ``map`` is ``"serial"``; ``"parallel"`` is accepted as
-    an alias that also runs serially.  ``target_tol`` (scalar or
-    ``(atol, rtol)``) stops the run early once the statistical error of every
-    expectation value is below target, checked every 50 trajectories.
+    an alias that also runs serially.  ``target_tol`` is a number ``>= 0`` or
+    an ``(atol, rtol)`` pair of them; the run stops early once the standard
+    error of every expectation value is within ``atol + rtol * |mean|``,
+    checked every 50 trajectories.  ``timeout`` (seconds) stops it at the
+    next such check.
     """
 
     ntraj: int = 500
-    improved_sampling: bool = False
     target_tol: object = None
     timeout: float | None = None
     seed: int = 0
     map: str = "serial"
     keep_runs_results: bool = False
     store_states: bool = False
-    norm_tol: float = 1e-8
-    dt_sub: float | None = None
-    integrator: IntegratorOptions = field(default_factory=IntegratorOptions)
 
-    def validated(self) -> "McOptions":
+    def validated(self):
+        super().validated()
         if self.ntraj < 1:
             raise RangeError("ntraj must be at least 1")
         if self.map not in ("serial", "parallel"):
             raise RangeError(f"unknown map mode {self.map!r}")
+        if self.target_tol is not None:
+            _target_tols(self.target_tol)
         return self
+
+
+@dataclass
+class McOptions(TrajectoryOptions):
+    """Options of :func:`~oqsim.mcsolve.mcsolve` and :func:`~oqsim.nm_mcsolve.nm_mcsolve`.
+
+    The :class:`TrajectoryOptions` keys, plus ``improved_sampling`` (run the
+    no-jump trajectory once and sample only jumping ones), ``norm_tol`` (the
+    relative precision of a located jump time) and the integrator keys
+    (``atol``, ``rtol``, ``nsteps``, ``max_step``, ``first_step``,
+    ``method``).  Only ``method: rk45_adaptive`` applies: a trajectory with
+    jumps has no constant generator to diagonalize, so ``diag_expm`` raises
+    :class:`MethodError`.
+    """
+
+    improved_sampling: bool = False
+    norm_tol: float = 1e-8
+    integrator: IntegratorOptions = field(default_factory=IntegratorOptions)
+
+    def validated(self):
+        super().validated()
+        if self.integrator.method != "rk45_adaptive":
+            raise MethodError(f"trajectory solvers integrate with rk45_adaptive, "
+                              f"not {self.integrator.method!r}")
+        return self
+
+
+def _target_tols(target_tol) -> tuple[float, float]:
+    """The ``(atol, rtol)`` of a ``target_tol`` option: a number or a pair, none negative."""
+    pair = target_tol if isinstance(target_tol, (tuple, list)) else (target_tol, 0.0)
+    if len(pair) != 2 or not all(
+        isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_)) for v in pair
+    ):
+        raise OptionError(f"target_tol must be a number or an (atol, rtol) pair; "
+                          f"got {target_tol!r}")
+    atol, rtol = float(pair[0]), float(pair[1])
+    if not (atol >= 0 and rtol >= 0):
+        raise RangeError(f"target_tol must be >= 0; got {target_tol!r}")
+    return atol, rtol
+
+
+def target_reached(stats: "WeightedStats", target_tol) -> bool:
+    """Whether the standard error of every ensemble mean in ``stats`` is within
+    ``target_tol``: ``std / sqrt(n) <= atol + rtol * |mean|`` at every time."""
+    atol, rtol = _target_tols(target_tol)
+    avg, std = stats.finalize()
+    n = stats.n
+    for a, s in zip(avg, std):
+        err = s / np.sqrt(max(n, 1))
+        bound = atol + rtol * np.abs(a)
+        if np.any(err > bound):
+            return False
+    return True
 
 
 def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:

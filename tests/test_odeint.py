@@ -1,16 +1,24 @@
 """Adaptive integrator: accuracy, dense output, limits, diagonalization path."""
 
+import contextlib
+import functools
 import hashlib
 import importlib
+import re
+import typing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oqsim as q
-from oqsim.exceptions import (DimensionMismatchError, MethodError, OptionError, OqsimError,
-                              RangeError, SolverError, StepLimitError, StiffnessError)
-from oqsim.integrator import DenseSegment, DP54Stepper, IntegratorOptions, integrate, propagate_diag
+from oqsim.exceptions import (ArgumentError, DimensionMismatchError, MethodError, OptionError,
+                              OqsimError, RangeError, SolverError, StepLimitError, StiffnessError)
+from oqsim.integrator import (DenseSegment, DP54Stepper, IntegratorOptions, check_tlist, integrate,
+                              propagate_diag)
 from oqsim.solver import SolverOptions
+from oqsim.smesolve import SmeOptions
 from oqsim.trajectory import McOptions
 
 RNG = np.random.default_rng(3)
@@ -196,15 +204,19 @@ class TestOptionsValidation:
             q.mesolve(q.sigmaz(), q.basis(2, 0), [0.0, 1.0], options={"progress": True})
 
     def test_option_keys_are_pinned(self):
-        # A new knob needs a deliberate edit here: 8 + 16 = 24 keys.
+        # A new knob needs a deliberate edit here: 8 + 15 + 8 = 31 keys.
         assert SolverOptions.option_keys() == (
             "store_states", "store_final_state", "atol", "rtol", "nsteps", "max_step",
             "first_step", "method",
         )
         assert McOptions.option_keys() == (
-            "ntraj", "improved_sampling", "target_tol", "timeout", "seed", "map",
-            "keep_runs_results", "store_states", "norm_tol", "dt_sub", "atol", "rtol",
-            "nsteps", "max_step", "first_step", "method",
+            "ntraj", "target_tol", "timeout", "seed", "map", "keep_runs_results",
+            "store_states", "improved_sampling", "norm_tol", "atol", "rtol", "nsteps",
+            "max_step", "first_step", "method",
+        )
+        assert SmeOptions.option_keys() == (
+            "ntraj", "target_tol", "timeout", "seed", "map", "keep_runs_results",
+            "store_states", "dt_sub",
         )
 
     def test_non_dict_is_option_error(self):
@@ -212,6 +224,265 @@ class TestOptionsValidation:
             SolverOptions.coerce([("atol", 1e-9)])
         with pytest.raises(OptionError, match="SolverOptions"):
             McOptions.coerce(SolverOptions())
+
+
+# -- the input gate: check_tlist and the options types ----------------------------
+
+_H, _PSI = q.sigmax(), q.basis(2, 0)
+_C = [np.sqrt(0.5) * q.sigmam()]
+_E = [q.sigmaz()]
+_MC = {"ntraj": 2, "seed": 1}
+
+
+@contextlib.contextmanager
+def no_integration():
+    """Fail if a solver evaluates a right-hand side or hands trajectories to ``run_map``."""
+    sme = importlib.import_module("oqsim.smesolve")
+    evaluate, run_map = DP54Stepper._eval, sme.run_map
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integration started before the input was checked")
+
+    DP54Stepper._eval, sme.run_map = refuse, refuse
+    try:
+        yield
+    finally:
+        DP54Stepper._eval, sme.run_map = evaluate, run_map
+
+
+class TestCheckTlist:
+    def test_returns_the_float_grid(self):
+        t = check_tlist([0, 1, 1, 2])
+        assert t.dtype == float and t.tolist() == [0.0, 1.0, 1.0, 2.0]
+        assert check_tlist([3]).tolist() == [3.0]
+
+    @pytest.mark.parametrize("bad", [[], 0.5, [[0.0, 1.0]], [0.0, np.nan], [0.0, np.inf],
+                                     [-np.inf, 0.0], [1.0, 0.5, 0.0], ["a"], [1j]])
+    def test_malformed_grid_is_range_error(self, bad):
+        with pytest.raises(RangeError):
+            check_tlist(bad)
+
+    def test_uniform(self):
+        assert check_tlist([0.0, 0.1, 0.2 + 1e-12], uniform=True).size == 3
+        for bad in ([0.0], [0.0, 0.0], [0.0, 1.0, 3.0], [0.0, 0.1, 0.2 + 1e-9]):
+            with pytest.raises(RangeError):
+                check_tlist(bad, uniform=True)
+
+
+class TestInputGate:
+    """Each case raises a typed error before any integration starts."""
+
+    @pytest.mark.parametrize("call", [
+        lambda t: q.mcsolve(_H, _PSI, t, _C, _E, options=_MC),
+        lambda t: q.nm_mcsolve(_H, _PSI, t, [(q.sigmam(), 0.5)], _E, options=_MC),
+        lambda t: q.mesolve(_H, _PSI, t, _C, _E),
+        lambda t: q.smesolve(_H, _PSI, t, sc_ops=_C, e_ops=_E, options=_MC),
+    ], ids=["mcsolve", "nm_mcsolve", "mesolve", "smesolve"])
+    @pytest.mark.parametrize("tlist", [[1.0, 0.5, 0.0], [0.0, np.nan, 1.0], [0.0, np.inf]],
+                             ids=["descending", "nan", "inf"])
+    def test_grid(self, call, tlist):
+        with no_integration(), pytest.raises(RangeError):
+            call(tlist)
+
+    def test_smesolve_needs_a_uniform_grid(self):
+        with no_integration(), pytest.raises(RangeError, match="uniform"):
+            q.smesolve(_H, _PSI, [0.0, 0.1, 0.3], sc_ops=_C, e_ops=_E, options=_MC)
+
+    def test_fsesolve_keeps_its_non_negative_rule(self):
+        fb = q.floquet_basis(_H, 1.0, n_t=8)
+        with pytest.raises(RangeError, match="non-negative"):
+            q.fsesolve(fb, _PSI, [-1.0, 0.0])
+        with pytest.raises(RangeError, match="finite"):
+            q.fsesolve(fb, _PSI, [0.0, np.nan])
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_step_to_a_non_finite_time(self, t):
+        solver = q.SESolver(_H)
+        solver.start(_PSI, 0.0)
+        with pytest.raises(RangeError, match="finite"):
+            solver.step(t)
+
+    @pytest.mark.parametrize("key", ["nsteps", "atol", "improved_sampling", "norm_tol"])
+    def test_smesolve_refuses_keys_it_does_not_read(self, key):
+        with no_integration(), pytest.raises(OptionError, match=key):
+            q.smesolve(_H, _PSI, [0.0, 1.0], sc_ops=_C, options={**_MC, key: 1})
+
+    def test_mcsolve_refuses_dt_sub_and_diag_expm(self):
+        with no_integration():
+            with pytest.raises(OptionError, match="dt_sub"):
+                q.mcsolve(_H, _PSI, [0.0, 1.0], _C, options={**_MC, "dt_sub": 0.01})
+            with pytest.raises(MethodError, match="diag_expm"):
+                q.mcsolve(_H, _PSI, [0.0, 1.0], _C, options={**_MC, "method": "diag_expm"})
+            with pytest.raises(MethodError):
+                q.mcsolve(_H, _PSI, [0.0, 1.0], (), options={"method": "diag_expm"})
+
+    @pytest.mark.parametrize("ntraj", [2.5, True, "3", None])
+    def test_ntraj_must_be_an_int(self, ntraj):
+        with pytest.raises(OptionError, match="'ntraj' must be int"):
+            McOptions.coerce({"ntraj": ntraj})
+        with pytest.raises(OptionError, match="ntraj"):
+            McOptions.coerce(McOptions(ntraj=ntraj))
+
+    @pytest.mark.parametrize("tol, error", [("x", OptionError), ((0.1, 0.2, 0.3), OptionError),
+                                            ((0.1, "x"), OptionError), (True, OptionError),
+                                            (-0.1, RangeError), ((0.1, -1.0), RangeError),
+                                            (np.nan, RangeError)])
+    def test_target_tol_is_parsed_at_entry(self, tol, error):
+        with no_integration(), pytest.raises(error, match="target_tol"):
+            q.mcsolve(_H, _PSI, [0.0, 1.0], _C, _E, options={"ntraj": 60, "target_tol": tol})
+
+    def test_target_tol_forms(self):
+        for tol in (0, 0.1, np.float32(0.1), (0.1, 0.0), [0, 1]):
+            assert McOptions.coerce({"target_tol": tol}).target_tol is tol
+
+    def test_types(self):
+        # int takes numpy integers; float takes any real; X | None takes None.
+        opts = McOptions.coerce({"ntraj": np.int64(3), "timeout": 2, "norm_tol": np.float32(1e-6),
+                                 "max_step": None, "first_step": 0.1, "map": "parallel"})
+        assert opts.ntraj == 3 and opts.integrator.first_step == 0.1
+        for key, bad, name in [("atol", True, "float"), ("atol", "1e-8", "float"),
+                               ("nsteps", 10.0, "int"), ("max_step", 1j, "float | None"),
+                               ("store_states", 1, "bool | None"), ("method", None, "str"),
+                               ("store_final_state", "yes", "bool")]:
+            with pytest.raises(OptionError, match=rf"'{key}' must be {re.escape(name)}"):
+                SolverOptions.coerce({key: bad})
+
+    def test_the_integrator_options_check_their_types(self):
+        with pytest.raises(OptionError, match="rtol"):
+            DP54Stepper(lambda t, y: -y, 0.0, np.ones(2), IntegratorOptions(rtol="x"), 1.0)
+
+    @pytest.mark.parametrize("e_ops", [["x"], [q.sigmaz(), None], {"a": np.eye(2)}, 5, "x"])
+    def test_e_ops_entries_must_be_qobj(self, e_ops):
+        with no_integration(), pytest.raises(ArgumentError) as info:
+            q.mesolve(_H, _PSI, [0.0, 1.0], _C, e_ops=e_ops)
+        assert isinstance(info.value, TypeError)
+
+
+def malformed_tlists(uniform: bool):
+    """Grids that ``check_tlist`` refuses: empty, 2-D, not finite, descending
+    and, for ``uniform``, unevenly spaced."""
+    finite = st.floats(-10, 10, allow_nan=False)
+    grid = st.lists(finite, min_size=1, max_size=4).map(sorted)
+    cases = [
+        st.just([]),
+        grid.map(lambda v: [v, v]),
+        st.tuples(grid, st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(0, 4)).map(
+            lambda a: a[0][:a[2]] + [a[1]] + a[0][a[2]:]),
+        st.lists(finite, min_size=2, max_size=5, unique=True).map(lambda v: sorted(v)[::-1]),
+    ]
+    if uniform:
+        cases.append(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=4)
+                     .filter(lambda dt: max(dt) - min(dt) > 1e-6)
+                     .map(lambda dt: np.concatenate([[0.0], np.cumsum(dt)]).tolist()))
+    return st.one_of(cases)
+
+
+# Values of the wrong type for each option annotation.  ``target_tol`` is an
+# ``object`` whose form ``validated()`` parses.
+_WRONG = {
+    int: ["x", 2.5, True, None, 1j],
+    float: ["x", True, None, 1j, [1.0]],
+    float | None: ["x", True, 1j, [1.0]],
+    str: [3, None, True, 2.5],
+    bool: [1, "yes", None, 0.0],
+    bool | None: [1, "yes", 0.0],
+    object: ["x", (1.0, 2.0, 3.0), ("x", 0.1), -1.0],
+}
+
+
+_HEOM_BATH = (q.ExponentSet([0.1], [1.0], [], []), q.sigmaz())
+_OPTION_CLASSES = {"mcsolve": McOptions, "nm_mcsolve": McOptions, "smesolve": SmeOptions}
+
+
+def _solve(name, tlist=(0.0, 0.5, 1.0), options=None, e_ops=None):
+    """Call solver ``name`` on a qubit with the given inputs."""
+    opts = dict(options or {})
+    if name in ("mcsolve", "nm_mcsolve", "smesolve"):
+        opts = {**_MC, **opts}
+    if name == "sesolve":
+        return q.sesolve(_H, _PSI, tlist, e_ops=e_ops, options=opts)
+    if name == "mesolve":
+        return q.mesolve(_H, _PSI, tlist, _C, e_ops=e_ops, options=opts)
+    if name == "mcsolve":
+        return q.mcsolve(_H, _PSI, tlist, _C, e_ops=e_ops, options=opts)
+    if name == "nm_mcsolve":
+        return q.nm_mcsolve(_H, _PSI, tlist, [(q.sigmam(), 0.5)], e_ops=e_ops, options=opts)
+    if name == "smesolve":
+        return q.smesolve(_H, _PSI, tlist, sc_ops=_C, e_ops=e_ops, options=opts)
+    if name == "brmesolve":
+        return q.brmesolve(_H, [(q.sigmax(), lambda w: 0.1)], _PSI, tlist, e_ops=e_ops,
+                           options=opts)
+    if name == "heomsolve":
+        return q.heomsolve(_H, _HEOM_BATH, _PSI, tlist, n_c=1, e_ops=e_ops, options=opts)
+    if name == "fsesolve":
+        return q.fsesolve(_floquet_basis(), _PSI, tlist, e_ops=e_ops)
+    if name == "integrate":
+        integ = IntegratorOptions(**opts)
+        return integrate(lambda t, y: -1j * y, np.array([1.0 + 0j]), 0.0, tlist, integ)
+    raise AssertionError(name)
+
+
+@functools.cache
+def _floquet_basis():
+    return q.floquet_basis(_H, 1.0, n_t=8)
+
+
+def _option_types(name):
+    """``{key: annotation}`` of the options ``name`` takes."""
+    if name == "fsesolve":
+        return {}
+    if name == "integrate":
+        return typing.get_type_hints(IntegratorOptions)
+    cls = _OPTION_CLASSES.get(name, SolverOptions)
+    hints = {k: v for k, v in typing.get_type_hints(cls).items() if k != "integrator"}
+    if "integrator" in typing.get_type_hints(cls):
+        hints.update(typing.get_type_hints(IntegratorOptions))
+    return hints
+
+
+_SOLVERS = ["sesolve", "mesolve", "mcsolve", "nm_mcsolve", "smesolve", "brmesolve", "heomsolve",
+            "fsesolve", "integrate"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_malformed_input_is_a_typed_error(data):
+    _floquet_basis()  # built, by integration, before the checks are watched
+    name = data.draw(st.sampled_from(_SOLVERS + ["SESolver.step"]), label="solver")
+    if name == "SESolver.step":
+        solver = q.SESolver(_H)
+        solver.start(_PSI, 0.0)
+        t = data.draw(st.sampled_from([np.nan, np.inf, -np.inf, -1.0, "x"]), label="t")
+        with no_integration(), pytest.raises(OqsimError):
+            solver.step(t)
+        return
+    types_ = _option_types(name)
+    kinds = ["tlist"]
+    if types_:  # integrate takes an IntegratorOptions, not a mapping with keys
+        kinds += ["option"] if name == "integrate" else ["option", "unknown_key"]
+    if name != "integrate":
+        kinds.append("e_ops")
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    kwargs = {}
+    if kind == "tlist":
+        kwargs["tlist"] = data.draw(malformed_tlists(name == "smesolve"), label="tlist")
+    elif kind == "option":
+        key = data.draw(st.sampled_from(sorted(types_)), label="key")
+        kwargs["options"] = {key: data.draw(st.sampled_from(_WRONG[types_[key]]), label="value")}
+    elif kind == "unknown_key":
+        key = data.draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in types_),
+                        label="key")
+        kwargs["options"] = {key: 1}
+    else:
+        bad = data.draw(st.sampled_from(["x", 1.0, None, np.eye(2), q.sigmaz().full()]),
+                        label="entry")
+        at = data.draw(st.integers(0, 1), label="position")
+        entries = [q.sigmaz()]
+        entries.insert(at, bad)
+        kwargs["e_ops"] = data.draw(st.sampled_from([entries, dict(zip("ab", entries))]),
+                                    label="e_ops")
+    with no_integration(), pytest.raises(OqsimError):
+        _solve(name, **kwargs)
 
 
 def loop_step(self):

@@ -1,0 +1,36 @@
+"""Source checks: every failure the package raises is a typed ``OqsimError``."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "oqsim"
+BARE = {"ValueError", "TypeError", "RuntimeError", "KeyError"}
+
+
+def bare_raises(path: pathlib.Path) -> list[str]:
+    """``file:line name`` of every ``raise`` of a builtin in ``BARE``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if isinstance(exc, ast.Name) and exc.id in BARE:
+            found.append((node.lineno, exc.id))
+    return [f"{path.name}:{line} {name}" for line, name in sorted(found)]
+
+
+def test_sources_are_found():
+    assert len(list(SRC.glob("*.py"))) > 20
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_bare_builtin_raise(path):
+    assert bare_raises(path) == []
+
+
+def test_the_gate_sees_a_bare_raise(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("def f(x):\n    if x:\n        raise ValueError('x')\n    raise KeyError\n")
+    assert bare_raises(module) == ["m.py:3 ValueError", "m.py:4 KeyError"]

@@ -576,6 +576,18 @@ class TestSmeBlockEngine:
         assert np.array_equal(cut.runs_expect[0], full.runs_expect[0][: cut.ntraj_used])
         assert all(np.array_equal(m, f) for m, f in zip(cut.measurements, full.measurements))
 
+    def test_target_tol_stops_at_a_block_boundary(self):
+        a = q.destroy(4)
+        args = (a.dag() @ a, q.coherent(4, 0.5), np.linspace(0, 0.2, 3))
+        kwargs = {"sc_ops": [a], "e_ops": [a + a.dag()]}
+        loose = q.smesolve(*args, **kwargs, options={"ntraj": 200, "seed": 4, "target_tol": 1.0})
+        first = q.smesolve(*args, **kwargs, options={"ntraj": 50, "seed": 4})
+        assert loose.ntraj_used == sme_module.BLOCK == 50
+        assert loose.expect[0].tobytes() == first.expect[0].tobytes()
+        tight = q.smesolve(*args, **kwargs,
+                           options={"ntraj": 200, "seed": 4, "target_tol": (0.0, 1e-9)})
+        assert tight.ntraj_used == 200
+
     def test_stats_report_build_time_and_substeps(self):
         a = q.destroy(4)
         ts = np.linspace(0, 0.2, 5)
