@@ -659,6 +659,85 @@ def _nm_spline_jc(ntraj, seed):
                         options={"ntraj": ntraj, "seed": seed})
 
 
+def _mc_decay(psi0, **options):
+    """A driven, decaying qubit unraveled by mcsolve, keeping runs and states."""
+    return q.mcsolve(0.5 * q.sigmax(), psi0, np.linspace(0, 2, 5), [np.sqrt(0.5) * q.sigmam()],
+                     e_ops=[q.sigmaz(), q.sigmap()],
+                     options={"keep_runs_results": True, "store_states": True, **options})
+
+
+def _nm_cosine(**options):
+    return q.nm_mcsolve(0.5 * q.sigmaz(), (q.basis(2, 0) + q.basis(2, 1)).unit(),
+                        np.linspace(0, 6, 13), [(q.sigmam(), lambda t: 0.5 * np.cos(t) + 0.2)],
+                        e_ops=[q.sigmaz(), q.sigmap()],
+                        options={"ntraj": 20, "seed": 4, "keep_runs_results": True,
+                                 "store_states": True, **options})
+
+
+def _sme_cavity(**options):
+    a = q.destroy(4)
+    return q.smesolve(a.dag() @ a, q.coherent(4, 0.5), np.linspace(0, 0.5, 6),
+                      c_ops=[np.sqrt(0.1) * a.dag()], sc_ops=[a], e_ops=[a + a.dag(), a],
+                      options={"keep_runs_results": True, "store_states": True, **options})
+
+
+_MIXTURE = [(q.basis(2, 0), 0.7), (q.basis(2, 1), 0.3)]
+
+# Ensemble outputs that the digests above do not pin: mixtures, early stops,
+# state-only runs, time-dependent collapse rates, the martingale-weighted
+# runs and states of nm_mcsolve, and smesolve's runs and early stop.
+ENSEMBLE_CASES = {
+    "mcsolve_mixture": lambda: _mc_decay(_MIXTURE, ntraj=30, seed=2),
+    "mcsolve_mixture_improved": lambda: _mc_decay(_MIXTURE, ntraj=30, seed=2,
+                                                  improved_sampling=True),
+    "mcsolve_target_tol": lambda: _mc_decay(q.basis(2, 0), ntraj=400, seed=2,
+                                            target_tol=0.045),
+    "mcsolve_states_only": lambda: q.mcsolve(
+        0.5 * q.sigmax(), q.basis(2, 0), np.linspace(0, 2, 5), [np.sqrt(0.5) * q.sigmam()],
+        options={"ntraj": 20, "seed": 3, "store_states": True}),
+    "mcsolve_time_dependent_rate": lambda: q.mcsolve(
+        0.5 * q.sigmax(), q.basis(2, 0), np.linspace(0, 2, 5),
+        [q.QobjEvo([[q.sigmam(), lambda t: np.sqrt(0.5) * np.exp(-0.3 * t)]])],
+        e_ops=[q.sigmaz()], options={"ntraj": 20, "seed": 3, "keep_runs_results": True}),
+    "nm_mcsolve_runs_states": lambda: _nm_cosine(),
+    "nm_mcsolve_runs_states_improved": lambda: _nm_cosine(improved_sampling=True),
+    "smesolve_runs_states": lambda: _sme_cavity(ntraj=7, seed=3),
+    "smesolve_target_tol": lambda: _sme_cavity(ntraj=200, seed=4, target_tol=0.0025),
+}
+
+
+ENSEMBLE_DIGESTS = {
+    "mcsolve_mixture":
+        "b12810509743b82b9cc4238bad48bee2a4600113c92dae87f2fb3e045adca2d9",
+    "mcsolve_mixture_improved":
+        "7b1e5b52a3d0e2c66a26543b4c0458b9b4bf97852d0414419ed6e85d9d0e1ce6",
+    "mcsolve_target_tol":
+        "6151b7e83d1d3cfad5215e0d40c12900781d9336adc2c90c69e75bb2241986ce",
+    "mcsolve_states_only":
+        "9df105f2672667e136965b7e2a92142b15202cefe8e3d9e33998e3649be2007b",
+    "mcsolve_time_dependent_rate":
+        "0b2259aa2193354eb7e605a1209bf1290508c69a77a6357c14dc414e89b20de9",
+    "nm_mcsolve_runs_states":
+        "4e1caa2e93d8370ae427197bca1e25f3638e4fe92a89e3d25d27cf6549c24e95",
+    "nm_mcsolve_runs_states_improved":
+        "9cc88ae4af534e214a149dc4b48c1ae83247425d97ce2233bc78fedd646bc7de",
+    "smesolve_runs_states":
+        "44a9d74f5a826e8b4a7c094bc059e17703101a18f1e2411c4c24d329991ff546",
+    "smesolve_target_tol":
+        "bffee8b5af0fa17fdfab175d30d05f8e18aedf9a768d7e52a1306a121f55f0c4",
+}
+
+
+def ensemble_arrays(res):
+    """Every ensemble output of a trajectory result, as arrays in a fixed order."""
+    arrays = list(res.expect) + list(res.std_expect) + list(res.runs_expect or [])
+    arrays += [s.full() for s in res.states or []]
+    arrays += [res.weights, np.array(res.seeds), np.array([res.ntraj_used])]
+    arrays += [a for a in (res.trace, res.trace_std) if a is not None]
+    arrays += list(res.photocurrent or []) + list(res.measurements or [])
+    return arrays
+
+
 DP54_CASES = {
     "mcsolve": case_mcsolve,
     "heomsolve": case_heomsolve,
@@ -755,6 +834,11 @@ class TestDenseOutputBytes:
         assert self.dp54_digest("mcsolve") == (
             "fcd23b38af2fffa74c92214f58bdd86665ea0b4b0bf396343d2b504b1d3084a9"
         )
+
+    @pytest.mark.parametrize("name", list(ENSEMBLE_CASES))
+    def test_ensemble_outputs(self, name):
+        arrays = ensemble_arrays(ENSEMBLE_CASES[name]())
+        assert self.digest_arrays(arrays) == ENSEMBLE_DIGESTS[name]
 
     def test_heomsolve(self):
         assert self.dp54_digest("heomsolve") == (
