@@ -14,7 +14,6 @@ used).
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
@@ -23,9 +22,9 @@ from .exceptions import DimensionMismatchError, RangeError, SolverError
 from .integrator import DP54Stepper, advance, check_tlist
 from .qobj import Qobj
 from .qobjevo import QobjEvo, apply_matrix
-from .result import MultiTrajResult, normalize_e_ops
+from .result import MultiTrajResult
 from .solver import SolverOptions, sesolve
-from .trajectory import McOptions, WeightedStats, run_map, target_reached, trajectory_rng
+from .trajectory import Ensemble, McOptions, run_map, trajectory_rng
 
 __all__ = ["McOptions", "MCSolver", "mcsolve"]
 
@@ -211,22 +210,11 @@ class MCSolver:
         )
 
 
-def _run_trajectories(
-    drift_evo,
-    channels,
-    psi0,
-    tlist,
-    e_ops,
-    opts: McOptions,
-    dims,
-    solver_name: str,
-    martingale_cont=None,
-):
+def _run_trajectories(drift_evo, channels, psi0, tlist, e_ops, opts: McOptions, dims,
+                      solver_name: str, martingale_cont=None):
     """Common driver for mcsolve and nm_mcsolve ensembles."""
-    t_start = time.perf_counter()
-    labels, ops = normalize_e_ops(e_ops)
-    e_mats = [op.data.scipy_matrix() for op in ops]
-    real_flags = [op.isherm for op in ops]
+    ens = Ensemble(solver_name, opts, tlist, e_ops)
+    e_mats = [op.data.scipy_matrix() for op in ens.ops]
 
     if isinstance(psi0, Qobj):
         components = [(psi0, 1.0)]
@@ -240,7 +228,6 @@ def _run_trajectories(
             raise DimensionMismatchError("initial states must be kets")
 
     counts = _allot(opts.ntraj, [p for _, p in components])
-    weighted = opts.improved_sampling or len(components) > 1
 
     # Job table: (trajectory index for the rng stream, component, r_first role)
     jobs = []
@@ -275,118 +262,46 @@ def _run_trajectories(
             opts.norm_tol, rng, r_first, opts.store_states,
         )
 
-    def stop_check(done):
-        if opts.target_tol is None or not e_mats:
-            return False
-        return target_reached(_reduce(done), opts.target_tol)
-
-    def _weights_for(done):
-        """Pair every finished trajectory with its ensemble weight."""
-        by_comp: dict[int, list[_Trajectory]] = {}
-        for comp_i, traj in done:
-            by_comp.setdefault(comp_i, []).append(traj)
+    def weigh(done):
+        """Pair every finished trajectory, no-jump runs included, with its ensemble weight."""
         pairs: list[tuple[float, _Trajectory]] = []
         for comp_i, (_, p) in enumerate(components):
-            trajs = by_comp.get(comp_i, [])
+            trajs = [traj for c, traj in done if c == comp_i]
             if opts.improved_sampling:
-                nj = nojump[comp_i]
-                p0 = nj.final_norm2
-                # With no jump trajectories for this component, the no-jump
-                # run carries the full component weight.
-                pairs.append((p * (p0 if trajs else 1.0), nj))
-                if trajs:
-                    w_each = p * (1.0 - p0) / len(trajs)
-                    pairs.extend((w_each, t) for t in trajs)
-            else:
-                w_each = p / max(len(trajs), 1)
-                pairs.extend((w_each, t) for t in trajs)
+                # The no-jump run carries the weight of not jumping, or the
+                # full component weight when no jump trajectory finished.
+                p0 = nojump[comp_i].final_norm2
+                pairs.append((p * (p0 if trajs else 1.0), nojump[comp_i]))
+                p *= 1.0 - p0
+            pairs.extend((p / len(trajs), traj) for traj in trajs)
         return pairs
 
-    def _reduce(done):
-        stats = WeightedStats(len(e_mats), tlist.size)
-        for w, traj in _weights_for(done):
-            series = [
-                _weighted_series(traj, k, martingale_cont, tlist)
-                for k in range(len(e_mats))
-            ]
-            stats.add(w, series)
-        return stats
+    def records(pairs):
+        """Ensemble records; each trajectory's martingale series is computed once."""
+        if martingale_cont is None:
+            return [(w, t.expect, None, t.states) for w, t in pairs]
+        return [(w, t.expect, _martingale_series(t, martingale_cont, tlist), t.states)
+                for w, t in pairs]
 
-    done = run_map(run_one, jobs, timeout=opts.timeout, stop_check=stop_check)
-    stats = _reduce(done)
-    avg, std = stats.finalize()
-
-    # Every trajectory (no-jump ones included) with its weight, for the
-    # auxiliary outputs: photocurrent, runs, states, martingale trace.
-    all_trajs = _weights_for(done)
-    w_total = sum(w for w, _ in all_trajs)
-    photocurrent = _photocurrent(all_trajs, len(channels), tlist, w_total)
+    done = run_map(run_one, jobs, timeout=opts.timeout,
+                   stop_check=lambda done: ens.stop_check(records(weigh(done))))
+    pairs = weigh(done)
+    ensemble = records(pairs)
+    w_total = sum(w for w, _ in pairs)
 
     trace = trace_std = None
     if martingale_cont is not None:
         trace = np.zeros(tlist.size)
         trace_sq = np.zeros(tlist.size)
-        for w, traj in all_trajs:
-            mu = _martingale_series(traj, martingale_cont, tlist).real
-            trace += w * mu
-            trace_sq += w * mu**2
+        for w, _, mu, _ in ensemble:
+            trace += w * mu.real
+            trace_sq += w * mu.real**2
         trace /= w_total
         trace_sq /= w_total
         trace_std = np.sqrt(np.maximum(trace_sq - trace**2, 0.0))
 
-    runs_expect = None
-    if opts.keep_runs_results:
-        runs_expect = [
-            np.array([
-                (t.expect[k].real if real_flags[k] else t.expect[k])
-                for _, t in all_trajs
-            ])
-            for k in range(len(e_mats))
-        ]
-
-    average_states = None
-    if opts.store_states:
-        n = drift_evo.shape[0]
-        op_dims = [dims.ket, dims.ket]
-        acc = [np.zeros((n, n), dtype=complex) for _ in tlist]
-        for w, traj in all_trajs:
-            mu = (
-                _martingale_series(traj, martingale_cont, tlist)
-                if martingale_cont is not None
-                else np.ones(tlist.size)
-            )
-            for j, psi in enumerate(traj.states):
-                acc[j] += (w * mu[j]) * np.outer(psi, psi.conj())
-        from .dimensions import Dimensions
-
-        dm_dims = Dimensions(dims.ket, dims.ket, enr=dims.enr)
-        average_states = [Qobj(a / w_total, dims=dm_dims) for a in acc]
-
-    avg_final = [a.real if flag else a for a, flag in zip(avg, real_flags)]
-    stats_dict = {
-        "solver": solver_name,
-        "ntraj_requested": opts.ntraj,
-        "run_time": time.perf_counter() - t_start,
-        "map": opts.map,
-    }
-    ntraj_used = len(all_trajs)
-    seeds = [(opts.seed, k) for k in range(ntraj_used)]
-    return MultiTrajResult(
-        tlist,
-        labels,
-        avg_final,
-        std,
-        runs_expect=runs_expect,
-        average_states=average_states,
-        final_state=average_states[-1] if average_states else None,
-        photocurrent=photocurrent,
-        ntraj_used=ntraj_used,
-        seeds=seeds,
-        weights=[w for w, _ in all_trajs],
-        trace=trace,
-        trace_std=trace_std,
-        stats=stats_dict,
-    )
+    return ens.result(ensemble, len(done) == len(jobs), dims, trace=trace, trace_std=trace_std,
+                      photocurrent=_photocurrent(pairs, len(channels), tlist, w_total))
 
 
 def _martingale_series(traj: _Trajectory, cont: np.ndarray, tlist: np.ndarray) -> np.ndarray:
@@ -400,12 +315,6 @@ def _martingale_series(traj: _Trajectory, cont: np.ndarray, tlist: np.ndarray) -
     return mu
 
 
-def _weighted_series(traj: _Trajectory, k: int, martingale_cont, tlist):
-    if martingale_cont is None:
-        return traj.expect[k]
-    return traj.expect[k] * _martingale_series(traj, martingale_cont, tlist)
-
-
 def _photocurrent(all_trajs, n_channels, tlist, w_total):
     if tlist.size < 2:
         return [np.zeros(0) for _ in range(n_channels)]
@@ -416,8 +325,9 @@ def _photocurrent(all_trajs, n_channels, tlist, w_total):
             i = int(np.searchsorted(tlist, t_jump, side="right")) - 1
             i = min(max(i, 0), tlist.size - 2)
             out[k][i] += w
+    # A repeated output time is a zero-width bin, which no jump falls in: it reads 0.
     for k in range(n_channels):
-        out[k] /= w_total * dt
+        np.divide(out[k], w_total * dt, out=out[k], where=dt > 0)
     return out
 
 

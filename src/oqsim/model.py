@@ -13,6 +13,7 @@ from __future__ import annotations
 import ast
 import cmath
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -329,13 +330,28 @@ def _environment_from_spec(spec, params, path):
     raise ModelError(f"{path}: unknown environment kind {kind!r}")
 
 
+class _ModelLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that also reads ``1e-10``, ``1e10`` and ``1.0e10`` as floats.
+
+    YAML 1.1 leaves an exponent without a dot or without a sign a string.
+    The int resolver is tried first, so ``10`` stays an int.
+    """
+
+
+_ModelLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
 def parse_model(text: str) -> ModelSpec:
     """Parse and validate a YAML model document.
 
     Every error names the offending path within the document.
     """
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_ModelLoader)
     except yaml.YAMLError as exc:
         raise ModelError(f"model file is not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):

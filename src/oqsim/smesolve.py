@@ -43,14 +43,13 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .dimensions import Dimensions
 from .exceptions import DimensionMismatchError, NotHermitianError, RangeError, SolverError
 from .integrator import check_tlist
 from .qobj import Qobj
 from .qobjevo import QobjEvo, liouvillian_evo
-from .result import MultiTrajResult, normalize_e_ops
+from .result import MultiTrajResult
 from .superop import spost, spre
-from .trajectory import TrajectoryOptions, WeightedStats, run_map, target_reached, trajectory_rng
+from .trajectory import Ensemble, TrajectoryOptions, run_map, trajectory_rng
 
 __all__ = ["SmeOptions", "HermitianCoords", "WienerPath", "smesolve"]
 
@@ -157,13 +156,14 @@ def smesolve(H, rho0: Qobj, tlist, c_ops=(), sc_ops=(), e_ops=None, options=None
     ``BLOCK`` trajectories at which the standard error of every expectation
     value is within it; the result then holds those blocks only.
 
-    ``stats`` holds ``build_time`` (everything before the first block),
-    ``run_time`` (the whole call) and ``substeps`` (substeps summed over the
+    ``stats`` holds the keys every trajectory solver reports (see
+    :mod:`oqsim.trajectory`), plus ``dt_sub``, ``build_time`` (everything
+    before the first block) and ``substeps`` (substeps summed over the
     trajectories run).
     """
-    t_start = time.perf_counter()
     opts = SmeOptions.coerce(options)
     tlist = check_tlist(tlist, uniform=True)
+    ens = Ensemble("smesolve", opts, tlist, e_ops)
     dt_out = tlist[1] - tlist[0]
     dt_sub = opts.dt_sub if opts.dt_sub is not None else dt_out / 100.0
     n_sub = dt_out / dt_sub
@@ -184,7 +184,6 @@ def smesolve(H, rho0: Qobj, tlist, c_ops=(), sc_ops=(), e_ops=None, options=None
         raise DimensionMismatchError("initial state dims do not match H")
     if not rho0.isherm:
         raise NotHermitianError("smesolve needs a Hermitian initial density matrix")
-    dims = Dimensions(rho0.dims.ket, rho0.dims.bra)
 
     cs = [_as_constant_matrix(c, "c_ops") for c in c_ops]
     ss = [_as_constant_matrix(s, "sc_ops") for s in sc_ops]
@@ -233,9 +232,7 @@ def smesolve(H, rho0: Qobj, tlist, c_ops=(), sc_ops=(), e_ops=None, options=None
                     L += val.imag * im_part
             return R + dt * (L @ R)
 
-    labels, ops = normalize_e_ops(e_ops)
-    e_rows = np.array([coords.functional(op.full()) for op in ops]).reshape(-1, d * d)
-    real_flags = [op.isherm for op in ops]
+    e_rows = np.array([coords.functional(op.full()) for op in ens.ops]).reshape(-1, d * d)
 
     rho_init = rho0.full()
     r_init = coords.from_matrix(rho_init / np.trace(rho_init).real)
@@ -288,64 +285,15 @@ def smesolve(H, rho0: Qobj, tlist, c_ops=(), sc_ops=(), e_ops=None, options=None
             for b in range(B)
         ]
 
-    def reduce(results):
-        stats = WeightedStats(len(e_rows), n_times)
-        for expect, _, _ in results:
-            stats.add(1.0, expect)
-        return stats
+    def weigh(blocks):
+        return [(1.0, expect, None, states) for block in blocks for expect, _, states in block]
 
-    def stop_check(blocks):
-        if opts.target_tol is None or not ops:
-            return False
-        return target_reached(reduce([traj for block in blocks for traj in block]),
-                              opts.target_tol)
-
-    build_time = time.perf_counter() - t_start
-    blocks = run_map(run_block, range(0, opts.ntraj, BLOCK), timeout=opts.timeout,
-                     check_every=1, stop_check=stop_check)
-    results = [traj for block in blocks for traj in block]
-    ntraj_used = len(results)
-
-    avg, std = reduce(results).finalize()
-    avg = [a.real if flag else a for a, flag in zip(avg, real_flags)]
-
-    measurements = [rec for _, rec, _ in results]
-
-    average_states = None
-    if opts.store_states:
-        acc = [np.zeros_like(rho_init) for _ in tlist]
-        for _, _, states in results:
-            for j, s in enumerate(states):
-                acc[j] += s
-        average_states = [Qobj(a / ntraj_used, dims=dims) for a in acc]
-
-    runs_expect = None
-    if opts.keep_runs_results:
-        runs_expect = [
-            np.array([
-                (res[0][k].real if real_flags[k] else res[0][k]) for res in results
-            ])
-            for k in range(len(e_rows))
-        ]
-
-    return MultiTrajResult(
-        tlist,
-        labels,
-        avg,
-        std,
-        runs_expect=runs_expect,
-        average_states=average_states,
-        final_state=average_states[-1] if average_states else None,
-        measurements=measurements,
-        ntraj_used=ntraj_used,
-        seeds=[(opts.seed, i) for i in range(ntraj_used)],
-        weights=[1.0] * ntraj_used,
-        stats={
-            "solver": "smesolve",
-            "dt_sub": dt,
-            "build_time": build_time,
-            "substeps": n_total_sub * ntraj_used,
-            "run_time": time.perf_counter() - t_start,
-            "map": opts.map,
-        },
-    )
+    build_time = time.perf_counter() - ens.t_start
+    jobs = range(0, opts.ntraj, BLOCK)
+    blocks = run_map(run_block, jobs, timeout=opts.timeout, check_every=1,
+                     stop_check=lambda blocks: ens.stop_check(weigh(blocks)))
+    records = weigh(blocks)
+    return ens.result(records, len(blocks) == len(jobs), rho0.dims,
+                      measurements=[rec for block in blocks for _, rec, _ in block],
+                      stats={"dt_sub": dt, "build_time": build_time,
+                             "substeps": n_total_sub * len(records)})

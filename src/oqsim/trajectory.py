@@ -5,6 +5,21 @@ data, and results are merged in seed order, so the output does not depend on
 how the map layer schedules them.  The map runs serially: a thread pool was
 slower than serial under the GIL, so ``map: parallel`` is kept only as an
 accepted alias of ``serial``.
+
+Every trajectory solver hands its ensemble to one :class:`Ensemble`, which
+owns the reduction, the ``target_tol`` stop check and the result.  The solver
+turns what :func:`run_map` returned into records ``(weight, expect, mu,
+states)``: the ensemble weight, the raw expectation series (one per e_op),
+the martingale factor on the output grid or ``None``, and the kets or density
+matrices on the output grid or ``None``.  Records are summed in the order the
+solver lists them, so that order is part of the output bits.  A record enters
+the means as ``expect[k] * mu`` and the states as ``(weight * mu[j]) * rho``,
+a ket ``psi`` as ``rho = outer(psi, psi*)``; without ``mu`` the factor is
+left out, and since a weight of ``1.0`` is exact, an unweighted ensemble keeps
+the bits of a plain sum.  ``stats["stop"]`` says why the run ended:
+``"target_tol"`` when the stop check ended it, ``"timeout"`` when
+:func:`run_map` returned before its last job for another reason, and
+``"ntraj"`` when every job ran.
 """
 
 from __future__ import annotations
@@ -15,11 +30,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dimensions import Dimensions
 from .exceptions import MethodError, OptionError, RangeError
 from .integrator import FlatOptions, IntegratorOptions
+from .qobj import Qobj
+from .result import MultiTrajResult, normalize_e_ops
 
 __all__ = ["TrajectoryOptions", "McOptions", "target_reached", "trajectory_rng", "run_map",
-           "WeightedStats"]
+           "WeightedStats", "Ensemble"]
 
 
 @dataclass
@@ -165,3 +183,71 @@ class WeightedStats:
             for sq, m in zip(self.sq, avg)
         ]
         return avg, std
+
+
+class Ensemble:
+    """The reduction, the stop check and the result of one trajectory solve.
+
+    Built when the solve starts, from its normalized ``e_ops``; ``run_time``
+    is measured from then.
+    """
+
+    def __init__(self, solver: str, opts: TrajectoryOptions, tlist: np.ndarray, e_ops):
+        self.t_start = time.perf_counter()
+        self.solver, self.opts, self.tlist = solver, opts, tlist
+        self.labels, self.ops = normalize_e_ops(e_ops)
+        self.stopped = False
+
+    def reduce(self, records) -> WeightedStats:
+        """The weighted mean and spread of ``expect * mu`` over ``records``."""
+        stats = WeightedStats(len(self.ops), self.tlist.size)
+        for w, expect, mu, _ in records:
+            stats.add(w, expect if mu is None else [series * mu for series in expect])
+        return stats
+
+    def stop_check(self, records) -> bool:
+        """Whether ``target_tol`` is reached on ``records``; False without one or without e_ops."""
+        if self.opts.target_tol is None or not self.ops:
+            return False
+        self.stopped = target_reached(self.reduce(records), self.opts.target_tol)
+        return self.stopped
+
+    def result(self, records, finished: bool, dims, stats=None, **fields) -> MultiTrajResult:
+        """The :class:`MultiTrajResult` of ``records``.
+
+        ``finished`` says whether :func:`run_map` ran every job.  The averaged
+        states take the ket side of ``dims``.  ``stats`` holds the solver's own
+        stats keys and ``fields`` its own result fields.
+        """
+        opts, real_flags = self.opts, [op.isherm for op in self.ops]
+        avg, std = self.reduce(records).finalize()
+        runs_expect = average_states = None
+        if opts.keep_runs_results:
+            runs_expect = [np.array([(e[k].real if flag else e[k]) for _, e, _, _ in records])
+                           for k, flag in enumerate(real_flags)]
+        if opts.store_states:
+            n = dims.shape[0]
+            acc = [np.zeros((n, n), dtype=complex) for _ in self.tlist]
+            for w, _, mu, states in records:
+                for j, s in enumerate(states):
+                    rho = np.outer(s, s.conj()) if s.ndim == 1 else s
+                    acc[j] += (w if mu is None else w * mu[j]) * rho
+            w_total = sum(w for w, _, _, _ in records)
+            dm_dims = Dimensions(dims.ket, dims.ket, enr=dims.enr)
+            average_states = [Qobj(a / w_total, dims=dm_dims) for a in acc]
+        n_used = len(records)
+        stop = "target_tol" if self.stopped else "ntraj" if finished else "timeout"
+        return MultiTrajResult(
+            self.tlist, self.labels, [a.real if flag else a for a, flag in zip(avg, real_flags)],
+            std,
+            runs_expect=runs_expect,
+            average_states=average_states,
+            final_state=average_states[-1] if average_states else None,
+            ntraj_used=n_used,
+            seeds=[(opts.seed, k) for k in range(n_used)],
+            weights=[w for w, _, _, _ in records],
+            stats={"solver": self.solver, "ntraj_requested": opts.ntraj, "ntraj_used": n_used,
+                   "stop": stop, "map": opts.map, **(stats or {}),
+                   "run_time": time.perf_counter() - self.t_start},
+            **fields,
+        )

@@ -124,6 +124,16 @@ solver: sesolve
         text += "solver_options: {sec_cutoff: 0.2, atol: 1.0e-9}\n"
         run_model(parse_model(text))
 
+    def test_exponent_without_a_dot_is_a_float(self):
+        def rows(options):
+            return run_model(parse_model(MINIMAL_DECAY + f"solver_options: {options}\n")).rows
+
+        dotted, bare = rows("{atol: 1.0e-10, rtol: 1.0e-5}"), rows("{atol: 1e-10, rtol: 1e-5}")
+        assert bare.tobytes() == dotted.tobytes()
+        spec = parse_model(MINIMAL_DECAY + "solver_options: {nsteps: 10, atol: 2E8, rtol: .5e-3}\n")
+        assert spec.solver_options == {"nsteps": 10, "atol": 2e8, "rtol": 5e-4}
+        assert type(spec.solver_options["nsteps"]) is int
+
     def test_seed_determinism(self):
         text = MINIMAL_DECAY.replace("solver: mesolve", "solver: mcsolve") + (
             "solver_options: {ntraj: 25, seed: 4}\n"

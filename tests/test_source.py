@@ -1,4 +1,5 @@
-"""Source checks: every failure the package raises is a typed ``OqsimError``."""
+"""Source checks: every failure the package raises is a typed ``OqsimError``, and
+the trajectory solvers share one ensemble reduction and one stop check."""
 
 import ast
 import pathlib
@@ -7,6 +8,8 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "oqsim"
 BARE = {"ValueError", "TypeError", "RuntimeError", "KeyError"}
+# Owned by trajectory.Ensemble; no other module may reduce or stop an ensemble.
+ENSEMBLE_ONLY = {"WeightedStats", "target_reached"}
 
 
 def bare_raises(path: pathlib.Path) -> list[str]:
@@ -34,3 +37,31 @@ def test_the_gate_sees_a_bare_raise(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("def f(x):\n    if x:\n        raise ValueError('x')\n    raise KeyError\n")
     assert bare_raises(module) == ["m.py:3 ValueError", "m.py:4 KeyError"]
+
+
+def names_used(path: pathlib.Path) -> set[str]:
+    """Every name, attribute, imported name and definition in a module's code."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "trajectory.py"),
+                         ids=lambda p: p.name)
+def test_one_ensemble_reduction(path):
+    assert names_used(path) & ENSEMBLE_ONLY == set()
+
+
+def test_the_gate_sees_a_reduction(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from .trajectory import target_reached\n\n"
+                      "def f(trajectory):\n    return trajectory.WeightedStats(1, 2)\n")
+    assert names_used(module) & ENSEMBLE_ONLY == ENSEMBLE_ONLY

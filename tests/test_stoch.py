@@ -1,6 +1,7 @@
 """Trajectory solvers: mcsolve, nm_mcsolve, smesolve."""
 
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,17 @@ class TestMcsolve:
                         c_ops=[np.sqrt(g) * q.sigmam()], e_ops=[q.sigmaz()],
                         options={"ntraj": 5000, "seed": 5, "target_tol": (0.2, 0.0)})
         assert res.ntraj_used < 5000
+
+    def test_repeated_output_time_is_an_empty_photocurrent_bin(self):
+        args = (q.sigmax(), q.basis(2, 0))
+        kwargs = {"c_ops": [np.sqrt(0.5) * q.sigmam()], "e_ops": [q.sigmaz()],
+                  "options": {"ntraj": 30, "seed": 1}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            current = q.mcsolve(*args, [0, 0.5, 0.5, 1], **kwargs).photocurrent[0]
+        plain = q.mcsolve(*args, [0, 0.5, 1], **kwargs).photocurrent[0]
+        assert current[1] == 0.0
+        assert current[[0, 2]].tobytes() == plain.tobytes()
 
     def test_average_states(self):
         g = 0.5
@@ -601,6 +613,40 @@ class TestSmeBlockEngine:
         with pytest.raises(NotHermitianError):
             q.smesolve(a.dag() @ a, q.basis(4, 0) @ q.basis(4, 1).dag(), [0.0, 0.1],
                        sc_ops=[a])
+
+
+def _stop_case(solver, **options):
+    """A small mcsolve or smesolve run of 120 trajectories."""
+    options = {"ntraj": 120, "seed": 4, **options}
+    if solver == "mcsolve":
+        return q.mcsolve(0.5 * q.sigmax(), q.basis(2, 0), np.linspace(0, 1, 3),
+                         c_ops=[np.sqrt(0.5) * q.sigmam()], e_ops=[q.sigmaz()], options=options)
+    a = q.destroy(4)
+    return q.smesolve(a.dag() @ a, q.coherent(4, 0.5), np.linspace(0, 0.2, 3), sc_ops=[a],
+                      e_ops=[a + a.dag()], options=options)
+
+
+class TestStopReason:
+    @pytest.mark.parametrize("solver", ["mcsolve", "smesolve"])
+    @pytest.mark.parametrize("options, stop, ntraj_used", [
+        ({}, "ntraj", 120),
+        ({"target_tol": (0.0, 1e-9)}, "ntraj", 120),
+        ({"target_tol": 1.0}, "target_tol", 50),
+        ({"timeout": 0.0}, "timeout", 50),
+        ({"timeout": 0.0, "ntraj": 50}, "ntraj", 50),
+    ])
+    def test_stats_name_why_the_run_ended(self, solver, options, stop, ntraj_used):
+        res = _stop_case(solver, **options)
+        assert (res.stats["stop"], res.ntraj_used) == (stop, ntraj_used)
+        assert res.stats["ntraj_used"] == res.ntraj_used
+        assert res.stats["ntraj_requested"] == options.get("ntraj", 120)
+
+    def test_nm_mcsolve_reports_the_same_keys(self):
+        res = q.nm_mcsolve(0.5 * q.sigmaz(), q.basis(2, 0), np.linspace(0, 1, 3),
+                           [(q.sigmam(), 0.3)], e_ops=[q.sigmaz()],
+                           options={"ntraj": 60, "seed": 1, "timeout": 0.0})
+        assert res.stats["solver"] == "nm_mcsolve"
+        assert (res.stats["stop"], res.stats["ntraj_used"], res.ntraj_used) == ("timeout", 50, 50)
 
 
 @st.composite
