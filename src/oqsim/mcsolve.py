@@ -276,17 +276,16 @@ def _run_trajectories(drift_evo, channels, psi0, tlist, e_ops, opts: McOptions, 
             pairs.extend((p / len(trajs), traj) for traj in trajs)
         return pairs
 
-    def records(pairs):
+    def records(done):
         """Ensemble records; each trajectory's martingale series is computed once."""
         if martingale_cont is None:
-            return [(w, t.expect, None, t.states) for w, t in pairs]
+            return [(w, t.expect, None, t.states) for w, t in weigh(done)]
         return [(w, t.expect, _martingale_series(t, martingale_cont, tlist), t.states)
-                for w, t in pairs]
+                for w, t in weigh(done)]
 
     done = run_map(run_one, jobs, timeout=opts.timeout,
-                   stop_check=lambda done: ens.stop_check(records(weigh(done))))
-    pairs = weigh(done)
-    ensemble = records(pairs)
+                   stop_check=lambda done: ens.stop_check(done, records))
+    pairs, ensemble = weigh(done), records(done)
     w_total = sum(w for w, _ in pairs)
 
     trace = trace_std = None

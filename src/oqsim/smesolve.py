@@ -291,7 +291,7 @@ def smesolve(H, rho0: Qobj, tlist, c_ops=(), sc_ops=(), e_ops=None, options=None
     build_time = time.perf_counter() - ens.t_start
     jobs = range(0, opts.ntraj, BLOCK)
     blocks = run_map(run_block, jobs, timeout=opts.timeout, check_every=1,
-                     stop_check=lambda blocks: ens.stop_check(weigh(blocks)))
+                     stop_check=lambda blocks: ens.stop_check(blocks, weigh))
     records = weigh(blocks)
     return ens.result(records, len(blocks) == len(jobs), rho0.dims,
                       measurements=[rec for block in blocks for _, rec, _ in block],

@@ -205,11 +205,14 @@ class Ensemble:
             stats.add(w, expect if mu is None else [series * mu for series in expect])
         return stats
 
-    def stop_check(self, records) -> bool:
-        """Whether ``target_tol`` is reached on ``records``; False without one or without e_ops."""
+    def stop_check(self, done, weigh) -> bool:
+        """Whether ``target_tol`` is reached on the records ``weigh(done)``.
+
+        False, before anything is weighed, without ``target_tol`` or e_ops.
+        """
         if self.opts.target_tol is None or not self.ops:
             return False
-        self.stopped = target_reached(self.reduce(records), self.opts.target_tol)
+        self.stopped = target_reached(self.reduce(weigh(done)), self.opts.target_tol)
         return self.stopped
 
     def result(self, records, finished: bool, dims, stats=None, **fields) -> MultiTrajResult:
