@@ -188,8 +188,8 @@ class WeightedStats:
 class Ensemble:
     """The reduction, the stop check and the result of one trajectory solve.
 
-    Built when the solve starts, from its normalized ``e_ops``; ``run_time``
-    is measured from then.
+    Built when the solve starts: it splits ``e_ops`` into ``labels`` and
+    ``ops``, and ``run_time`` is measured from then.
     """
 
     def __init__(self, solver: str, opts: TrajectoryOptions, tlist: np.ndarray, e_ops):
