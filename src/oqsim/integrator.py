@@ -314,6 +314,22 @@ class DP54Stepper:
                 return seg
             self._h = h * max(0.2, 0.9 * err ** (-0.2))
 
+    def state(self) -> tuple:
+        """What the next :meth:`step` reads: ``(t, y, f0, h, err_prev)``.
+
+        :meth:`step` rebinds ``y`` and the FSAL derivative ``f0`` and never
+        writes either in place, so the tuple holds ``y`` itself.  ``f0`` is a
+        row of the last step's stage matrix; it is copied, so a held state keeps
+        two vectors alive and not that matrix.
+        """
+        return self.t, self.y, self._f0.copy(), self._h, self._err_prev
+
+    def resume(self, state: tuple) -> None:
+        """Continue from a :meth:`state` of a stepper with the same ``rhs``,
+        options and ``t_end``; the next :meth:`step` then has that stepper's bits."""
+        self.t, self.y, self._f0, self._h, self._err_prev = state
+        self.segment = None
+
     def interpolate(self, t: float) -> np.ndarray:
         """Evaluate the solution inside the most recent step."""
         if self.segment is None:
@@ -334,14 +350,15 @@ def _rms(v: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(v, v).real / v.size))
 
 
-def advance(stepper: DP54Stepper, tlist, nsteps: int, on_step=None):
+def advance(stepper: DP54Stepper, tlist, nsteps: int, on_step=None, done: int = 0):
     """Step ``stepper`` to each time of ``tlist`` and yield ``(j, t, y)`` there.
 
     This is the only loop over :meth:`DP54Stepper.step` in the package.
     ``tlist`` is ascending from ``stepper.t``; ``y`` comes from the dense
     output of the step holding ``t`` (a copy of ``stepper.y`` before any
     step).  More than ``nsteps`` accepted steps between two output times
-    raise :class:`StepLimitError`.
+    raise :class:`StepLimitError`; ``done`` steps, taken before the stepper
+    was resumed, already count towards the first of them.
 
     ``on_step(stepper, seg)`` is called after every accepted step and may
     return a newly constructed stepper, which carries the integration on from
@@ -350,7 +367,7 @@ def advance(stepper: DP54Stepper, tlist, nsteps: int, on_step=None):
     """
     cut_seg, t_cut = None, -np.inf
     for j, target in enumerate(tlist):
-        count = 0
+        count, done = done, 0
         eps_t = 4 * np.finfo(float).eps * max(1.0, abs(target))
         while stepper.t < target - eps_t:
             if count >= nsteps:

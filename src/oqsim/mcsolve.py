@@ -9,11 +9,27 @@ the collapse operator is applied, the state renormalized, and a fresh
 threshold drawn.  Expectation values are computed on normalized states and
 averaged (with weights when improved sampling or mixed initial states are
 used).
+
+Every trajectory of a mixture component starts on the same deterministic
+no-jump path and stays on it until its norm² falls to its threshold.  One
+solve integrates that path once per component: a :class:`_NoJumpPath`
+record keeps the stepper state of each accepted no-jump step, the norm²
+after it and the outputs read so far, and each trajectory resumes its
+stepper at the last recorded step before its first jump, or extends the
+record when no recorded step crosses its threshold.  A trajectory's outputs,
+random draws and errors are those of integrating the path itself; only the
+repeated steps are skipped.  The record costs about ``2 * d`` complex
+numbers per recorded step and component (the state and the FSAL
+derivative), plus the expectation values and, with ``store_states``, the
+normalised state at each output time.  A coefficient callable with side
+effects sees fewer calls than one per step of every trajectory.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import time
 
 import numpy as np
 
@@ -82,6 +98,42 @@ class _Trajectory:
         self.states = states
 
 
+class _NoJumpPath:
+    """The no-jump path of one mixture component, integrated once per solve.
+
+    ``states[i]`` is the stepper state that no-jump step ``i + 1`` reads and
+    ``norm2[i]`` the norm² after that step; only steps that crossed the
+    threshold of no trajectory are recorded, and ``states[-1]`` is the
+    frontier, the state after the last of them.  ``reads[j]`` is the step
+    count at which output ``j`` was read, and ``expect`` and ``kets`` hold
+    what was read there.  Every output read before the frontier is held.
+    """
+
+    __slots__ = ("states", "norm2", "reads", "expect", "kets")
+
+    def __init__(self, n_times: int, n_eops: int):
+        self.states: list[tuple] = []
+        self.norm2: list[float] = []
+        self.reads: list[int] = []
+        self.expect = [np.empty(n_times, dtype=complex) for _ in range(n_eops)]
+        self.kets: list[np.ndarray] = []
+
+    def joins(self, stepper: DP54Stepper) -> bool:
+        """Whether ``stepper`` starts on this path, bit for bit; it starts an empty one."""
+        state = stepper.state()
+        if not self.states:
+            self.states.append(state)
+            return True
+        (t, y, f0, h, err), (t0, y0, f00, h0, err0) = state, self.states[0]
+        return ((t, h, err) == (t0, h0, err0) and y.tobytes() == y0.tobytes()
+                and f0.tobytes() == f00.tobytes())
+
+    def crossing(self, r: float) -> int:
+        """The steps before the first recorded one whose norm² is ``<= r``, or
+        all recorded steps when none is."""
+        return next((i for i, n2 in enumerate(self.norm2) if n2 <= r), len(self.norm2))
+
+
 def _bisect_jump_time(segment, r: float, rel_tol: float) -> float:
     """Locate ``|psi(t)|^2 = r`` inside one step; the norm is monotone there."""
     lo, hi = segment.t_old, segment.t_new
@@ -108,17 +160,40 @@ def _mcwf_trajectory(
     rng,
     r_first: float | None,
     store_states: bool,
+    path: _NoJumpPath | None = None,
 ) -> _Trajectory:
+    """One quantum-jump trajectory.  Calls that share ``path`` share every
+    argument but ``rng`` and ``r_first``, and return what they return without it."""
     t_end = float(tlist[-1])
     r = rng.uniform() if r_first is None else r_first
     last = DP54Stepper(drift_evo.matvec, float(tlist[0]), psi0, integ_opts, t_end)
     jumps: list[tuple[float, int]] = []
     ratios: list[float] = []
+    expect = [np.empty(tlist.size, dtype=complex) for _ in e_mats]
+    states = [] if store_states else None
+
+    # n: the steps taken on the no-jump path, None off it; j0 outputs come from the record.
+    n, j0, done = None, 0, 0
+    if path is not None and path.joins(last):
+        n = path.crossing(r)
+        j0 = bisect.bisect_right(path.reads, n)
+        for series, rec in zip(expect, path.expect):
+            series[:j0] = rec[:j0]
+        if store_states:
+            states.extend(path.kets[:j0])
+        if j0 == tlist.size:  # the record reaches t_end and crosses no r: the no-jump run
+            return _Trajectory(expect, jumps, ratios, _norm(path.states[-1][1]) ** 2, states)
+        if n:
+            last.resume(path.states[n])
+            done = n - path.reads[j0 - 1]
 
     def jump(stepper, seg):
-        """Once the norm has fallen to ``r``, jump and restart from the jump time."""
-        nonlocal r, last
-        if _norm(stepper.y) ** 2 <= r:
+        """Once the norm has fallen to ``r``, jump and restart from the jump time;
+        before that, extend the record past its frontier."""
+        nonlocal r, last, n
+        norm2 = _norm(stepper.y) ** 2
+        if norm2 <= r:
+            n = None
             t_jump = _bisect_jump_time(seg, r, norm_tol)
             psi_j = seg(t_jump)
             weights = np.array([ch.weight(t_jump, psi_j) for ch in channels])
@@ -138,16 +213,25 @@ def _mcwf_trajectory(
             r = rng.uniform()
             last = DP54Stepper(drift_evo.matvec, t_jump, psi_new / nrm, integ_opts, t_end)
             return last
+        if n is not None:  # past the frontier: a resumed trajectory crosses at its next step
+            n += 1
+            path.norm2.append(norm2)
+            path.states.append(stepper.state())
 
-    expect = [np.empty(tlist.size, dtype=complex) for _ in e_mats]
-    states = [] if store_states else None
-    for j, _, y in advance(last, tlist, integ_opts.nsteps, on_step=jump):
+    for j, _, y in advance(last, tlist[j0:], integ_opts.nsteps, on_step=jump, done=done):
+        j += j0
         nrm = _norm(y)
         ynorm = y / nrm if nrm > 0 else y
         for series, m in zip(expect, e_mats):
             series[j] = complex(np.vdot(ynorm, apply_matrix(m, ynorm)))
         if store_states:
             states.append(ynorm.copy())
+        if n is not None:  # read on the path at its frontier
+            path.reads.append(n)
+            for rec, series in zip(path.expect, expect):
+                rec[j] = series[j]
+            if store_states:
+                path.kets.append(states[-1])
 
     return _Trajectory(expect, jumps, ratios, _norm(last.y) ** 2, states)
 
@@ -233,14 +317,22 @@ def _run_trajectories(drift_evo, channels, psi0, tlist, e_ops, opts: McOptions, 
     jobs = []
     idx = 0
     nojump: dict[int, _Trajectory] = {}
+    leaves: dict[int, bool] = {}
+    paths = [_NoJumpPath(tlist.size, len(e_mats)) for _ in components]
     for comp_i, ((ket, p), n_i) in enumerate(zip(components, counts)):
         y0 = ket.unit().full().ravel()
         if opts.improved_sampling:
             nj = _mcwf_trajectory(
                 drift_evo, channels, y0, tlist, e_mats, opts.integrator,
                 opts.norm_tol, trajectory_rng(opts.seed, idx), -1.0, opts.store_states,
+                path=paths[comp_i],
             )
             nojump[comp_i] = nj
+            # On a path no channel can leave, the norm falls by integration
+            # error only; a threshold in [p0, 1] would be crossed where no
+            # channel can act, so those trajectories never jump.
+            leaves[comp_i] = any(ch.weight(t, y) > 0.0 for t, y, *_ in paths[comp_i].states
+                                 for ch in channels)
             idx += 1
             n_jump = max(n_i - 1, 0)
         else:
@@ -254,12 +346,12 @@ def _run_trajectories(drift_evo, channels, psi0, tlist, e_ops, opts: McOptions, 
         rng = trajectory_rng(opts.seed, tid)
         if opts.improved_sampling:
             p0 = nojump[comp_i].final_norm2
-            r_first = p0 + (1.0 - p0) * rng.uniform()
+            r_first = p0 + (1.0 - p0) * rng.uniform() if leaves[comp_i] else -1.0
         else:
             r_first = None
         return comp_i, _mcwf_trajectory(
             drift_evo, channels, y0, tlist, e_mats, opts.integrator,
-            opts.norm_tol, rng, r_first, opts.store_states,
+            opts.norm_tol, rng, r_first, opts.store_states, path=paths[comp_i],
         )
 
     def weigh(done):
@@ -338,12 +430,14 @@ def mcsolve(H, psi0, tlist, c_ops=(), e_ops=None, options=None) -> MultiTrajResu
     results weighted by the component probabilities.  Without collapse
     operators the problem is deterministic and is delegated to
     :func:`~oqsim.solver.sesolve` with the caller's integrator options
-    (wrapped as a single-trajectory result).
+    (wrapped as a single-trajectory result whose ``stats`` hold the shared
+    trajectory keys and ``delegated``).
     """
     if not c_ops:
         if not isinstance(psi0, Qobj):
             raise RangeError("mixed initial states need collapse operators")
         opts = McOptions.coerce(options)
+        t_start = time.perf_counter()
         res = sesolve(H, psi0, tlist, e_ops=e_ops, options=SolverOptions(integrator=opts.integrator))
         std = [np.zeros(res.times.size) for _ in res.expect]
         return MultiTrajResult(
@@ -354,7 +448,9 @@ def mcsolve(H, psi0, tlist, c_ops=(), e_ops=None, options=None) -> MultiTrajResu
             ntraj_used=1,
             seeds=[],
             weights=[1.0],
-            stats={"solver": "mcsolve", "delegated": "sesolve"},
+            stats={"solver": "mcsolve", "ntraj_requested": opts.ntraj, "ntraj_used": 1,
+                   "stop": "ntraj", "map": opts.map, "delegated": "sesolve",
+                   "run_time": time.perf_counter() - t_start},
         )
     solver = MCSolver(H, c_ops, options)
     return solver.run(psi0, tlist, e_ops=e_ops)

@@ -1,5 +1,6 @@
-"""Source checks: every failure the package raises is a typed ``OqsimError``, and
-the trajectory solvers share one ensemble reduction and one stop check."""
+"""Source checks: every failure the package raises is a typed ``OqsimError``, the
+trajectory solvers share one ensemble reduction and one stop check, and
+``integrator.advance`` is the only loop that steps a ``DP54Stepper``."""
 
 import ast
 import pathlib
@@ -65,3 +66,33 @@ def test_the_gate_sees_a_reduction(tmp_path):
     module.write_text("from .trajectory import target_reached\n\n"
                       "def f(trajectory):\n    return trajectory.WeightedStats(1, 2)\n")
     assert names_used(module) & ENSEMBLE_ONLY == ENSEMBLE_ONLY
+
+
+def stray_steps(path: pathlib.Path) -> list[str]:
+    """``file:line`` of every ``.step()`` call that is not inside ``integrator.advance``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = set()
+    if path.name == "integrator.py":
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name == "advance":
+                allowed = {id(n) for n in ast.walk(node)}
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "step" and not node.args and not node.keywords
+             and id(node) not in allowed]
+    return [f"{path.name}:{line}" for line in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_stepping_loop(path):
+    assert stray_steps(path) == []
+
+
+def test_the_gate_sees_a_stray_step(tmp_path):
+    module = tmp_path / "integrator.py"
+    module.write_text("def advance(stepper):\n    return stepper.step()\n\n"
+                      "def resume(stepper):\n    stepper.step()\n    return stepper.step(1.0)\n")
+    assert stray_steps(module) == ["integrator.py:5"]
+    other = tmp_path / "mcsolve.py"
+    other.write_text(module.read_text())
+    assert stray_steps(other) == ["mcsolve.py:2", "mcsolve.py:5"]

@@ -1,5 +1,6 @@
 """Trajectory solvers: mcsolve, nm_mcsolve, smesolve."""
 
+import functools
 import importlib
 import warnings
 
@@ -13,7 +14,8 @@ from hypothesis.extra import numpy as hnp
 import oqsim as q
 from oqsim.exceptions import NotHermitianError, OptionError, RangeError, StepLimitError
 from oqsim.coefficient import SplineCoefficient
-from oqsim.mcsolve import MCSolver, _mcwf_trajectory, _norm
+from oqsim.integrator import DP54Stepper
+from oqsim.mcsolve import MCSolver, _Channel, _drift, _mcwf_trajectory, _NoJumpPath, _norm
 from oqsim.smesolve import HermitianCoords, WienerPath
 from oqsim.trajectory import McOptions, trajectory_rng
 
@@ -57,6 +59,14 @@ class TestMcsolve:
             q.mcsolve(0.5 * q.sigmaz(), q.basis(2, 0), [0.0, 50.0],
                       c_ops=[np.sqrt(0.1) * q.sigmam()],
                       options={"ntraj": 3, "seed": 1, "nsteps": 1, "max_step": 0.1})
+
+    def test_improved_sampling_on_a_state_no_channel_leaves(self):
+        # p0 is 1 up to rounding; a threshold in [p0, 1] must not read that as a jump.
+        args = (q.sigmaz(), q.basis(2, 1), np.linspace(0, 5, 11), [q.sigmam()], [q.sigmaz()])
+        plain = q.mcsolve(*args, options={"ntraj": 20, "seed": 1})
+        improved = q.mcsolve(*args, options={"ntraj": 20, "seed": 1, "improved_sampling": True})
+        assert np.max(np.abs(improved.expect[0] - plain.expect[0])) <= 1e-12
+        assert improved.ntraj_used == 20
 
     def test_no_cops_delegates(self):
         res = q.mcsolve(q.sigmaz(), q.basis(2, 0), [0.0, 1.0], e_ops=[q.sigmaz()])
@@ -208,6 +218,189 @@ class TestJumpOutputOrder:
             misplaced += int(np.sum(np.abs(traj.expect[0].real - expected) > 1e-6))
         assert jumped > 250
         assert misplaced == 0
+
+
+def _decay_problem():
+    """A driven, decaying qubit: the no-jump norm falls over the whole grid."""
+    solver = MCSolver(0.5 * q.sigmax(), [np.sqrt(0.5) * q.sigmam()])
+    e_mats = [q.sigmaz().data.scipy_matrix(), q.sigmap().data.scipy_matrix()]
+    return solver.drift_evo, solver.channels, [q.basis(2, 0).full().ravel()], \
+        np.linspace(0, 3, 13), e_mats
+
+
+def _nm_spline_problem():
+    """nm_mcsolve's channels for a spline rate that turns negative, with the padding channel."""
+    ts = np.linspace(0, 3, 301)
+    prep = q.nm_prepare([(q.sigmam(), SplineCoefficient(ts, np.cos(2 * ts) + 0.3))])
+    channels = [_Channel(op, rate=rate, ratio_fn=rate.ratio)
+                for op, rate in zip(prep.ops, prep.shifted_rates)]
+    e_mats = [q.sigmaz().data.scipy_matrix()]
+    psi0 = (q.basis(2, 0) + q.basis(2, 1)).unit().full().ravel()
+    return _drift(q.QobjEvo(0.5 * q.sigmaz()), channels), channels, [psi0], \
+        np.linspace(0, 3, 16), e_mats
+
+
+def _mixture_problem():
+    """A driven, damped 3-level oscillator with two mixture components."""
+    a = q.destroy(3)
+    solver = MCSolver(a.dag() @ a + 0.3 * (a + a.dag()), [np.sqrt(0.4) * a])
+    kets = [q.basis(3, 2).full().ravel(), (q.basis(3, 1) + q.basis(3, 2)).unit().full().ravel()]
+    e_mats = [(a.dag() @ a).data.scipy_matrix(), a.data.scipy_matrix()]
+    return solver.drift_evo, solver.channels, kets, np.linspace(0, 3, 13), e_mats
+
+
+PATH_PROBLEMS = {"decay": _decay_problem, "nm_spline": _nm_spline_problem,
+                 "mixture": _mixture_problem}
+
+
+@functools.cache
+def _path_problem(name):
+    return PATH_PROBLEMS[name]()
+
+
+def _bits(traj):
+    """Everything a trajectory returns, as bytes and float hex strings."""
+    return ([e.tobytes() for e in traj.expect], [(t.hex(), k) for t, k in traj.jumps],
+            [x.hex() for x in traj.ratios], traj.final_norm2.hex(),
+            None if traj.states is None else [s.tobytes() for s in traj.states])
+
+
+class _Calls:
+    """Trajectories of one problem, each run with the shared records and as the oracle."""
+
+    def __init__(self, name, store_states=False, **options):
+        self.drift, self.channels, self.kets, self.ts, self.e_mats = _path_problem(name)
+        self.opts = McOptions.coerce(options)
+        self.store_states = store_states
+        self.paths = [_NoJumpPath(self.ts.size, len(self.e_mats)) for _ in self.kets]
+        self.i = 0
+
+    def call(self, comp, r_first, path):
+        return _mcwf_trajectory(self.drift, self.channels, self.kets[comp], self.ts, self.e_mats,
+                                self.opts.integrator, self.opts.norm_tol,
+                                trajectory_rng(5, self.i), r_first, self.store_states, path=path)
+
+    def both(self, comp, r_first):
+        """``(record, oracle)`` outcomes of trajectory ``i``: its bits, or the raised message."""
+        comp %= len(self.kets)
+        out = []
+        for path in (self.paths[comp], None):
+            try:
+                out.append(_bits(self.call(comp, r_first, path)))
+            except StepLimitError as exc:
+                out.append(str(exc))
+        self.i += 1
+        return out
+
+
+# A threshold: a number in [0, 1], a recorded norm² (an index into the record),
+# None (drawn from the trajectory's rng) or -1 (never jumps).
+_THRESHOLDS = st.one_of(st.floats(0.0, 1.0), st.integers(0, 10**6).map(lambda k: ("tie", k)),
+                        st.none(), st.just(-1.0))
+
+
+class TestNoJumpPath:
+    """A trajectory that reads the shared no-jump record returns the bits of the
+    same call without one (the oracle)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(PATH_PROBLEMS)), store_states=st.booleans(),
+           specs=st.lists(st.tuples(st.integers(0, 1), _THRESHOLDS), min_size=1, max_size=8))
+    def test_record_matches_the_oracle(self, name, store_states, specs):
+        calls = _Calls(name, store_states)
+        for comp, r in specs:
+            if isinstance(r, tuple):
+                norm2 = calls.paths[comp % len(calls.kets)].norm2
+                r = norm2[r[1] % len(norm2)] if norm2 else 1.0
+            got, want = calls.both(comp, r)
+            assert got == want
+
+    @pytest.mark.parametrize("name", sorted(PATH_PROBLEMS))
+    def test_each_way_onto_the_record(self, name, monkeypatch):
+        calls = _Calls(name, store_states=True)
+        path = calls.paths[0]
+        steps = []
+        step = DP54Stepper.step
+
+        def counting(stepper):
+            steps[-1] += 1
+            return step(stepper)
+
+        monkeypatch.setattr(DP54Stepper, "step", counting)
+
+        def check(r_first, comp=0):
+            steps.append(0)
+            got = _bits(calls.call(comp, r_first, calls.paths[comp]))
+            steps.append(0)
+            assert got == _bits(calls.call(comp, r_first, None))
+            calls.i += 1
+            return got
+
+        assert check(1.0)[1]  # a jump at the very first step ...
+        assert (len(path.states), path.norm2) == (1, [])  # ... leaves the step out of the record
+        check(0.7)  # extends the frontier
+        frontier = len(path.norm2)
+        assert frontier > 0
+        check(path.norm2[frontier // 2])  # a tie on a recorded norm²
+        assert not check(-1.0)[1]  # never jumps, and extends the record to the end
+        assert len(path.reads) == calls.ts.size
+        assert not check(-1.0)[1]  # reads the whole record
+        assert steps[-2:] == [0, len(path.norm2)]
+        check(None)
+        if len(calls.kets) > 1:  # the other component has a record of its own
+            states = list(path.states)
+            check(0.5, comp=1)
+            assert calls.paths[1].states[0][1].tobytes() == calls.kets[1].tobytes()
+            assert path.states == states
+
+    def test_a_path_of_another_start_is_not_read(self):
+        calls = _Calls("mixture")
+        calls.both(0, -1.0)
+        assert not calls.paths[0].joins(DP54Stepper(calls.drift.matvec, 0.0, calls.kets[1],
+                                                    calls.opts.integrator, 3.0))
+        got, want = calls.both(0, 0.5)  # still the bits of the oracle
+        assert got == want
+
+
+class TestStepLimitParity:
+    """A resumed trajectory counts the steps the record took in its output
+    interval, so ``StepLimitError`` fires where the oracle's does and nowhere else."""
+
+    TS = np.array([0.0, 0.5, 1.75, 2.0])  # with max_step 0.05 the long interval needs the most
+
+    def calls(self, nsteps):
+        calls = _Calls("decay", nsteps=nsteps, max_step=0.05)
+        calls.ts = self.TS
+        calls.paths = [_NoJumpPath(self.TS.size, len(calls.e_mats))]
+        return calls
+
+    def thresholds(self):
+        """The no-jump run's most steps in one interval, and thresholds that
+        resume a trajectory inside that interval, early, at the frontier and at random."""
+        full = self.calls(10_000)
+        full.both(0, -1.0)
+        path = full.paths[0]
+        most = int(np.max(np.diff(path.reads)))
+        inside = path.reads[1] + 5
+        return most, [-1.0, path.norm2[inside], 0.9, -1.0, None, 0.4]
+
+    def test_resumed_trajectories_raise_where_the_oracle_does(self):
+        most, rs = self.thresholds()
+        calls = self.calls(most - 1)
+        outcomes = [calls.both(0, r) for r in rs]
+        for got, want in outcomes:
+            assert got == want
+        # The no-jump run raises, and so does the later one resumed at its frontier.
+        assert isinstance(outcomes[0][1], str) and isinstance(outcomes[3][1], str)
+
+    def test_the_fewest_steps_that_pass_still_pass(self):
+        most, rs = self.thresholds()
+        limit = next(n for n in range(most, 10 * most) if not any(
+            isinstance(want, str) for _, want in (self.calls(n).both(0, r) for r in rs)))
+        calls = self.calls(limit)
+        for r in rs:
+            got, want = calls.both(0, r)
+            assert got == want and not isinstance(got, str)
 
 
 class TestNmMcsolve:
@@ -647,6 +840,24 @@ class TestStopReason:
                            options={"ntraj": 60, "seed": 1, "timeout": 0.0})
         assert res.stats["solver"] == "nm_mcsolve"
         assert (res.stats["stop"], res.stats["ntraj_used"], res.ntraj_used) == ("timeout", 50, 50)
+
+    @pytest.mark.parametrize("solve", [
+        lambda: _stop_case("mcsolve"),
+        lambda: _stop_case("smesolve"),
+        lambda: q.nm_mcsolve(0.5 * q.sigmaz(), q.basis(2, 0), [0.0, 1.0], [(q.sigmam(), 0.3)],
+                             e_ops=[q.sigmaz()], options={"ntraj": 5, "seed": 1}),
+        lambda: q.mcsolve(q.sigmaz(), q.basis(2, 0), [0.0, 1.0], e_ops=[q.sigmaz()],
+                          options={"ntraj": 7, "seed": 1}),
+    ], ids=["mcsolve", "smesolve", "nm_mcsolve", "mcsolve_delegated"])
+    def test_every_trajectory_result_holds_the_shared_keys(self, solve):
+        res = solve()
+        shared = {"solver", "ntraj_requested", "ntraj_used", "stop", "map", "run_time"}
+        assert shared <= set(res.stats)
+        assert res.stats["ntraj_used"] == res.ntraj_used
+        assert res.stats["run_time"] >= 0
+        if "delegated" in res.stats:
+            assert (res.stats["ntraj_requested"], res.stats["ntraj_used"]) == (7, 1)
+            assert (res.stats["stop"], res.stats["delegated"]) == ("ntraj", "sesolve")
 
 
 @st.composite
