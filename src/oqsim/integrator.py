@@ -12,12 +12,31 @@ of output times; :func:`integrate`, the deterministic solvers (including
 ``Solver.step`` and ``heomsolve``) and the quantum-jump trajectories all run
 on it, so ``nsteps`` and the dense read-out rule are the same everywhere.
 
-Each stage input is one tableau-row product with the ``(7, n)`` stage
-matrix, ``y + h * (A[i, :i] @ K[:i])``, and likewise ``y + h * (B @ K)`` for
-the new state and ``h * (E @ K)`` for the error estimate.  These products sum
-in a different order than a term-by-term loop, so outputs differ from such a
-loop in the last bits (the number of steps and right-hand-side calls does
-not).
+A step has one of two forms.  In the stage form, each stage input is one
+tableau-row product with the ``(7, n)`` stage matrix, ``y + h * (A[i, :i] @
+K[:i])``, and likewise ``y + h * (B @ K)`` for the new state and ``h * (E @
+K)`` for the error estimate.  These products sum in a different order than a
+term-by-term loop, so outputs differ from such a loop in the last bits (the
+number of steps and right-hand-side calls does not).
+
+The power form serves ``y' = L y`` with a constant ``L``, where every stage
+is a polynomial in ``hL`` applied to ``y`` (the stability function ``R(z)``
+of Hairer, Norsett & Wanner, *Solving ODEs I*).  The step forms the powers
+``U[m] = L^(m+1) y``, ``m = 0..6``: ``U[0]`` is the FSAL derivative and the
+six others are the step's six right-hand-side calls.  One real product
+``(Coef(h) @ U)`` then gives the increment, the error vector and the next
+FSAL derivative, with ``Coef(h)`` the tableau's power coefficients times
+``h^k`` (exact rationals, so the error row is exactly 0 below ``h^5``).  No
+stage input is formed, and a rejected attempt only recomputes ``Coef(h)``:
+it makes no right-hand-side call.  The dense output is built from ``U`` at
+its first read, so ``U`` takes the place of ``K`` in memory; the error
+norm is taken in real arithmetic, from ``|y|`` kept from the step before.
+The solvers choose the power form when their generator
+``QobjEvo.isconstant`` (``sesolve``, ``mesolve``, ``brmesolve``,
+``heomsolve``, ``mcsolve`` with constant collapse operators); a bare
+callable given to :func:`integrate`, or a time-dependent generator, is
+stepped in stage form.  Both forms take the same steps up to the last bits of
+the error estimate.
 
 Integration is deterministic: identical inputs produce bit-identical outputs.
 """
@@ -25,10 +44,12 @@ Integration is deterministic: identical inputs produce bit-identical outputs.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 import types
 import typing
 from dataclasses import dataclass, fields
+from fractions import Fraction
 
 import numpy as np
 
@@ -157,30 +178,59 @@ class FlatOptions:
         return self
 
 
-# Dormand-Prince 5(4) tableau, stored once as complex128: stage ``i`` takes the
+# Dormand-Prince 5(4) tableau as exact rationals: stage ``i`` reads row ``i``
+# of ``A`` (the last row holds the 5th-order weights, FSAL), and ``E`` is the
+# difference between the 5th- and embedded 4th-order weights.
+_A_EXACT = [[Fraction(a) for a in row.split()] for row in (
+    "",
+    "1/5",
+    "3/40 9/40",
+    "44/45 -56/15 32/9",
+    "19372/6561 -25360/2187 64448/6561 -212/729",
+    "9017/3168 -355/33 46732/5247 49/176 -5103/18656",
+    "35/384 0 500/1113 125/192 -2187/6784 11/84",
+)]
+_E_EXACT = [Fraction(e) for e in "71/57600 0 -71/16695 71/1920 -17253/339200 22/525 -1/40".split()]
+
+# The stage form stores the tableau once as complex128: stage ``i`` takes the
 # row product ``_A[i, :i] @ K[:i]`` with the (7, n) stage matrix ``K``, and
 # the solution and error weights are ``_B @ K`` and ``_E @ K``.  The nodes
 # are Python floats.
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = np.array(
-    [
-        [0, 0, 0, 0, 0, 0, 0],
-        [1 / 5, 0, 0, 0, 0, 0, 0],
-        [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
-        [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
-        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
-        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
-        [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
-    ],
-    dtype=np.complex128,
-)
+_A = np.array([[float(a) for a in row] + [0.0] * (7 - len(row)) for row in _A_EXACT],
+              dtype=np.complex128)
 _B = _A[6].copy()  # FSAL: the last stage row holds the 5th-order weights
-# Difference between the 5th- and embedded 4th-order weights.
-_E = np.array(
-    [71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
-    dtype=np.complex128,
-)
+_E = np.array([float(e) for e in _E_EXACT], dtype=np.complex128)
 _A_ROWS = [_A[i, :i] for i in range(7)]  # sliced once
+
+
+def _stage_powers() -> list[list[Fraction]]:
+    """``alpha[i][m]``: for ``y' = L y`` stage ``i`` reads ``sum_m alpha[i][m] (hL)^m y``.
+
+    Stage 0 reads ``y``; stage ``i`` reads ``y + h sum_j A[i][j] L y_j``, so
+    ``alpha[i][m + 1] = sum_j A[i][j] alpha[j][m]``.
+    """
+    alpha = [[Fraction(1)] + [Fraction(0)] * 6]
+    for row in _A_EXACT[1:]:
+        alpha.append([Fraction(1)] + [sum(a * prev[m] for a, prev in zip(row, alpha))
+                                      for m in range(6)])
+    return alpha
+
+
+_ALPHA_EXACT = _stage_powers()
+_ALPHA = np.array(_ALPHA_EXACT, dtype=float)
+# Power form: with ``U[m] = L^(m+1) y``, the increment ``h B @ K``, the error
+# ``h E @ K`` and the next FSAL derivative ``K[6]`` are the rows of
+# ``(_POWER * h ** _POWER_EXP) @ U``.  The increment row holds the Taylor
+# coefficients of DOPRI5's stability polynomial, and the error row is exactly
+# 0 below ``h^5``.
+_POWER = np.array(
+    [[float(sum(w * a[m] for w, a in zip(weights, _ALPHA_EXACT))) for m in range(7)]
+     for weights in (_A_EXACT[6], _E_EXACT)] + [_ALPHA[6]]
+)
+_POWER_EXP = np.array([range(1, 8), range(1, 8), range(7)], dtype=float)
+_ALPHA_EXP = np.arange(7.0)  # column m of _ALPHA multiplies h^m
+_C128 = np.dtype(np.complex128)
 # Smallest step, relative to max(|t|, 1), before the step size counts as underflowed.
 _H_MIN = 16 * np.finfo(float).eps
 # Quartic dense-output coefficients (Shampine's interpolant for this pair).
@@ -200,22 +250,30 @@ _P = np.array(
 class DenseSegment:
     """Polynomial interpolant of the solution over one accepted step.
 
-    Most steps are never evaluated, so the interpolant coefficients are built
-    from the stage matrix ``K`` at the first call.
+    ``K`` is the step's stage matrix or, with the step size ``h`` given, its
+    power matrix ``U`` (``K = (_ALPHA * h ** m) @ U``).  Most steps are never
+    evaluated, so the interpolant coefficients are built at the first call.
+    ``y_old`` is the stepper's own state vector, which it never writes in
+    place.
     """
 
-    __slots__ = ("t_old", "t_new", "y_old", "_K", "_q")
+    __slots__ = ("t_old", "t_new", "y_old", "_K", "_h", "_q")
 
-    def __init__(self, t_old, t_new, y_old, K):
+    def __init__(self, t_old, t_new, y_old, K, h=None):
         self.t_old = t_old
         self.t_new = t_new
         self.y_old = y_old
         self._K = K
+        self._h = h
         self._q = None
 
     def __call__(self, t: float) -> np.ndarray:
         if self._q is None:
-            self._q = self._K.T @ _P  # shape (n, 4)
+            if self._h is None:
+                self._q = self._K.T @ _P  # shape (n, 4)
+            else:
+                W = (_ALPHA * self._h ** _ALPHA_EXP).T @ _P  # K.T @ _P == U.T @ W
+                self._q = W.T.dot(self._K.view(np.float64)).view(_C128).T
             self._K = None
         h = self.t_new - self.t_old
         x = (t - self.t_old) / h
@@ -228,11 +286,16 @@ class DP54Stepper:
 
     ``t_end`` clamps steps so the right-hand side is never evaluated beyond
     the integration domain (important for spline-backed coefficients).
+    ``linear=True`` declares ``rhs(t, y) = L y`` for a constant ``L`` and
+    steps in power form (see the module docstring).  ``accepted`` and
+    ``rejected`` count the step attempts, next to the RHS calls ``nfev``.
     """
 
-    def __init__(self, rhs, t0: float, y0: np.ndarray, opts: IntegratorOptions, t_end: float):
+    def __init__(self, rhs, t0: float, y0: np.ndarray, opts: IntegratorOptions, t_end: float,
+                 linear: bool = False):
         self.rhs = rhs
         self.opts = opts.validated()
+        self.linear = linear
         self.t = float(t0)
         self.y = np.asarray(y0, dtype=np.complex128).copy()
         if self.y.ndim != 1:
@@ -241,7 +304,10 @@ class DP54Stepper:
             )
         self.t_end = float(t_end)
         self.nfev = 0
+        self.accepted = 0
+        self.rejected = 0
         self.segment: DenseSegment | None = None
+        self._abs_y = None  # |y| of the power form, kept from the step that made y
         self._f0 = self._eval(self.t, self.y)
         self._err_prev = 1e-4
         self._h = self._initial_step() if opts.first_step is None else float(opts.first_step)
@@ -283,6 +349,15 @@ class DP54Stepper:
         if self.t >= self.t_end:
             raise SolverError(f"stepper already reached the end of its domain t={self.t_end:.6g}")
         y = self.y
+        if self.linear:
+            # U[m] = L^(m+1) y: the FSAL derivative and six products, shared by every attempt.
+            U = np.empty((7, y.size), dtype=np.complex128)
+            U[0] = self._f0
+            for m in range(1, 7):
+                U[m] = self._eval(self.t, U[m - 1])
+            U_re = U.view(np.float64)
+            if self._abs_y is None:
+                self._abs_y = np.abs(y)
         while True:
             self._clamp_h()
             h = self._h
@@ -290,12 +365,20 @@ class DP54Stepper:
                 raise StiffnessError(
                     f"step size underflow at t={self.t:.6g}; the problem is likely stiff"
                 )
-            K = np.empty((7, y.size), dtype=np.complex128)
-            K[0] = self._f0
-            for i in range(1, 7):
-                K[i] = self._eval(self.t + _C[i] * h, y + h * (_A_ROWS[i] @ K[:i]))
-            y_new = y + h * (_B @ K)
-            err = _rms(h * (_E @ K) / self._scale(y, y_new))
+            if self.linear:
+                R = (_POWER * h ** _POWER_EXP).dot(U_re).view(_C128)
+                y_new = y + R[0]
+                abs_new = np.abs(y_new)
+                ratio = np.abs(R[1]) / (self.opts.atol
+                                        + self.opts.rtol * np.maximum(self._abs_y, abs_new))
+                err = math.sqrt(ratio.dot(ratio) / ratio.size) if ratio.size else 0.0
+            else:
+                K = np.empty((7, y.size), dtype=np.complex128)
+                K[0] = self._f0
+                for i in range(1, 7):
+                    K[i] = self._eval(self.t + _C[i] * h, y + h * (_A_ROWS[i] @ K[:i]))
+                y_new = y + h * (_B @ K)
+                err = _rms(h * (_E @ K) / self._scale(y, y_new))
             if err <= 1.0:
                 # PI controller (accepted): grow within [0.2, 5].
                 if err == 0.0:
@@ -304,14 +387,21 @@ class DP54Stepper:
                     factor = min(
                         5.0, max(0.2, 0.9 * err ** (-0.17) * self._err_prev**0.04)
                     )
-                seg = DenseSegment(self.t, self.t + h, y.copy(), K)
+                if self.linear:
+                    seg = DenseSegment(self.t, self.t + h, y, U, h)
+                    self._f0 = R[2]
+                    self._abs_y = abs_new
+                else:
+                    seg = DenseSegment(self.t, self.t + h, y, K)
+                    self._f0 = K[6]  # FSAL
                 self.t = self.t + h
                 self.y = y_new
-                self._f0 = K[6]  # FSAL
                 self._err_prev = max(err, 1e-4)
                 self._h = h * factor
                 self.segment = seg
+                self.accepted += 1
                 return seg
+            self.rejected += 1
             self._h = h * max(0.2, 0.9 * err ** (-0.2))
 
     def state(self) -> tuple:
@@ -319,16 +409,18 @@ class DP54Stepper:
 
         :meth:`step` rebinds ``y`` and the FSAL derivative ``f0`` and never
         writes either in place, so the tuple holds ``y`` itself.  ``f0`` is a
-        row of the last step's stage matrix; it is copied, so a held state keeps
-        two vectors alive and not that matrix.
+        row of the last step's stage matrix (power form: of its ``(3, n)``
+        result); it is copied, so a held state keeps two vectors alive and not
+        that matrix.
         """
         return self.t, self.y, self._f0.copy(), self._h, self._err_prev
 
     def resume(self, state: tuple) -> None:
         """Continue from a :meth:`state` of a stepper with the same ``rhs``,
-        options and ``t_end``; the next :meth:`step` then has that stepper's bits."""
+        options, ``t_end`` and form; the next :meth:`step` then has that stepper's bits."""
         self.t, self.y, self._f0, self._h, self._err_prev = state
         self.segment = None
+        self._abs_y = None
 
     def interpolate(self, t: float) -> np.ndarray:
         """Evaluate the solution inside the most recent step."""
@@ -361,9 +453,10 @@ def advance(stepper: DP54Stepper, tlist, nsteps: int, on_step=None, done: int = 
     was resumed, already count towards the first of them.
 
     ``on_step(stepper, seg)`` is called after every accepted step and may
-    return a newly constructed stepper, which carries the integration on from
-    its own start (a quantum jump restarts a trajectory this way).  Output
-    times before that start are read from ``seg``, the step it cut short.
+    return a newly constructed stepper, or ``stepper`` itself after
+    :meth:`DP54Stepper.resume`, which carries the integration on from its own
+    start (a quantum jump restarts a trajectory this way).  Output times
+    before that start are read from ``seg``, the step it cut short.
     """
     cut_seg, t_cut = None, -np.inf
     for j, target in enumerate(tlist):

@@ -166,7 +166,8 @@ def _mcwf_trajectory(
     argument but ``rng`` and ``r_first``, and return what they return without it."""
     t_end = float(tlist[-1])
     r = rng.uniform() if r_first is None else r_first
-    last = DP54Stepper(drift_evo.matvec, float(tlist[0]), psi0, integ_opts, t_end)
+    linear = drift_evo.isconstant
+    last = DP54Stepper(drift_evo.matvec, float(tlist[0]), psi0, integ_opts, t_end, linear)
     jumps: list[tuple[float, int]] = []
     ratios: list[float] = []
     expect = [np.empty(tlist.size, dtype=complex) for _ in e_mats]
@@ -188,8 +189,9 @@ def _mcwf_trajectory(
             done = n - path.reads[j0 - 1]
 
     def jump(stepper, seg):
-        """Once the norm has fallen to ``r``, jump and restart from the jump time;
-        before that, extend the record past its frontier."""
+        """Once the norm has fallen to ``r``, jump and restart from the jump time, or
+        renormalise where no channel can act; before that, extend the record past
+        its frontier."""
         nonlocal r, last, n
         norm2 = _norm(stepper.y) ** 2
         if norm2 <= r:
@@ -198,8 +200,16 @@ def _mcwf_trajectory(
             psi_j = seg(t_jump)
             weights = np.array([ch.weight(t_jump, psi_j) for ch in channels])
             total = float(weights.sum())
-            if not np.isfinite(total) or total <= 0.0:
-                raise SolverError(f"no jump channel has positive weight at t={t_jump:.6g}")
+            if not np.isfinite(total):
+                raise SolverError(f"jump channel weights are not finite at t={t_jump:.6g}")
+            if total <= 0.0:
+                # No channel can act, so the norm fell by integration error only:
+                # renormalise (exact, the drift being linear) and draw a fresh threshold.
+                t, y, f0, h, err = stepper.state()
+                nrm = _norm(y)
+                stepper.resume((t, y / nrm, f0 / nrm, h, err))
+                r = rng.uniform()
+                return stepper
             u = rng.uniform() * total
             k = int(np.searchsorted(np.cumsum(weights), u, side="right"))
             k = min(k, len(channels) - 1)
@@ -211,7 +221,7 @@ def _mcwf_trajectory(
             if channels[k].ratio_fn is not None:
                 ratios.append(float(channels[k].ratio_fn(t_jump)))
             r = rng.uniform()
-            last = DP54Stepper(drift_evo.matvec, t_jump, psi_new / nrm, integ_opts, t_end)
+            last = DP54Stepper(drift_evo.matvec, t_jump, psi_new / nrm, integ_opts, t_end, linear)
             return last
         if n is not None:  # past the frontier: a resumed trajectory crosses at its next step
             n += 1

@@ -94,7 +94,8 @@ class Solver:
             )
         else:
             holder = {"args": args}
-            stepper = DP54Stepper(self._rhs(holder), float(tlist[0]), y0, integ, float(tlist[-1]))
+            stepper = DP54Stepper(self._rhs(holder), float(tlist[0]), y0, integ, float(tlist[-1]),
+                                  linear=self.rhs_evo.isconstant)
             ys = (y for _, _, y in advance(stepper, tlist, integ.nsteps))
         for j, y in enumerate(ys):
             for series, ev in zip(expect_out, evaluators):
@@ -111,6 +112,8 @@ class Solver:
         stats = {
             "solver": self.name,
             "rhs_evaluations": 0 if stepper is None else stepper.nfev,
+            "accepted_steps": 0 if stepper is None else stepper.accepted,
+            "rejected_steps": 0 if stepper is None else stepper.rejected,
             "run_time": time.perf_counter() - t_start,
         }
         return self._result(
@@ -135,9 +138,8 @@ class Solver:
         holder = {"args": args}
         # The session integrates on demand; the domain end is unknown, so use
         # a far horizon and clamp steps per step() target instead.
-        stepper = DP54Stepper(
-            self._rhs(holder), float(t0), self._pack(state0), self.options.integrator, np.inf
-        )
+        stepper = DP54Stepper(self._rhs(holder), float(t0), self._pack(state0),
+                              self.options.integrator, np.inf, linear=self.rhs_evo.isconstant)
         self._session = (stepper, holder)
 
     def step(self, t: float, args=None) -> Qobj:

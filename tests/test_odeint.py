@@ -132,6 +132,106 @@ class TestStepperContract:
             solver.step(0.5)
 
 
+class TestStepCounters:
+    """``accepted_steps`` and ``rejected_steps`` in ``Solver.run``'s stats, and
+    the RHS calls they account for once the first step is estimated (two calls)."""
+
+    @staticmethod
+    def cavity(g, driven):
+        a = q.destroy(5)
+        H = (q.QobjEvo([a.dag() @ a, [a + a.dag(), lambda t: np.cos(3 * t)]]) if driven
+             else a.dag() @ a + 0.5 * (a + a.dag()))
+        return q.mesolve(H, q.basis(5, 0), np.linspace(0, 3, 7), c_ops=[np.sqrt(g) * a],
+                         e_ops=[a.dag() @ a])
+
+    def test_stage_form_calls_the_rhs_on_every_attempt(self):
+        stats = self.cavity(50.0, driven=True).stats
+        assert stats["rejected_steps"] >= 1
+        assert stats["rhs_evaluations"] == 2 + 6 * (stats["accepted_steps"]
+                                                    + stats["rejected_steps"])
+
+    def test_power_form_calls_the_rhs_on_accepted_steps_only(self):
+        stats = self.cavity(10.0, driven=False).stats
+        assert stats["rejected_steps"] >= 1
+        assert stats["rhs_evaluations"] == 2 + 6 * stats["accepted_steps"]
+
+    @pytest.mark.parametrize("solve", [
+        lambda o: q.sesolve(q.sigmax(), q.basis(2, 0), [0, 1], options=o),
+        lambda o: q.mesolve(q.sigmax(), q.basis(2, 0), [0, 1], [q.sigmam()], options=o),
+        lambda o: q.brmesolve(q.sigmax(), [(q.sigmax(), lambda w: 0.1)], q.basis(2, 0), [0, 1],
+                              options=o),
+        lambda o: q.heomsolve(q.sigmax(), _HEOM_BATH, q.basis(2, 0), [0, 1], n_c=1, options=o),
+    ], ids=["sesolve", "mesolve", "brmesolve", "heomsolve"])
+    def test_every_deterministic_solver_reports_them(self, solve):
+        stats = solve({}).stats
+        assert stats["accepted_steps"] > 0 and stats["rejected_steps"] >= 0
+        assert stats["rhs_evaluations"] == 2 + 6 * stats["accepted_steps"]
+        diag = solve({"method": "diag_expm"}).stats
+        assert (diag["accepted_steps"], diag["rejected_steps"], diag["rhs_evaluations"]) == (0, 0, 0)
+
+
+def _random_generator(rng, n, stiff):
+    """A random constant generator; ``stiff`` adds a decaying diagonal whose
+    fastest rate is 94, about the largest ``|Re λ|`` of the HEOM test hierarchies."""
+    L = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if stiff:
+        rates = np.concatenate([[94.0], rng.uniform(0.0, 94.0, n - 1)])
+        L = 0.3 * L - np.diag(rates - 1j * rng.normal(size=n))
+    return L
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), stiff=st.booleans())
+def test_power_form_matches_the_stage_form_oracle(seed, n, stiff):
+    """The power-form step against ``loop_step`` on one constant ``L``, each step
+    taken by both from the power form's state: the same accepted and rejected
+    attempts, the new state and the dense output within 1e-13 of the largest
+    state seen, and a ``state()``/``resume()`` round trip bit for bit.
+
+    The stage form's error estimate cancels to about 1e-10 relative, so after
+    a rejection the two retried step sizes differ in their last bits; the
+    states are compared at the oracle's time.  The power form carries the
+    FSAL derivative and not ``L y``, so its rounding does not decay with a
+    decaying state: hence the largest state seen as the scale."""
+    rng = np.random.default_rng(seed)
+    L = _random_generator(rng, n, stiff)
+    y0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+    opts = IntegratorOptions(atol=1e-8, rtol=1e-6)
+
+    def rhs(t, y):
+        return L @ y
+
+    power = DP54Stepper(rhs, 0.0, y0, opts, 2.0, linear=True)
+    stage = DP54Stepper(rhs, 0.0, y0, opts, 2.0)
+    assert power.nfev == stage.nfev
+    size = np.max(np.abs(y0))
+    while power.t < power.t_end and power.accepted < 25:
+        stage.resume(power.state())
+        seg = power.step()
+        oracle = loop_step(stage)
+        assert (power.accepted, power.rejected) == (stage.accepted, stage.rejected)
+        size = max(size, np.max(np.abs(stage.y)))
+        h = oracle.t_new - oracle.t_old
+        assert abs(power.t - stage.t) <= 1e-9 * h
+        assert np.max(np.abs(seg(stage.t) - stage.y)) <= 1e-13 * size
+        for x in (0.25, 0.5, 0.75):
+            t = oracle.t_old + x * h
+            assert np.max(np.abs(seg(t) - oracle(t))) <= 1e-13 * size
+    assert power.nfev == stage.nfev - 6 * stage.rejected
+
+    if power.t < power.t_end:
+        twin = DP54Stepper(rhs, 0.0, y0, opts, 2.0, linear=True)
+        twin.resume(power.state())
+        for _ in range(3):
+            if power.t >= power.t_end:
+                break
+            a, b = power.step(), twin.step()
+            assert (a.t_old, a.t_new) == (b.t_old, b.t_new)
+            assert power.y.tobytes() == twin.y.tobytes()
+            mid = 0.5 * (a.t_old + a.t_new)
+            assert a(mid).tobytes() == b(mid).tobytes()
+
+
 class TestPropagateDiag:
     def test_diagonal_decay(self):
         L = np.diag([-1.0, -2.0]).astype(complex)
@@ -488,9 +588,10 @@ def test_malformed_input_is_a_typed_error(data):
 def loop_step(self):
     """``DP54Stepper.step`` as it was before the stages became one tableau-row
     product each: a Python loop over the nonzero tableau entries, and the
-    ``mean(abs(v)**2)`` RMS norm.  It is the oracle the tableau-product step
-    is compared with; stage ``K`` is 2-D for the 1-D states the stepper
-    takes, so it needs no flattening."""
+    ``mean(abs(v)**2)`` RMS norm, in stage form whatever the stepper's form.
+    It is the oracle the tableau-product and power-form steps are compared
+    with; stage ``K`` is 2-D for the 1-D states the stepper takes, so it
+    needs no flattening."""
     if self.t >= self.t_end:
         raise RuntimeError("stepper already reached the end of its domain")
     while True:
@@ -532,7 +633,9 @@ def loop_step(self):
             self._err_prev = max(err, 1e-4)
             self._h = h * factor
             self.segment = seg
+            self.accepted += 1
             return seg
+        self.rejected += 1
         self._h = h * max(0.2, 0.9 * err ** (-0.2))
 
 
@@ -708,13 +811,13 @@ ENSEMBLE_CASES = {
 
 ENSEMBLE_DIGESTS = {
     "mcsolve_mixture":
-        "b12810509743b82b9cc4238bad48bee2a4600113c92dae87f2fb3e045adca2d9",
+        "a1a87f2e296dca9bb3428718b64697f0adc8f127406b160071ab413fb947f96e",
     "mcsolve_mixture_improved":
-        "7b1e5b52a3d0e2c66a26543b4c0458b9b4bf97852d0414419ed6e85d9d0e1ce6",
+        "731b70b48e240f1104ed8b61665080f49d8f867abdfb60919c840de031c3a88e",
     "mcsolve_target_tol":
-        "6151b7e83d1d3cfad5215e0d40c12900781d9336adc2c90c69e75bb2241986ce",
+        "ae30028955b45b082bc1dbc295c9ad9e24afc15ef06171be893659fb949c56f5",
     "mcsolve_states_only":
-        "9df105f2672667e136965b7e2a92142b15202cefe8e3d9e33998e3649be2007b",
+        "640815d96db474fe3c36aec54850c87731d75c5c9046b831f55bbdd497f3c24e",
     "mcsolve_time_dependent_rate":
         "0b2259aa2193354eb7e605a1209bf1290508c69a77a6357c14dc414e89b20de9",
     "nm_mcsolve_runs_states":
@@ -770,6 +873,9 @@ class TestDenseOutputBytes:
     bounds the change against the loop it replaced).  Building the
     interpolant coefficients only for the steps that are evaluated, and
     running every solver on the one ``advance`` loop, did not change a bit.
+    The digests of solves with a constant generator (mcsolve with constant
+    collapse operators, heomsolve, constant mesolve) were re-recorded again
+    when those solves moved to the power-form step, behind the same oracle.
     """
 
     @staticmethod
@@ -785,7 +891,8 @@ class TestDenseOutputBytes:
     @staticmethod
     def run_recorded(name, step, monkeypatch):
         """Run one case with ``step`` as ``DP54Stepper.step``; return its
-        outputs, total RHS calls, accepted steps and per-trajectory jump channels."""
+        outputs, total RHS calls, accepted steps, per-trajectory jump channels
+        and rejected attempts (of all steppers, and of power-form ones)."""
         steppers, steps, channels = [], [0], []
         init = DP54Stepper.__init__
 
@@ -812,17 +919,24 @@ class TestDenseOutputBytes:
             groups, res = DP54_CASES[name]()
         finally:
             monkeypatch.undo()
-        return groups, res, sum(s.nfev for s in steppers), steps[0], channels
+        rejected = (sum(s.rejected for s in steppers),
+                    sum(s.rejected for s in steppers if s.linear))
+        return groups, res, sum(s.nfev for s in steppers), steps[0], channels, rejected
 
     @pytest.mark.parametrize("name", list(DP54_CASES))
     def test_tableau_step_matches_loop_step(self, name, monkeypatch):
-        old, old_res, old_nfev, old_steps, old_jumps = self.run_recorded(
+        old, old_res, old_nfev, old_steps, old_jumps, old_rejected = self.run_recorded(
             name, loop_step, monkeypatch)
-        new, new_res, new_nfev, new_steps, new_jumps = self.run_recorded(
+        new, new_res, new_nfev, new_steps, new_jumps, new_rejected = self.run_recorded(
             name, DP54Stepper.step, monkeypatch)
-        assert (new_nfev, new_steps) == (old_nfev, old_steps)
+        # A power-form step forms its six products once, so its rejected
+        # attempts make no RHS call; the stage form spends six on each.
+        saved = 6 * old_rejected[1]
+        assert new_steps == old_steps
+        assert new_rejected == old_rejected
+        assert new_nfev == old_nfev - saved
         if old_res is not None and "rhs_evaluations" in old_res.stats:
-            assert new_res.stats["rhs_evaluations"] == old_res.stats["rhs_evaluations"]
+            assert new_res.stats["rhs_evaluations"] == old_res.stats["rhs_evaluations"] - saved
         assert new_jumps == old_jumps
         for group in old:
             tol = MC_TOL[group] if name in MC_CASES else DET_TOL
@@ -832,7 +946,7 @@ class TestDenseOutputBytes:
 
     def test_mcsolve(self):
         assert self.dp54_digest("mcsolve") == (
-            "fcd23b38af2fffa74c92214f58bdd86665ea0b4b0bf396343d2b504b1d3084a9"
+            "5c7d587c11255c1e738e2e64ce6776732aef9a38ea25f1f04a457e934db64406"
         )
 
     @pytest.mark.parametrize("name", list(ENSEMBLE_CASES))
@@ -842,7 +956,7 @@ class TestDenseOutputBytes:
 
     def test_heomsolve(self):
         assert self.dp54_digest("heomsolve") == (
-            "a23ef0d26b9038e16ec090542696c6a79affd947887fb890979a3f1e6fb0f4ff"
+            "0297d1049bc25425d30fa0ccf96406a1685da644c0fb7c5f1d4c7eb6e468ef2b"
         )
 
     def test_mesolve_time_dependent(self):
@@ -867,19 +981,19 @@ class TestDenseOutputBytes:
 
     def test_heomsolve_states_and_ados(self):
         groups, res = case_heomsolve_states_and_ados()
-        assert res.stats["rhs_evaluations"] == 350
+        assert res.stats["rhs_evaluations"] == 344
         assert self.digest_arrays(_flat(groups)) == (
-            "3fc94d81c06eecec99cc4a2a7b3be753c3869b09bc28c014c0ad76a7480bbfe7"
+            "fc997ed968b1fc2f4a332c0cb6eead875de52ef5827cdeb98fa8854024478494"
         )
 
     def test_mcsolve_runs_photocurrent_states(self):
         assert self.dp54_digest("mcsolve_runs_photocurrent_states") == (
-            "d4432dc8124cf9c5880b9cae7afd158fa91cea1bee910522b49e197223a878af"
+            "36fe2cde62a258b0763e9c76309e6e2c3eef0e929ba7640ee6be8ed10f3a0a46"
         )
 
     def test_mesolve_constant(self):
         assert self.dp54_digest("mesolve_constant") == (
-            "b2d270d5e159302b353d3e5f2a7507c569449f25c7297705e4c8725d98a2d7a6"
+            "e2e40a2c5cb7387e5b9a08cf1ac2508242754739334df78d7a939604867b1c79"
         )
 
     @staticmethod

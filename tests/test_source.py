@@ -1,6 +1,7 @@
 """Source checks: every failure the package raises is a typed ``OqsimError``, the
-trajectory solvers share one ensemble reduction and one stop check, and
-``integrator.advance`` is the only loop that steps a ``DP54Stepper``."""
+trajectory solvers share one ensemble reduction and one stop check,
+``integrator.advance`` is the only loop that steps a ``DP54Stepper``, and no
+class derives from ``DP54Stepper``."""
 
 import ast
 import pathlib
@@ -96,3 +97,34 @@ def test_the_gate_sees_a_stray_step(tmp_path):
     other = tmp_path / "mcsolve.py"
     other.write_text(module.read_text())
     assert stray_steps(other) == ["mcsolve.py:2", "mcsolve.py:5"]
+
+
+def stepper_subclasses(path: pathlib.Path) -> list[str]:
+    """``file:line name`` of every class with ``DP54Stepper`` among its bases.
+
+    The stepper takes its form from a constructor argument.  A subclass with a
+    ``step`` of its own would bypass the hooks that time and count
+    ``DP54Stepper.step`` (the benchmark's tracer patches the class attribute).
+    """
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ClassDef):
+            names = {b.attr if isinstance(b, ast.Attribute) else getattr(b, "id", None)
+                     for b in node.bases}
+            if "DP54Stepper" in names:
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: p.name)
+def test_no_stepper_subclass(path):
+    assert stepper_subclasses(path) == []
+
+
+def test_the_gate_sees_a_stepper_subclass(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from . import integrator\nfrom .integrator import DP54Stepper\n\n"
+                      "class Power(DP54Stepper):\n    def step(self):\n        pass\n\n"
+                      "class Other(integrator.DP54Stepper):\n    pass\n\n"
+                      "class Plain(object):\n    pass\n")
+    assert stepper_subclasses(module) == ["m.py:4 Power", "m.py:8 Other"]

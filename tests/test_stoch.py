@@ -196,6 +196,22 @@ class TestMcsolve:
             assert abs(got.tr() - 1) < 1e-10
             assert np.max(np.abs(got.full() - want.full())) < 0.15
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("rtol, atol", [(1e-3, 1e-5), (1e-4, 1e-6)])
+    def test_a_state_no_channel_can_leave_never_jumps(self, seed, rtol, atol):
+        # The integrated no-jump norm drifts below 1, so a threshold above the
+        # drift is crossed where every channel weight is 0.  Such a trajectory
+        # renormalises and draws a new threshold; it does not jump or raise.
+        ts = np.linspace(0, 5, 11)
+        res = q.mcsolve(q.sigmaz(), q.basis(2, 1), ts, [q.sigmam()], [q.sigmaz()],
+                        {"ntraj": 3000, "seed": seed, "rtol": rtol, "atol": atol,
+                         "store_states": True})
+        assert np.array_equal(res.expect[0], -np.ones(ts.size))
+        assert not np.any(res.photocurrent[0])
+        dark = q.basis(2, 1).proj().full()
+        for rho in res.average_states:
+            assert np.max(np.abs(rho.full() - dark)) < 1e-12
+
 
 class TestJumpOutputOrder:
     def test_outputs_before_a_jump_read_the_pre_jump_state(self):
