@@ -221,9 +221,9 @@ _ALPHA_EXACT = _stage_powers()
 _ALPHA = np.array(_ALPHA_EXACT, dtype=float)
 # Power form: with ``U[m] = L^(m+1) y``, the increment ``h B @ K``, the error
 # ``h E @ K`` and the next FSAL derivative ``K[6]`` are the rows of
-# ``(_POWER * h ** _POWER_EXP) @ U``.  The increment row holds the Taylor
-# coefficients of DOPRI5's stability polynomial, and the error row is exactly
-# 0 below ``h^5``.
+# ``(_POWER * h ** _POWER_EXP) @ U``.  The increment row holds the
+# coefficients of ``(R(z) - 1) / z`` for DOPRI5's stability polynomial ``R``,
+# and the error row is exactly 0 below ``h^5``.
 _POWER = np.array(
     [[float(sum(w * a[m] for w, a in zip(weights, _ALPHA_EXACT))) for m in range(7)]
      for weights in (_A_EXACT[6], _E_EXACT)] + [_ALPHA[6]]
@@ -389,7 +389,7 @@ class DP54Stepper:
                     )
                 if self.linear:
                     seg = DenseSegment(self.t, self.t + h, y, U, h)
-                    self._f0 = R[2]
+                    self._f0 = R[2].copy()  # a view would keep all of R alive
                     self._abs_y = abs_new
                 else:
                     seg = DenseSegment(self.t, self.t + h, y, K)
@@ -408,10 +408,9 @@ class DP54Stepper:
         """What the next :meth:`step` reads: ``(t, y, f0, h, err_prev)``.
 
         :meth:`step` rebinds ``y`` and the FSAL derivative ``f0`` and never
-        writes either in place, so the tuple holds ``y`` itself.  ``f0`` is a
-        row of the last step's stage matrix (power form: of its ``(3, n)``
-        result); it is copied, so a held state keeps two vectors alive and not
-        that matrix.
+        writes either in place, so the tuple holds ``y`` itself.  In the stage
+        form ``f0`` is a row of the last step's stage matrix; it is copied, so
+        a held state keeps two vectors alive and not that matrix.
         """
         return self.t, self.y, self._f0.copy(), self._h, self._err_prev
 

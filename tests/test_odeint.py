@@ -170,6 +170,16 @@ class TestStepCounters:
         assert (diag["accepted_steps"], diag["rejected_steps"], diag["rhs_evaluations"]) == (0, 0, 0)
 
 
+def test_power_coefficients_are_the_stability_polynomial():
+    # DOPRI5: R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 + z^5/120 + z^6/600; the
+    # FSAL derivative is R(z) applied to L y, and the error terms start at h^5.
+    from oqsim.integrator import _POWER
+
+    R = [1, 1, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 600]
+    assert _POWER.tolist() == [R[1:] + [0.0], [0, 0, 0, 0, -97 / 120000, 13 / 40000, -1 / 24000],
+                               R]
+
+
 def _random_generator(rng, n, stiff):
     """A random constant generator; ``stiff`` adds a decaying diagonal whose
     fastest rate is 94, about the largest ``|Re λ|`` of the HEOM test hierarchies."""
