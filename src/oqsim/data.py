@@ -7,8 +7,10 @@ module-level functions that accept any mix of formats, convert operands as
 needed, and return a result in the format selected by the promotion rule
 (dense > csr > dia, i.e. the denser operand wins).
 
-Conversions between formats are mathematically lossless.  Only dense<->csr and
-dense<->dia kernels exist; csr<->dia routes through dense.
+Every format change goes through one function, ``_coerce``: building from an
+array, :func:`convert` and the results of arithmetic alike.  Conversions are
+lossless, and a conversion between the two sparse formats never allocates a
+dense matrix.
 
 The heavy kernels (products, eigensolves, LU, matrix exponential) are backed by
 NumPy/SciPy; this module owns the format tagging, dispatch and promotion layer
@@ -17,6 +19,7 @@ on top of them.
 
 from __future__ import annotations
 
+import functools
 import numbers
 
 import numpy as np
@@ -129,9 +132,8 @@ class DataMatrix:
         length = min(n, m)
         offsets = np.asarray(self._m.offsets, dtype=np.int64)
         rows = np.zeros((len(offsets), length), dtype=np.complex128)
-        dense = self._m.toarray()
         for k, off in enumerate(offsets):
-            d = np.diagonal(dense, offset=off)
+            d = self._m.diagonal(off)
             rows[k, : len(d)] = d
         return offsets, rows
 
@@ -160,25 +162,35 @@ def _canonical_csr(m) -> sp.csr_matrix:
 
 def _canonical_dia(m) -> sp.dia_matrix:
     # Route through CSC: scipy's .todia() emits unique, ascending offsets.
-    # scipy warns when many diagonals are stored; the format choice is the
-    # caller's, so the warning is suppressed here.
+    # Stored zeros are dropped first, so the offsets are exactly the nonzero
+    # diagonals (a copy keeps a CSC input untouched).  scipy warns when many
+    # diagonals are stored; the format choice is the caller's, so the warning
+    # is suppressed here.
     import warnings
 
+    m = sp.csc_matrix(m, dtype=np.complex128, copy=True)
+    m.eliminate_zeros()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", sp.SparseEfficiencyWarning)
-        return sp.csc_matrix(m, dtype=np.complex128).todia()
+        return m.todia()
+
+
+def _coerce(raw, fmt: str) -> DataMatrix:
+    """Give a raw ndarray or scipy sparse matrix a format: the one conversion path."""
+    if fmt == "dense":
+        if sp.issparse(raw):
+            raw = raw.toarray()
+        return DataMatrix(_canonical_dense(raw), "dense")
+    if fmt == "csr":
+        return DataMatrix(_canonical_csr(raw), "csr")
+    if fmt == "dia":
+        return DataMatrix(_canonical_dia(raw), "dia")
+    raise RangeError(f"unknown data format {fmt!r}; expected one of {FORMATS}")
 
 
 def from_array(arr, fmt: str = "dense") -> DataMatrix:
     """Build a DataMatrix from any array-like, in the requested format."""
-    dense = _canonical_dense(arr)
-    if fmt == "dense":
-        return DataMatrix(dense, "dense")
-    if fmt == "csr":
-        return DataMatrix(_canonical_csr(dense), "csr")
-    if fmt == "dia":
-        return DataMatrix(_canonical_dia(dense), "dia")
-    raise RangeError(f"unknown data format {fmt!r}")
+    return _coerce(_canonical_dense(arr), fmt)
 
 
 def identity_data(n: int, fmt: str = "csr", scale: complex = 1.0) -> DataMatrix:
@@ -189,45 +201,16 @@ def identity_data(n: int, fmt: str = "csr", scale: complex = 1.0) -> DataMatrix:
 
 
 def zeros_data(nrows: int, ncols: int, fmt: str = "csr") -> DataMatrix:
-    if fmt == "dense":
-        return DataMatrix(np.zeros((nrows, ncols), dtype=np.complex128, order="F"), "dense")
-    if fmt == "csr":
-        return DataMatrix(sp.csr_matrix((nrows, ncols), dtype=np.complex128), "csr")
-    return DataMatrix(sp.dia_matrix((nrows, ncols), dtype=np.complex128), "dia")
+    return _coerce(sp.csr_matrix((nrows, ncols), dtype=np.complex128), fmt)
 
 
 def convert(m: DataMatrix, fmt: str) -> DataMatrix:
-    """Convert to the target format; entries are preserved exactly.
-
-    Direct kernels exist for dense<->csr and dense<->dia; the csr<->dia pair
-    routes through dense.
-    """
-    if fmt not in FORMATS:
-        raise RangeError(f"unknown data format {fmt!r}")
-    if m.fmt == fmt:
-        return m
-    if m.fmt == "dense":
-        if fmt == "csr":
-            return DataMatrix(_canonical_csr(m._m), "csr")
-        return DataMatrix(_canonical_dia(m._m), "dia")
-    if fmt == "dense":
-        return DataMatrix(np.asfortranarray(m._m.toarray()), "dense")
-    # sparse -> sparse goes through the dense hub
-    return convert(convert(m, "dense"), fmt)
+    """Convert to the target format; entries are preserved exactly."""
+    return m if m.fmt == fmt else _coerce(m._m, fmt)
 
 
 def _result_format(a: DataMatrix, b: DataMatrix) -> str:
     return a.fmt if _DENSITY[a.fmt] >= _DENSITY[b.fmt] else b.fmt
-
-
-def _coerce(raw, fmt: str) -> DataMatrix:
-    if fmt == "dense":
-        if sp.issparse(raw):
-            raw = raw.toarray()
-        return DataMatrix(_canonical_dense(raw), "dense")
-    if fmt == "csr":
-        return DataMatrix(_canonical_csr(raw), "csr")
-    return DataMatrix(_canonical_dia(raw), "dia")
 
 
 def add(a: DataMatrix, b: DataMatrix, scale: complex = 1.0) -> DataMatrix:
@@ -270,16 +253,18 @@ def kron(a: DataMatrix, b: DataMatrix) -> DataMatrix:
     return _coerce(raw, fmt)
 
 
+# NumPy arrays and scipy sparse matrices share .conjugate(), .transpose() and
+# .diagonal(), so the involutions and the trace need no format branch.
 def adjoint(m: DataMatrix) -> DataMatrix:
-    return _coerce(m._m.conj().T if m.fmt == "dense" else m._m.conjugate().transpose(), m.fmt)
+    return _coerce(m._m.conjugate().transpose(), m.fmt)
 
 
 def transpose(m: DataMatrix) -> DataMatrix:
-    return _coerce(m._m.T if m.fmt == "dense" else m._m.transpose(), m.fmt)
+    return _coerce(m._m.transpose(), m.fmt)
 
 
 def conjugate(m: DataMatrix) -> DataMatrix:
-    return _coerce(m._m.conj() if m.fmt == "dense" else m._m.conjugate(), m.fmt)
+    return _coerce(m._m.conjugate(), m.fmt)
 
 
 _UNARY = {"adjoint": adjoint, "transpose": transpose, "conjugate": conjugate}
@@ -296,8 +281,6 @@ def unary(m: DataMatrix, kind: str) -> DataMatrix:
 def trace(m: DataMatrix) -> complex:
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"trace requires a square matrix, got {m.shape}")
-    if m.fmt == "dense":
-        return complex(np.trace(m._m))
     return complex(m._m.diagonal().sum())
 
 
@@ -395,35 +378,30 @@ def solve_linear(
     bd = b.to_array()
 
     if method == "direct_lu":
-        if A.fmt != "dense" and A.shape[0] > 64:
+        if A.fmt == "dense":
+            try:
+                lu = scipy.linalg.lu_factor(A._m)
+            except scipy.linalg.LinAlgError as exc:
+                raise SingularMatrixError(str(exc)) from exc
+            pivots, solve = np.diag(lu[0]), functools.partial(scipy.linalg.lu_solve, lu)
+        else:
             try:
                 lu = spla.splu(sp.csc_matrix(A._m))
             except RuntimeError as exc:
                 raise SingularMatrixError(f"sparse LU failed: {exc}") from exc
-            umin = np.min(np.abs(lu.U.diagonal()))
-            if umin <= 1e-14 * scale:
-                raise SingularMatrixError(
-                    f"pivot {umin:.3e} below 1e-14 * max|A| = {1e-14 * scale:.3e}"
-                )
-            x = lu.solve(bd)
-        else:
-            try:
-                lu, piv = scipy.linalg.lu_factor(A.to_array())
-            except scipy.linalg.LinAlgError as exc:
-                raise SingularMatrixError(str(exc)) from exc
-            umin = np.min(np.abs(np.diag(lu)))
-            if umin <= 1e-14 * scale:
-                raise SingularMatrixError(
-                    f"pivot {umin:.3e} below 1e-14 * max|A| = {1e-14 * scale:.3e}"
-                )
-            x = scipy.linalg.lu_solve((lu, piv), bd)
+            pivots, solve = lu.U.diagonal(), lu.solve
+        umin = np.min(np.abs(pivots))
+        if umin <= 1e-14 * scale:
+            raise SingularMatrixError(
+                f"pivot {umin:.3e} below 1e-14 * max|A| = {1e-14 * scale:.3e}"
+            )
+        x = solve(bd)
         return DataMatrix(np.asfortranarray(np.atleast_2d(x.reshape(bd.shape))), "dense")
 
     if method == "iterative_gmres":
-        op = A._m if A.fmt != "dense" else A.to_array()
         cols = []
         for j in range(bd.shape[1]):
-            x, info = spla.gmres(op, bd[:, j], rtol=rtol, atol=0.0, maxiter=maxiter)
+            x, info = spla.gmres(A._m, bd[:, j], rtol=rtol, atol=0.0, maxiter=maxiter)
             if info != 0:
                 raise ConvergenceError(
                     f"GMRES did not converge for column {j} (info={info})"

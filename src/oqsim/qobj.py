@@ -102,7 +102,7 @@ class Qobj:
         return self.data.to_array()
 
     def diag(self) -> np.ndarray:
-        return np.diagonal(self.full()).copy()
+        return self.data.scipy_matrix().diagonal().copy()
 
     def to(self, fmt: str) -> "Qobj":
         """Convert the data layer to the given format."""
@@ -129,7 +129,8 @@ class Qobj:
             _d.identity_data(self.shape[0], self.dtype, complex(value)), dims=self.dims
         )
 
-    def __add__(self, other):
+    def _add(self, other, scale: float):
+        """``self + scale * other`` for ``scale`` 1 (add) or -1 (subtract)."""
         if isinstance(other, numbers.Number):
             if other == 0:
                 return self.copy()
@@ -137,25 +138,19 @@ class Qobj:
         if not isinstance(other, Qobj):
             return NotImplemented
         if self.dims != other.dims:
+            verb = "add" if scale == 1.0 else "subtract"
             raise DimensionMismatchError(
-                f"cannot add objects with dims {self.dims.as_list()} and {other.dims.as_list()}"
+                f"cannot {verb} objects with dims {self.dims.as_list()} and {other.dims.as_list()}"
             )
-        return Qobj(_d.add(self.data, other.data), dims=self.dims)
+        return Qobj(_d.add(self.data, other.data, scale), dims=self.dims)
+
+    def __add__(self, other):
+        return self._add(other, 1.0)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, numbers.Number):
-            if other == 0:
-                return self.copy()
-            other = self._scalar_to_like(other)
-        if not isinstance(other, Qobj):
-            return NotImplemented
-        if self.dims != other.dims:
-            raise DimensionMismatchError(
-                f"cannot subtract objects with dims {self.dims.as_list()} and {other.dims.as_list()}"
-            )
-        return Qobj(_d.add(self.data, other.data, -1.0), dims=self.dims)
+        return self._add(other, -1.0)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -220,11 +215,11 @@ class Qobj:
         """Vector 2-norm for states, trace norm for operators (overridable)."""
         if kind is None:
             kind = "l2" if self.kind in ("ket", "bra", "operator_ket", "operator_bra") else "tr"
+        if kind == "max":
+            return _d.max_abs(self.data)
         a = self.full()
         if kind == "l2":
             return float(np.linalg.norm(a))
-        if kind == "max":
-            return float(np.max(np.abs(a)))
         if kind == "fro":
             return float(np.linalg.norm(a, "fro"))
         if kind == "tr":

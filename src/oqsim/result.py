@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import ArgumentError
-from .qobj import Qobj, expect
+from .qobj import Qobj
 
 __all__ = ["SolveResult", "MultiTrajResult", "normalize_e_ops"]
 
@@ -126,8 +126,3 @@ class MultiTrajResult(SolveResult):
     @property
     def average_states(self):
         return self.states
-
-
-def expectations_at(e_ops, state: Qobj):
-    """Evaluate a list of e_ops on one state."""
-    return [expect(op, state) for op in e_ops]

@@ -1,16 +1,23 @@
 """Data layer: formats, conversion, dispatched arithmetic, dense kernels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oqsim import data as d
 from oqsim.exceptions import (
     ConvergenceError,
     DimensionMismatchError,
     NotHermitianError,
+    RangeError,
     SingularMatrixError,
 )
+from oqsim.qobj import Qobj
 
 RNG = np.random.default_rng(20240811)
 FORMATS = ("dense", "csr", "dia")
@@ -247,3 +254,105 @@ class TestSolveLinear:
                 d.from_array(a), d.from_array(rand_matrix(64, 1)),
                 method="iterative_gmres", maxiter=1, rtol=1e-12,
             )
+
+
+def nonzero_offsets(arr):
+    rows, cols = np.nonzero(arr)
+    return sorted(set((cols - rows).tolist()))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A complex CSR matrix of shape up to 8x8 with empty rows and stored zeros."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    value = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                                      allow_infinity=False))
+    entries = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1), value),
+                            max_size=2 * n * m))
+    rows, cols, vals = zip(*entries) if entries else ((), (), ())
+    # Duplicates are summed; a zero value stays a stored entry.
+    return sp.csr_matrix((np.array(vals, dtype=complex), (rows, cols)), shape=(n, m))
+
+
+class TestOneConversionPath:
+    """Every format pair converts directly; sparse <-> sparse allocates no dense matrix."""
+
+    N = 2000
+    PEAK_BOUND = 8 * 2**20  # bytes; a dense N x N complex matrix is 61 MiB
+
+    @pytest.fixture(scope="class")
+    def banded(self):
+        rng = np.random.default_rng(18)
+        offsets = (-2, 0, 1, 3)
+        diags = [rng.normal(size=self.N - abs(k)) + 1j * rng.normal(size=self.N - abs(k))
+                 for k in offsets]
+        csr = d.DataMatrix(sp.diags(diags, offsets, format="csr", dtype=complex), "csr")
+        return csr, d.convert(csr, "dia")
+
+    @pytest.mark.parametrize("case", ["csr->dia", "dia->csr", "diag", "norm_max", "dia_parts"])
+    def test_sparse_work_allocates_no_dense_matrix(self, banded, case):
+        csr, dia = banded
+        work = {
+            "csr->dia": lambda: Qobj(csr).to("dia"),
+            "dia->csr": lambda: Qobj(dia).to("csr"),
+            "diag": lambda: Qobj(csr).diag(),
+            "norm_max": lambda: Qobj(dia).norm("max"),
+            "dia_parts": dia.dia_parts,
+        }[case]
+        tracemalloc.start()
+        try:
+            work()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.PEAK_BOUND, f"{case} peaked at {peak / 2**20:.1f} MiB"
+
+    def test_sparse_helpers_read_the_payload(self, banded):
+        csr, dia = banded
+        arr = csr.to_array()
+        for m in (csr, dia):
+            assert np.array_equal(Qobj(m).diag(), np.diagonal(arr))
+            assert Qobj(m).norm("max") == float(np.max(np.abs(arr)))
+        offsets, rows = dia.dia_parts()
+        assert list(offsets) == [-2, 0, 1, 3]
+        for off, row in zip(offsets, rows):
+            diag = np.diagonal(arr, offset=off)
+            assert np.array_equal(row[: len(diag)], diag)
+            assert not row[len(diag):].any()
+
+    def test_stored_zeros_leave_no_dia_offset(self):
+        csr = sp.csr_matrix((np.array([1.0, 0.0], dtype=complex), ([0, 0], [0, 2])), shape=(3, 3))
+        assert csr.nnz == 2
+        dia = d.convert(d.DataMatrix(csr, "csr"), "dia")
+        dense_route = d.from_array(csr.toarray(), "dia")
+        assert list(dia.dia_parts()[0]) == list(dense_route.dia_parts()[0]) == [0]
+
+    def test_unknown_format_raises(self):
+        m = d.from_array(SX)
+        for call in (lambda: d.from_array(SX, "coo"), lambda: d.convert(m, "coo"),
+                     lambda: d.zeros_data(2, 2, "coo")):
+            with pytest.raises(RangeError):
+                call()
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw=sparse_matrices())
+    def test_every_format_pair_is_exact(self, raw):
+        ref = raw.toarray()
+        sources = {
+            "dense": d.from_array(ref, "dense"),
+            "csr": d.DataMatrix(raw, "csr"),
+            "dia": d.DataMatrix(raw.todia(), "dia"),  # keeps the stored zeros' diagonals
+        }
+        for src, m in sources.items():
+            assert np.array_equal(m.to_array(), ref)
+            for dst in FORMATS:
+                out = d.convert(m, dst)
+                assert out.fmt == dst
+                assert np.array_equal(out.to_array(), ref), (src, dst)
+                if dst == "dia" and src != "dia":  # dia -> dia returns the input as it is
+                    assert list(out.dia_parts()[0]) == nonzero_offsets(ref), src
+            assert np.array_equal(d.adjoint(m).to_array(), ref.conj().T)
+            assert np.array_equal(d.transpose(m).to_array(), ref.T)
+            assert np.array_equal(d.conjugate(m).to_array(), ref.conj())
+            if ref.shape[0] == ref.shape[1]:
+                assert d.trace(m) == np.trace(ref)
