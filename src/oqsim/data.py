@@ -239,7 +239,11 @@ def matmul(a: DataMatrix, b: DataMatrix) -> DataMatrix:
             f"matmul: inner dimensions disagree, {a.shape} x {b.shape}"
         )
     fmt = _result_format(a, b)
-    raw = a._m @ b._m
+    if fmt == "dia" and not (a._m.offsets.size and b._m.offsets.size):
+        # SciPy's dia x dia kernel fails on a factor that stores no diagonal.
+        raw = a._m.tocsr() @ b._m.tocsr()
+    else:
+        raw = a._m @ b._m
     return _coerce(raw, fmt)
 
 

@@ -38,6 +38,14 @@ callable given to :func:`integrate`, or a time-dependent generator, is
 stepped in stage form.  Both forms take the same steps up to the last bits of
 the error estimate.
 
+A power-form step reads no ``t``: with its first attempt unclamped by
+``t_end``, it is a function of the stepper's state alone.  So steppers that
+start in one state, at different times, take the same steps, and one can
+replay what another recorded (:meth:`DP54Stepper.follow`; ``mcsolve`` does
+this after its jumps).  A replayed step rebuilds its dense segment at the
+stepper's own times from the recorded ``U`` and ``h``, makes no
+right-hand-side call, and counts in ``replayed``, not in ``accepted``.
+
 Integration is deterministic: identical inputs produce bit-identical outputs.
 """
 
@@ -307,6 +315,9 @@ class DP54Stepper:
         self.accepted = 0
         self.rejected = 0
         self.segment: DenseSegment | None = None
+        self.replayed = 0
+        self.record: list | None = None  # the recorded steps this stepper follows
+        self._pos = 0  # the next of them
         self._abs_y = None  # |y| of the power form, kept from the step that made y
         self._f0 = self._eval(self.t, self.y)
         self._err_prev = 1e-4
@@ -404,6 +415,49 @@ class DP54Stepper:
             self.rejected += 1
             self._h = h * max(0.2, 0.9 * err ** (-0.2))
 
+    def follow(self, record: list) -> None:
+        """Replay ``record``, the power-form steps of a stepper that started in
+        this one's :meth:`state` but for ``t`` (bit for bit), and extend it at its end.
+
+        ``record`` is a list owned by the caller; :meth:`extend` appends to it.
+        """
+        self.record, self._pos = record, 0
+
+    def replay(self) -> DenseSegment | None:
+        """Take the next recorded step at this stepper's own time, as :meth:`step` would.
+
+        Returns ``None`` where this stepper must step itself: at the end of the
+        record (the step is then recorded by :meth:`extend`), or when its first
+        attempt would be clamped by ``t_end`` or a recorded ``h`` fails the
+        underflow check at this ``t``, which leaves the record for good.  A
+        replay makes no RHS call and counts in ``replayed`` only.
+        """
+        h_first = self._h if self.opts.max_step is None else min(self._h, self.opts.max_step)
+        if h_first > self.t_end - self.t:
+            self.record = None
+            return None
+        if self._pos == len(self.record):
+            return None
+        y, f0, abs_y, err_prev, h_next, U, h = self.record[self._pos]
+        if h <= _H_MIN * max(abs(self.t), 1.0):
+            self.record = None
+            return None
+        seg = DenseSegment(self.t, self.t + h, self.y, U, h)
+        self.t = self.t + h
+        self.y, self._f0, self._abs_y, self._err_prev, self._h = y, f0, abs_y, err_prev, h_next
+        self.segment = seg
+        self._pos += 1
+        self.replayed += 1
+        return seg
+
+    def extend(self, seg: DenseSegment) -> DenseSegment:
+        """Record ``seg``, the step just taken at the end of the followed record; returns it."""
+        if self.record is not None:
+            self.record.append((self.y, self._f0, self._abs_y, self._err_prev, self._h,
+                                seg._K, seg._h))
+            self._pos += 1
+        return seg
+
     def state(self) -> tuple:
         """What the next :meth:`step` reads: ``(t, y, f0, h, err_prev)``.
 
@@ -419,6 +473,7 @@ class DP54Stepper:
         options, ``t_end`` and form; the next :meth:`step` then has that stepper's bits."""
         self.t, self.y, self._f0, self._h, self._err_prev = state
         self.segment = None
+        self.record = None
         self._abs_y = None
 
     def interpolate(self, t: float) -> np.ndarray:
@@ -444,12 +499,17 @@ def _rms(v: np.ndarray) -> float:
 def advance(stepper: DP54Stepper, tlist, nsteps: int, on_step=None, done: int = 0):
     """Step ``stepper`` to each time of ``tlist`` and yield ``(j, t, y)`` there.
 
-    This is the only loop over :meth:`DP54Stepper.step` in the package.
+    This is the only loop over :meth:`DP54Stepper.step` and
+    :meth:`DP54Stepper.replay` in the package.
     ``tlist`` is ascending from ``stepper.t``; ``y`` comes from the dense
     output of the step holding ``t`` (a copy of ``stepper.y`` before any
     step).  More than ``nsteps`` accepted steps between two output times
     raise :class:`StepLimitError`; ``done`` steps, taken before the stepper
-    was resumed, already count towards the first of them.
+    was resumed, already count towards the first of them.  A stepper that
+    follows a record replays its steps where :meth:`DP54Stepper.replay`
+    can, and steps (and extends the record) where it cannot; a replayed step
+    counts towards ``nsteps``, is passed to ``on_step`` and is read from like
+    any other.
 
     ``on_step(stepper, seg)`` is called after every accepted step and may
     return a newly constructed stepper, or ``stepper`` itself after
@@ -464,7 +524,10 @@ def advance(stepper: DP54Stepper, tlist, nsteps: int, on_step=None, done: int = 
         while stepper.t < target - eps_t:
             if count >= nsteps:
                 raise StepLimitError(f"exceeded {nsteps} steps before t={target:.6g}")
-            seg = stepper.step()
+            if stepper.record is None:
+                seg = stepper.step()
+            else:
+                seg = stepper.replay() or stepper.extend(stepper.step())
             count += 1
             if on_step is not None:
                 restarted = on_step(stepper, seg)

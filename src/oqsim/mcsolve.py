@@ -23,6 +23,22 @@ numbers per recorded step and component (the state and the FSAL
 derivative), plus the expectation values and, with ``store_states``, the
 normalised state at each output time.  A coefficient callable with side
 effects sees fewer calls than one per step of every trajectory.
+
+After a jump, with a constant drift, the path depends only on the restart
+ket, not on the jump time.  When the collapsed ket ``C_k psi`` has exactly
+one nonzero entry ``m``, the trajectory restarts in the unit vector ``e_m``
+itself: the global phase of ``C_k psi / |C_k psi|`` is dropped, so that every
+such restart starts from the same bits (a general ket cannot be normalised
+without rounding, and keeps its own path).  One solve holds a
+:class:`_Restarts` record per basis index: the power-form steps of the first
+restart in ``e_m``, extended by every later one that goes past its end.  A
+later restart in ``e_m`` replays them at its own times while its stepper
+would take them unchanged (:meth:`DP54Stepper.replay`); outputs, jump times
+and draws stay its own, bit for bit.  A step is about ``10 * d`` complex
+numbers (state, FSAL derivative, ``|y|`` and the ``(7, d)`` power matrix),
+with at most one record per basis index.  ``stats`` reports ``jumps`` and
+the ``accepted_steps``, ``rejected_steps`` and ``replayed_steps`` of the
+trajectories in the result.
 """
 
 from __future__ import annotations
@@ -88,14 +104,26 @@ def _drift(H_evo: QobjEvo, channels) -> QobjEvo:
 
 
 class _Trajectory:
-    __slots__ = ("expect", "jumps", "ratios", "final_norm2", "states")
+    """What one trajectory returns; ``steps`` is ``[accepted, rejected, replayed]``
+    summed over its steppers."""
 
-    def __init__(self, expect, jumps, ratios, final_norm2, states):
+    __slots__ = ("expect", "jumps", "ratios", "final_norm2", "states", "steps")
+
+    def __init__(self, expect, jumps, ratios, final_norm2, states, steps):
         self.expect = expect
         self.jumps = jumps
         self.ratios = ratios
         self.final_norm2 = final_norm2
         self.states = states
+        self.steps = steps
+
+
+def _tally(steps: list, stepper: DP54Stepper) -> list:
+    """Add ``stepper``'s accepted, rejected and replayed steps to ``steps``."""
+    steps[0] += stepper.accepted
+    steps[1] += stepper.rejected
+    steps[2] += stepper.replayed
+    return steps
 
 
 class _NoJumpPath:
@@ -134,6 +162,27 @@ class _NoJumpPath:
         return next((i for i, n2 in enumerate(self.norm2) if n2 <= r), len(self.norm2))
 
 
+class _Restarts:
+    """The post-jump steps of one solve, one record per basis state restarted in.
+
+    ``starts[m]`` is the stepper state, ``t`` left out, of the first restart in
+    ``e_m``, and ``steps[m]`` the record that :meth:`DP54Stepper.follow`
+    replays and extends.  A restart joins it only from that state, bit for bit.
+    """
+
+    __slots__ = ("starts", "steps")
+
+    def __init__(self):
+        self.starts: dict[int, tuple] = {}
+        self.steps: dict[int, list] = {}
+
+    def join(self, stepper: DP54Stepper, m: int) -> None:
+        _, y, f0, h, err = stepper.state()
+        start = (y.tobytes(), f0.tobytes(), h, err)
+        if self.starts.setdefault(m, start) == start:
+            stepper.follow(self.steps.setdefault(m, []))
+
+
 def _bisect_jump_time(segment, r: float, rel_tol: float) -> float:
     """Locate ``|psi(t)|^2 = r`` inside one step; the norm is monotone there."""
     lo, hi = segment.t_old, segment.t_new
@@ -161,9 +210,11 @@ def _mcwf_trajectory(
     r_first: float | None,
     store_states: bool,
     path: _NoJumpPath | None = None,
+    restarts: _Restarts | None = None,
 ) -> _Trajectory:
-    """One quantum-jump trajectory.  Calls that share ``path`` share every
-    argument but ``rng`` and ``r_first``, and return what they return without it."""
+    """One quantum-jump trajectory.  Calls that share ``path`` or ``restarts``
+    share every argument but ``rng`` and ``r_first``, and return what they
+    return without them, but for how ``steps`` splits into accepted and replayed."""
     t_end = float(tlist[-1])
     r = rng.uniform() if r_first is None else r_first
     linear = drift_evo.isconstant
@@ -172,6 +223,7 @@ def _mcwf_trajectory(
     ratios: list[float] = []
     expect = [np.empty(tlist.size, dtype=complex) for _ in e_mats]
     states = [] if store_states else None
+    steps = [0, 0, 0]
 
     # n: the steps taken on the no-jump path, None off it; j0 outputs come from the record.
     n, j0, done = None, 0, 0
@@ -183,7 +235,8 @@ def _mcwf_trajectory(
         if store_states:
             states.extend(path.kets[:j0])
         if j0 == tlist.size:  # the record reaches t_end and crosses no r: the no-jump run
-            return _Trajectory(expect, jumps, ratios, _norm(path.states[-1][1]) ** 2, states)
+            return _Trajectory(expect, jumps, ratios, _norm(path.states[-1][1]) ** 2, states,
+                               steps)
         if n:
             last.resume(path.states[n])
             done = n - path.reads[j0 - 1]
@@ -221,7 +274,18 @@ def _mcwf_trajectory(
             if channels[k].ratio_fn is not None:
                 ratios.append(float(channels[k].ratio_fn(t_jump)))
             r = rng.uniform()
-            last = DP54Stepper(drift_evo.matvec, t_jump, psi_new / nrm, integ_opts, t_end, linear)
+            _tally(steps, stepper)
+            nonzero = np.flatnonzero(psi_new) if linear else ()
+            if len(nonzero) == 1:
+                # Restart exactly in e_m, without the global phase, so that every
+                # restart in e_m starts on one path and can replay its steps.
+                psi_new = np.zeros_like(psi_new)
+                psi_new[nonzero[0]] = 1.0
+            else:
+                psi_new = psi_new / nrm
+            last = DP54Stepper(drift_evo.matvec, t_jump, psi_new, integ_opts, t_end, linear)
+            if len(nonzero) == 1 and restarts is not None:
+                restarts.join(last, int(nonzero[0]))
             return last
         if n is not None:  # past the frontier: a resumed trajectory crosses at its next step
             n += 1
@@ -243,7 +307,7 @@ def _mcwf_trajectory(
             if store_states:
                 path.kets.append(states[-1])
 
-    return _Trajectory(expect, jumps, ratios, _norm(last.y) ** 2, states)
+    return _Trajectory(expect, jumps, ratios, _norm(last.y) ** 2, states, _tally(steps, last))
 
 
 def _allot(ntraj: int, probs) -> list[int]:
@@ -329,6 +393,7 @@ def _run_trajectories(drift_evo, channels, psi0, tlist, e_ops, opts: McOptions, 
     nojump: dict[int, _Trajectory] = {}
     leaves: dict[int, bool] = {}
     paths = [_NoJumpPath(tlist.size, len(e_mats)) for _ in components]
+    restarts = _Restarts()
     for comp_i, ((ket, p), n_i) in enumerate(zip(components, counts)):
         y0 = ket.unit().full().ravel()
         if opts.improved_sampling:
@@ -362,6 +427,7 @@ def _run_trajectories(drift_evo, channels, psi0, tlist, e_ops, opts: McOptions, 
         return comp_i, _mcwf_trajectory(
             drift_evo, channels, y0, tlist, e_mats, opts.integrator,
             opts.norm_tol, rng, r_first, opts.store_states, path=paths[comp_i],
+            restarts=restarts,
         )
 
     def weigh(done):
@@ -401,7 +467,11 @@ def _run_trajectories(drift_evo, channels, psi0, tlist, e_ops, opts: McOptions, 
         trace_sq /= w_total
         trace_std = np.sqrt(np.maximum(trace_sq - trace**2, 0.0))
 
-    return ens.result(ensemble, len(done) == len(jobs), dims, trace=trace, trace_std=trace_std,
+    accepted, rejected, replayed = (sum(traj.steps[i] for _, traj in pairs) for i in range(3))
+    stats = {"jumps": sum(len(traj.jumps) for _, traj in pairs), "accepted_steps": accepted,
+             "rejected_steps": rejected, "replayed_steps": replayed}
+    return ens.result(ensemble, len(done) == len(jobs), dims, stats=stats, trace=trace,
+                      trace_std=trace_std,
                       photocurrent=_photocurrent(pairs, len(channels), tlist, w_total))
 
 

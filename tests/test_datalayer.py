@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oqsim as q
 from oqsim import data as d
 from oqsim.exceptions import (
     ConvergenceError,
@@ -92,6 +93,13 @@ class TestArithmetic:
         assert d.add(csr, dia).fmt == "csr"
         assert d.matmul(dia, dia).fmt == "dia"
         assert d.kron(csr, dense).fmt == "dense"
+
+    def test_dia_product_with_an_empty_factor_is_zero(self):
+        # SciPy's dia x dia kernel raises on a factor with no stored diagonal.
+        x = q.destroy(3, dtype="dia")
+        for prod in (q.qzero(3, dtype="dia") @ x, (x - x) @ x, x @ (x - x)):
+            assert prod.data.fmt == "dia"
+            assert not np.any(prod.full())
 
     def test_add_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):

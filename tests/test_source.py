@@ -1,7 +1,7 @@
 """Source checks: every failure the package raises is a typed ``OqsimError``, the
 trajectory solvers share one ensemble reduction and one stop check,
-``integrator.advance`` is the only loop that steps a ``DP54Stepper``, and no
-class derives from ``DP54Stepper``."""
+``integrator.advance`` is the only loop that steps a ``DP54Stepper`` or
+replays its recorded steps, and no class derives from ``DP54Stepper``."""
 
 import ast
 import pathlib
@@ -12,6 +12,8 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "oqsim"
 BARE = {"ValueError", "TypeError", "RuntimeError", "KeyError"}
 # Owned by trajectory.Ensemble; no other module may reduce or stop an ensemble.
 ENSEMBLE_ONLY = {"WeightedStats", "target_reached"}
+# The stepper calls that advance a DP54Stepper by one step: only integrator.advance makes them.
+STEP_CALLS = {"step", "replay"}
 
 
 def bare_raises(path: pathlib.Path) -> list[str]:
@@ -70,7 +72,8 @@ def test_the_gate_sees_a_reduction(tmp_path):
 
 
 def stray_steps(path: pathlib.Path) -> list[str]:
-    """``file:line`` of every ``.step()`` call that is not inside ``integrator.advance``."""
+    """``file:line`` of every ``.step()`` or ``.replay()`` call that is not inside
+    ``integrator.advance``."""
     tree = ast.parse(path.read_text(), filename=str(path))
     allowed = set()
     if path.name == "integrator.py":
@@ -79,7 +82,7 @@ def stray_steps(path: pathlib.Path) -> list[str]:
                 allowed = {id(n) for n in ast.walk(node)}
     found = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-             and node.func.attr == "step" and not node.args and not node.keywords
+             and node.func.attr in STEP_CALLS and not node.args and not node.keywords
              and id(node) not in allowed]
     return [f"{path.name}:{line}" for line in sorted(found)]
 
@@ -91,12 +94,13 @@ def test_one_stepping_loop(path):
 
 def test_the_gate_sees_a_stray_step(tmp_path):
     module = tmp_path / "integrator.py"
-    module.write_text("def advance(stepper):\n    return stepper.step()\n\n"
-                      "def resume(stepper):\n    stepper.step()\n    return stepper.step(1.0)\n")
-    assert stray_steps(module) == ["integrator.py:5"]
+    module.write_text("def advance(stepper):\n    return stepper.replay() or stepper.step()\n\n"
+                      "def resume(stepper):\n    stepper.step()\n    stepper.replay()\n"
+                      "    return stepper.step(1.0)\n")
+    assert stray_steps(module) == ["integrator.py:5", "integrator.py:6"]
     other = tmp_path / "mcsolve.py"
     other.write_text(module.read_text())
-    assert stray_steps(other) == ["mcsolve.py:2", "mcsolve.py:5"]
+    assert stray_steps(other) == ["mcsolve.py:2", "mcsolve.py:2", "mcsolve.py:5", "mcsolve.py:6"]
 
 
 def stepper_subclasses(path: pathlib.Path) -> list[str]:

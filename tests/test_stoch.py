@@ -1,5 +1,6 @@
 """Trajectory solvers: mcsolve, nm_mcsolve, smesolve."""
 
+import contextlib
 import functools
 import importlib
 import warnings
@@ -15,7 +16,8 @@ import oqsim as q
 from oqsim.exceptions import NotHermitianError, OptionError, RangeError, StepLimitError
 from oqsim.coefficient import SplineCoefficient
 from oqsim.integrator import DP54Stepper
-from oqsim.mcsolve import MCSolver, _Channel, _drift, _mcwf_trajectory, _NoJumpPath, _norm
+from oqsim.mcsolve import (MCSolver, _Channel, _drift, _mcwf_trajectory, _NoJumpPath, _norm,
+                           _Restarts)
 from oqsim.smesolve import HermitianCoords, WienerPath
 from oqsim.trajectory import McOptions, trajectory_rng
 
@@ -417,6 +419,229 @@ class TestStepLimitParity:
         for r in rs:
             got, want = calls.both(0, r)
             assert got == want and not isinstance(got, str)
+
+
+mc_module = importlib.import_module("oqsim.mcsolve")
+
+
+@contextlib.contextmanager
+def _restarts_off():
+    """Run ``mcsolve``/``nm_mcsolve`` with no restart records: every post-jump step is taken."""
+    mcwf = mc_module._mcwf_trajectory
+    mc_module._mcwf_trajectory = lambda *args, **kwargs: mcwf(*args, **{**kwargs, "restarts": None})
+    try:
+        yield
+    finally:
+        mc_module._mcwf_trajectory = mcwf
+
+
+def _result_bits(res):
+    """The outputs of a trajectory solve, as bytes, with its jump count."""
+    arrays = list(res.expect) + list(res.std_expect) + list(res.runs_expect or [])
+    arrays += list(res.photocurrent) + [s.full() for s in res.average_states or []]
+    arrays.append(np.asarray(res.weights))
+    return [a.tobytes() for a in arrays] + [res.stats["jumps"]]
+
+
+def _steps(res):
+    """The accepted steps of a solve, replayed or taken: the same with records and without.
+
+    A replayed step counts none of the rejected attempts that the recorded one made.
+    """
+    return res.stats["accepted_steps"] + res.stats["replayed_steps"]
+
+
+def _rank_one(d, m, v, rate):
+    """``sqrt(rate) |m><v|``: every ket it collapses lands on ``e_m``."""
+    op = np.zeros((d, d), dtype=complex)
+    op[m] = np.sqrt(rate) * v.conj() / np.linalg.norm(v)
+    return q.Qobj(op)
+
+
+@st.composite
+def _restart_problems(draw):
+    """A random constant model whose collapse operators are rank 1, its start and options."""
+    d = draw(st.integers(2, 3))
+    parts = draw(hnp.arrays(np.float64, (2, d, d), elements=st.floats(-1, 1)))
+    h = parts[0] + 1j * parts[1]
+    H = q.Qobj(0.5 * (h + h.conj().T))
+    vecs = st.tuples(st.integers(0, d - 1),
+                     hnp.arrays(np.float64, 2 * d, elements=st.floats(-1, 1)),
+                     st.floats(0.1, 1.0))
+    c_ops = []
+    for m, v, rate in draw(st.lists(vecs, min_size=1, max_size=2)):
+        v = v[:d] + 1j * v[d:]
+        if np.linalg.norm(v) < 0.1:
+            v = np.eye(d)[m]
+        c_ops.append(_rank_one(d, m, v, rate))
+    kets = [q.basis(d, draw(st.integers(0, d - 1))),
+            q.Qobj(np.arange(1.0, d + 1).reshape(d, 1) + 0.5j).unit()]
+    psi0 = draw(st.sampled_from([kets[0], kets[1], [(kets[0], 0.4), (kets[1], 0.6)]]))
+    options = {"ntraj": 12, "seed": draw(st.integers(0, 2**16)), "keep_runs_results": True,
+               "improved_sampling": draw(st.booleans()), "store_states": draw(st.booleans())}
+    options.update(draw(st.sampled_from([{}, {"max_step": 0.3}, {"rtol": 1e-4}])))
+    return H, psi0, c_ops, [q.Qobj(np.diag(np.arange(d, dtype=complex)))], options
+
+
+class _ScriptedRng:
+    """Draws ``uniform()`` from a fixed list, to place a trajectory's thresholds."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def uniform(self):
+        return self.draws.pop(0)
+
+
+class TestRestartRecords:
+    """With a constant drift, restarts in one basis state replay one record of
+    post-jump steps and return the bits of taking every step."""
+
+    TS = np.linspace(0, 4, 9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_restart_problems())
+    def test_shared_solves_match_unshared_ones(self, problem):
+        H, psi0, c_ops, e_ops, options = problem
+        shared = q.mcsolve(H, psi0, self.TS, c_ops, e_ops, dict(options))
+        with _restarts_off():
+            unshared = q.mcsolve(H, psi0, self.TS, c_ops, e_ops, dict(options))
+        assert _result_bits(shared) == _result_bits(unshared)
+        assert _steps(shared) == _steps(unshared)
+        assert unshared.stats["replayed_steps"] == 0
+
+    def test_step_counts_split_into_accepted_and_replayed(self):
+        args = _mc_qubits_args(ntraj=100, seed=3)
+        shared = q.mcsolve(*args)
+        with _restarts_off():
+            unshared = q.mcsolve(*args)
+        assert shared.stats["jumps"] == unshared.stats["jumps"] > 100
+        assert shared.stats["replayed_steps"] > 10 * shared.stats["accepted_steps"]
+        assert _steps(shared) == _steps(unshared)
+        assert _result_bits(shared) == _result_bits(unshared)
+
+    def test_a_collapse_to_one_basis_state_restarts_exactly_in_it(self, monkeypatch):
+        starts = []
+        init = DP54Stepper.__init__
+
+        def recording(stepper, rhs, t0, y0, *args, **kwargs):
+            init(stepper, rhs, t0, y0, *args, **kwargs)
+            starts.append(stepper.y.copy())
+
+        monkeypatch.setattr(DP54Stepper, "__init__", recording)
+        ts, e_ops, opts = np.linspace(0, 6, 7), [q.sigmaz()], {"ntraj": 5, "seed": 2}
+        res = q.mcsolve(0.5 * q.sigmax(), q.basis(2, 0), ts, [np.sqrt(0.5) * q.sigmam()],
+                        e_ops, opts)
+        assert res.stats["jumps"] > 0 and len(starts) == 5 + res.stats["jumps"]
+        restarts = [y for y in starts if y[0] == 0]
+        assert restarts and all(y.tobytes() == np.array([0, 1], dtype=complex).tobytes()
+                                for y in restarts)
+        # A time-dependent drift keeps the collapsed ket's phase: no record can be shared.
+        starts.clear()
+        res = q.mcsolve(0.5 * q.sigmax(), q.basis(2, 0), ts,
+                        [q.QobjEvo([[q.sigmam(), lambda t: np.sqrt(0.5) + 0 * t]])], e_ops, opts)
+        restarts = [y for y in starts if y[0] == 0]
+        assert restarts and all(abs(abs(y[1]) - 1) < 1e-15 for y in restarts)
+        assert any(y[1] != 1 for y in restarts)
+        assert res.stats["replayed_steps"] == 0
+
+    @staticmethod
+    def _driven_decay():
+        solver = MCSolver(0.5 * q.sigmax(), [np.sqrt(0.5) * q.sigmam()])
+        return solver.drift_evo, solver.channels, q.basis(2, 0).full().ravel()
+
+    def _pair(self, problem, rng_draws, r_first, restarts, ts=None, **options):
+        """A trajectory with ``restarts`` and without, each making every draw of
+        ``rng_draws``; returns both."""
+        drift, channels, psi0 = problem
+        opts = McOptions.coerce(options)
+        ts = self.TS if ts is None else ts
+        out = []
+        for rec in (restarts, None):
+            rng = _ScriptedRng(rng_draws)
+            out.append(_mcwf_trajectory(drift, channels, psi0, ts,
+                                        [q.sigmaz().data.scipy_matrix()], opts.integrator,
+                                        opts.norm_tol, rng, r_first, True, restarts=rec))
+            assert rng.draws == []
+        return out
+
+    def test_a_restart_clamped_by_t_end_does_not_join(self, monkeypatch):
+        problem = self._driven_decay()
+        restarts = _Restarts()
+        early, oracle = self._pair(problem, [0.5, 0.01], 0.9, restarts)
+        assert _bits(early) == _bits(oracle) and early.steps[2] == 0
+        record = restarts.steps[1]
+        assert len(record) > 3 and early.jumps[0][0] < 2
+        # A threshold just above the no-jump norm² at t_end puts the jump
+        # within the first step of t_end.
+        p_end = self._pair(problem, [], -1.0, None)[0].final_norm2
+        followed = []
+        follow = DP54Stepper.follow
+        monkeypatch.setattr(DP54Stepper, "follow",
+                            lambda stepper, rec: followed.append(rec) or follow(stepper, rec))
+        late, oracle = self._pair(problem, [0.5, 0.01], p_end * (1 + 1e-6), restarts)
+        assert _bits(late) == _bits(oracle)
+        assert self.TS[-1] - late.jumps[0][0] < 0.01
+        assert followed == [] and late.steps[2] == 0 and restarts.steps[1] is record
+        # An early restart still follows the record.
+        again, oracle = self._pair(problem, [0.5, 0.01], 0.8, restarts)
+        assert _bits(again) == _bits(oracle)
+        assert len(followed) == 1 and again.steps[2] > 0
+
+    def test_a_record_stops_at_the_t_end_clamp(self):
+        problem = self._driven_decay()
+        restarts = _Restarts()
+        late, oracle = self._pair(problem, [0.5, 0.01], 0.7, restarts)
+        assert _bits(late) == _bits(oracle)
+        record = restarts.steps[1]
+        t = late.jumps[0][0]
+        for entry in record:
+            t = t + entry[6]  # the accepted h of each recorded step
+        # The next step would have been clamped by t_end, so it is not recorded.
+        assert t < self.TS[-1] < t + min(record[-1][4], self.TS[-1])
+        n_late = len(record)
+        early, oracle = self._pair(problem, [0.5, 0.01], 0.9, restarts)
+        assert _bits(early) == _bits(oracle)
+        assert early.jumps[0][0] < late.jumps[0][0]
+        assert early.steps[2] == n_late and len(record) > n_late
+
+    def test_the_dark_state_renormalisation_leaves_the_record(self):
+        # A qubit that only decays: after the jump it sits in the dark ground
+        # state, whose norm falls by integration error alone.
+        solver = MCSolver(q.sigmaz(), [np.sqrt(0.5) * q.sigmam()])
+        problem = (solver.drift_evo, solver.channels,
+                   (q.basis(2, 0) + q.basis(2, 1)).unit().full().ravel())
+        ts, loose = np.linspace(0, 10, 11), {"rtol": 1e-3, "atol": 1e-5}
+        restarts = _Restarts()
+        first, oracle = self._pair(problem, [0.5, 0.01], 0.9, restarts, ts, **loose)
+        assert _bits(first) == _bits(oracle)
+        record = list(restarts.steps[1])
+        # A threshold just below 1: the first replayed step crosses it where no
+        # channel can act, so the state is renormalised and leaves the record.
+        dark, oracle = self._pair(problem, [0.5, 1 - 1e-15, 0.01], 0.8, restarts, ts, **loose)
+        assert _bits(dark) == _bits(oracle)
+        assert len(dark.jumps) == 1
+        assert 1 <= dark.steps[2] < len(record) and dark.steps[0] > 0
+        assert restarts.steps[1] == record
+
+    def test_nm_mcsolve_with_time_dependent_rates_shares_nothing(self):
+        args = (0.5 * q.sigmaz(), (q.basis(2, 0) + q.basis(2, 1)).unit(), np.linspace(0, 6, 13),
+                [(q.sigmam(), lambda t: 0.5 * np.cos(t) + 0.2)], [q.sigmaz()])
+        res = q.nm_mcsolve(*args, options={"ntraj": 40, "seed": 4})
+        with _restarts_off():
+            unshared = q.nm_mcsolve(*args, options={"ntraj": 40, "seed": 4})
+        assert res.stats["jumps"] > 0 and res.stats["replayed_steps"] == 0
+        assert _result_bits(res) == _result_bits(unshared)
+        assert res.trace.tobytes() == unshared.trace.tobytes()
+
+
+def _mc_qubits_args(ntraj, seed):
+    """Criterion 4's two decaying coupled qubits, as ``mcsolve`` arguments."""
+    I2 = q.qeye(2)
+    H = 0.5 * (q.sigmaz() & I2) + 0.5 * (I2 & q.sigmaz()) + 0.1 * (q.sigmax() & q.sigmax())
+    c_ops = [np.sqrt(0.1) * (q.sigmam() & I2), np.sqrt(0.1) * (I2 & q.sigmam())]
+    return (H, q.basis(2, 0) & q.basis(2, 0), np.linspace(0, 40, 81), c_ops, [q.sigmaz() & I2],
+            {"ntraj": ntraj, "seed": seed, "improved_sampling": True})
 
 
 class TestNmMcsolve:
