@@ -12,6 +12,14 @@ in column-stacked form.  The bracket structure of the down-coupling terms
 (commutator for the real-part exponents, anticommutator for the
 imaginary-part ones) is the one validated by the exact pure-dephasing
 solution; see the package README for a note on the convention.
+
+The adaptive method steps the hierarchy in the integrator's decay form: the
+real part of the generator's diagonal, ``D = -Re(n . v)`` (the ADO decay
+rates), is integrated exactly, and the right-hand side applies the rest ``N
+= L - diag(D)``.  The fastest rate, ``n_c max Re v``, then bounds neither
+the step size nor the stability, and the step error is measured in the max
+norm, so the few level-0 components are held to the tolerances as tightly
+as the many auxiliary ones.
 """
 
 from __future__ import annotations
@@ -27,7 +35,9 @@ import scipy.sparse as sp
 from . import data as _d
 from .dimensions import Dimensions
 from .environment import BosonicEnvironment, ExponentSet, matsubara_decompose
-from .exceptions import ArgumentError, DimensionMismatchError, NotHermitianError, RangeError
+from .exceptions import (ArgumentError, DimensionMismatchError, MethodError, NotHermitianError,
+                         RangeError)
+from .integrator import DP54Stepper
 from .qobj import Qobj
 from .qobjevo import QobjEvo
 from .result import SolveResult
@@ -233,16 +243,38 @@ def heom_cutoff_hint(exps: ExponentSet, w_s: float) -> int:
     return int(math.ceil(w_s / float(np.min(rates.real))))
 
 
+def _split_decay(gen) -> np.ndarray:
+    """``D``, the real part of the CSR generator's diagonal, which is moved out of
+    ``gen`` in place: ``gen`` then holds ``N = L - diag(D)``.
+
+    The diagonal is ``L_sys``'s, which is imaginary for a Hermitian ``H``,
+    minus the ADO decay rates ``n . v``, so ``D <= 0`` (``Re v > 0``).
+    """
+    mat = gen.scipy_matrix()
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    on = np.flatnonzero(mat.indices == rows)
+    decay = np.zeros(mat.shape[0])
+    decay[rows[on]] = mat.data.real[on]
+    mat.data.real[on] = 0.0
+    return decay
+
+
 class _HEOMSolver(MESolver):
     """An MESolver whose packed state is the whole ADO stack.
 
     The initial stack is the system density matrix padded with zero auxiliary
     ADOs; stored states and expectation values read the level-0 slice.
+
+    The solver owns ``gen``.  For the adaptive method it moves the real part
+    of the diagonal out of it in place (:func:`_split_decay`), so only one
+    hierarchy matrix is held, and steps in the integrator's decay form.
     """
 
     name = "heomsolve"
 
     def __init__(self, gen, ados: AdoIndexSet, H: Qobj, options):
+        options = SolverOptions.coerce(options)
+        self._decay = _split_decay(gen) if options.integrator.method == "rk45_adaptive" else None
         # The generator is the given hierarchy, not a Liouvillian built from H.
         Solver.__init__(self, QobjEvo(Qobj(gen)), options)
         self.ados = ados
@@ -260,6 +292,9 @@ class _HEOMSolver(MESolver):
     def _expect_row(self, e_op: Qobj):
         row = super()._expect_row(e_op)
         return lambda y: row(y[: self._n**2])
+
+    def _stepper(self, rhs, t0, y0, t_end):
+        return DP54Stepper(rhs, t0, y0, self.options.integrator, t_end, decay=self._decay)
 
     def _result(self, y_final, *args, **kwargs):
         final_ados = y_final.reshape(len(self.ados), -1)
@@ -288,7 +323,7 @@ def heomsolve(
     opts = replace(SolverOptions.coerce(options), store_final_state=True)
     if isinstance(H, QobjEvo):
         if not H.isconstant:
-            raise DimensionMismatchError("heomsolve supports time-independent H only")
+            raise MethodError("heomsolve supports time-independent H only")
         H = H(0.0)
     if isinstance(baths, tuple) and len(baths) == 2 and not isinstance(baths[0], (list, tuple)):
         baths = [baths]

@@ -46,6 +46,24 @@ this after its jumps).  A replayed step rebuilds its dense segment at the
 stepper's own times from the recorded ``U`` and ``h``, makes no
 right-hand-side call, and counts in ``replayed``, not in ``accepted``.
 
+The decay form serves ``y' = D y + N(t, y)`` with a constant real diagonal
+``D <= 0`` (``heomsolve``'s ADO decay rates): it is Lawson's
+integrating-factor Runge-Kutta method (Lawson, SIAM J. Numer. Anal. 4, 372,
+1967; Hochbruck & Ostermann, Acta Numerica 19, 209, 2010), the tableau
+applied to ``u(s) = e^(-Ds) y(t + s)``, which follows ``u' = e^(-Ds) N(e^(Ds)
+u)``.  ``D`` is integrated exactly, so the step is bound by accuracy and
+not by the stability limit ``h max|D| <= 3.3`` of the explicit pair.  Stage
+``i`` makes one right-hand-side call, ``K_i = e^(-c_i h D) N(e^(c_i h D) (y
++ h A_i K))``, and the new state ``e^(hD) (y + h B K)`` is the last stage's
+input, so the last call gives the next FSAL derivative ``N y_new`` (which is
+``e^(hD) K_6``).  The error estimate is ``e^(hD) h E K``, measured in the
+max norm over components: in the RMS norm a few slowly decaying components
+count for little among many fast ones.  A dense read is ``e^(D (t -
+t_old))`` times the quartic interpolant of ``u``.  ``h`` is capped so that
+``h max|D| <= 700``, where ``e^(+-hD)`` are finite.  The form calls the
+right-hand side like the stage form: six times per attempt, twice at start,
+where the first-step estimate reads ``L y = N y + D y``.
+
 Integration is deterministic: identical inputs produce bit-identical outputs.
 """
 
@@ -241,6 +259,11 @@ _ALPHA_EXP = np.arange(7.0)  # column m of _ALPHA multiplies h^m
 _C128 = np.dtype(np.complex128)
 # Smallest step, relative to max(|t|, 1), before the step size counts as underflowed.
 _H_MIN = 16 * np.finfo(float).eps
+# Largest ``h max|D|`` of a decay-form step: e^700 is finite in float64.
+_EXP_LIMIT = 700.0
+# Decay form: stage i scales by e^(c_i h D), computed once per distinct node.
+_C_DISTINCT = _C[1:6]
+_C_ROW = (None, 0, 1, 2, 3, 4, 4)
 # Quartic dense-output coefficients (Shampine's interpolant for this pair).
 _P = np.array(
     [
@@ -262,18 +285,20 @@ class DenseSegment:
     power matrix ``U`` (``K = (_ALPHA * h ** m) @ U``).  Most steps are never
     evaluated, so the interpolant coefficients are built at the first call.
     ``y_old`` is the stepper's own state vector, which it never writes in
-    place.
+    place.  With ``decay`` given, ``K`` holds the stages of the decay form
+    and a read is ``e^(decay (t - t_old))`` times the interpolant.
     """
 
-    __slots__ = ("t_old", "t_new", "y_old", "_K", "_h", "_q")
+    __slots__ = ("t_old", "t_new", "y_old", "_K", "_h", "_q", "_decay")
 
-    def __init__(self, t_old, t_new, y_old, K, h=None):
+    def __init__(self, t_old, t_new, y_old, K, h=None, decay=None):
         self.t_old = t_old
         self.t_new = t_new
         self.y_old = y_old
         self._K = K
         self._h = h
         self._q = None
+        self._decay = decay
 
     def __call__(self, t: float) -> np.ndarray:
         if self._q is None:
@@ -286,7 +311,8 @@ class DenseSegment:
         h = self.t_new - self.t_old
         x = (t - self.t_old) / h
         p = np.array([x, x**2, x**3, x**4])
-        return self.y_old + h * (self._q @ p)
+        u = self.y_old + h * (self._q @ p)
+        return u if self._decay is None else np.exp((t - self.t_old) * self._decay) * u
 
 
 class DP54Stepper:
@@ -295,12 +321,16 @@ class DP54Stepper:
     ``t_end`` clamps steps so the right-hand side is never evaluated beyond
     the integration domain (important for spline-backed coefficients).
     ``linear=True`` declares ``rhs(t, y) = L y`` for a constant ``L`` and
-    steps in power form (see the module docstring).  ``accepted`` and
-    ``rejected`` count the step attempts, next to the RHS calls ``nfev``.
+    steps in power form (see the module docstring).  ``decay=D``, a real
+    array ``D <= 0`` of the state's size, declares the generator ``diag(D) +
+    rhs`` and steps in decay form: ``rhs`` applies only the rest ``N``, and
+    ``D`` is integrated exactly, with the error in the max norm and ``h``
+    capped at ``700 / max|D|``.  ``accepted`` and ``rejected`` count the
+    step attempts, next to the RHS calls ``nfev``.
     """
 
     def __init__(self, rhs, t0: float, y0: np.ndarray, opts: IntegratorOptions, t_end: float,
-                 linear: bool = False):
+                 linear: bool = False, decay: np.ndarray | None = None):
         self.rhs = rhs
         self.opts = opts.validated()
         self.linear = linear
@@ -310,6 +340,14 @@ class DP54Stepper:
             raise DimensionMismatchError(
                 f"DP54Stepper needs a 1-D state; got shape {self.y.shape} (integrate() flattens)"
             )
+        self.decay = decay
+        self._max_step = self.opts.max_step
+        if decay is not None:
+            if linear or decay.shape != self.y.shape:
+                raise MethodError("the decay form needs linear=False and one rate per component")
+            fastest = float(np.max(-decay, initial=0.0))
+            if fastest > 0.0:
+                self._max_step = min(_EXP_LIMIT / fastest, self._max_step or np.inf)
         self.t_end = float(t_end)
         self.nfev = 0
         self.accepted = 0
@@ -318,7 +356,7 @@ class DP54Stepper:
         self.replayed = 0
         self.record: list | None = None  # the recorded steps this stepper follows
         self._pos = 0  # the next of them
-        self._abs_y = None  # |y| of the power form, kept from the step that made y
+        self._abs_y = None  # |y| of the power and decay forms, kept from the step that made y
         self._f0 = self._eval(self.t, self.y)
         self._err_prev = 1e-4
         self._h = self._initial_step() if opts.first_step is None else float(opts.first_step)
@@ -336,14 +374,18 @@ class DP54Stepper:
         span = self.t_end - self.t
         if span <= 0:
             return 0.0
+        # The decay form's FSAL derivative leaves out D y; the estimate reads all of y'.
+        f0 = self._f0 if self.decay is None else self._f0 + self.decay * self.y
         scale = self.opts.atol + self.opts.rtol * np.abs(self.y)
         d0 = _rms(self.y / scale)
-        d1 = _rms(self._f0 / scale)
+        d1 = _rms(f0 / scale)
         h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
         h0 = min(h0, span)
-        y1 = self.y + h0 * self._f0
+        y1 = self.y + h0 * f0
         f1 = self._eval(self.t + h0, y1)
-        d2 = _rms((f1 - self._f0) / scale) / h0
+        if self.decay is not None:
+            f1 = f1 + self.decay * y1
+        d2 = _rms((f1 - f0) / scale) / h0
         if max(d1, d2) <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
@@ -351,8 +393,8 @@ class DP54Stepper:
         return min(100 * h0, h1, span)
 
     def _clamp_h(self):
-        if self.opts.max_step is not None:
-            self._h = min(self._h, self.opts.max_step)
+        if self._max_step is not None:
+            self._h = min(self._h, self._max_step)
         self._h = min(self._h, self.t_end - self.t) if self.t_end > self.t else self._h
 
     def step(self) -> DenseSegment:
@@ -369,6 +411,8 @@ class DP54Stepper:
             U_re = U.view(np.float64)
             if self._abs_y is None:
                 self._abs_y = np.abs(y)
+        elif self.decay is not None and self._abs_y is None:
+            self._abs_y = np.abs(y)
         while True:
             self._clamp_h()
             h = self._h
@@ -383,6 +427,26 @@ class DP54Stepper:
                 ratio = np.abs(R[1]) / (self.opts.atol
                                         + self.opts.rtol * np.maximum(self._abs_y, abs_new))
                 err = math.sqrt(ratio.dot(ratio) / ratio.size) if ratio.size else 0.0
+            elif self.decay is not None:
+                # G[j] is e^(c h D) at the j-th distinct node: stage i's input in y
+                # is G[j] * (y + h A_i K), and K_i is its N, scaled back by 1 / G[j].
+                G = [np.exp((c * h) * self.decay) for c in _C_DISTINCT]
+                G_inv = [1.0 / g for g in G]
+                K = np.empty((7, y.size), dtype=np.complex128)
+                K[0] = self._f0
+                for i in range(1, 7):
+                    g = G[_C_ROW[i]]
+                    y_i = (h * _A_ROWS[i]) @ K[:i]
+                    y_i += y
+                    y_i *= g
+                    f_i = self._eval(self.t + _C[i] * h, y_i)
+                    np.multiply(f_i, G_inv[_C_ROW[i]], out=K[i])
+                y_new = y_i  # the last stage reads the new state, and f_i is N y_new
+                abs_new = np.abs(y_new)
+                ratio = np.abs((h * _E) @ K)
+                ratio *= G[-1]  # e^(hD) > 0 scales the error's modulus
+                ratio /= self.opts.atol + self.opts.rtol * np.maximum(self._abs_y, abs_new)
+                err = float(ratio.max(initial=0.0))
             else:
                 K = np.empty((7, y.size), dtype=np.complex128)
                 K[0] = self._f0
@@ -401,6 +465,10 @@ class DP54Stepper:
                 if self.linear:
                     seg = DenseSegment(self.t, self.t + h, y, U, h)
                     self._f0 = R[2].copy()  # a view would keep all of R alive
+                    self._abs_y = abs_new
+                elif self.decay is not None:
+                    seg = DenseSegment(self.t, self.t + h, y, K, decay=self.decay)
+                    self._f0 = f_i
                     self._abs_y = abs_new
                 else:
                     seg = DenseSegment(self.t, self.t + h, y, K)
@@ -432,7 +500,7 @@ class DP54Stepper:
         underflow check at this ``t``, which leaves the record for good.  A
         replay makes no RHS call and counts in ``replayed`` only.
         """
-        h_first = self._h if self.opts.max_step is None else min(self._h, self.opts.max_step)
+        h_first = self._h if self._max_step is None else min(self._h, self._max_step)
         if h_first > self.t_end - self.t:
             self.record = None
             return None

@@ -94,8 +94,7 @@ class Solver:
             )
         else:
             holder = {"args": args}
-            stepper = DP54Stepper(self._rhs(holder), float(tlist[0]), y0, integ, float(tlist[-1]),
-                                  linear=self.rhs_evo.isconstant)
+            stepper = self._stepper(self._rhs(holder), float(tlist[0]), y0, float(tlist[-1]))
             ys = (y for _, _, y in advance(stepper, tlist, integ.nsteps))
         for j, y in enumerate(ys):
             for series, ev in zip(expect_out, evaluators):
@@ -126,6 +125,11 @@ class Solver:
             stats=stats,
         )
 
+    def _stepper(self, rhs, t0: float, y0: np.ndarray, t_end: float) -> DP54Stepper:
+        """The stepper of a run or a step() session; a constant generator steps in power form."""
+        return DP54Stepper(rhs, t0, y0, self.options.integrator, t_end,
+                           linear=self.rhs_evo.isconstant)
+
     def _result(self, y_final: np.ndarray, *args, **kwargs) -> SolveResult:
         """Assemble the result; ``y_final`` is the packed state at the last time."""
         return SolveResult(*args, **kwargs)
@@ -138,8 +142,7 @@ class Solver:
         holder = {"args": args}
         # The session integrates on demand; the domain end is unknown, so use
         # a far horizon and clamp steps per step() target instead.
-        stepper = DP54Stepper(self._rhs(holder), float(t0), self._pack(state0),
-                              self.options.integrator, np.inf, linear=self.rhs_evo.isconstant)
+        stepper = self._stepper(self._rhs(holder), float(t0), self._pack(state0), np.inf)
         self._session = (stepper, holder)
 
     def step(self, t: float, args=None) -> Qobj:

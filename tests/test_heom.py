@@ -1,6 +1,11 @@
 """Environments, Matsubara decompositions, and the HEOM solver."""
 
 import math
+import os
+import re
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ import scipy.sparse as sp
 import oqsim as q
 from oqsim.exceptions import (
     DimensionMismatchError,
+    MethodError,
     NotHermitianError,
     RangeError,
     UnsupportedError,
@@ -399,6 +405,69 @@ class TestHeomsolve:
         for a, b in zip(res.expect, ref.expect):
             assert np.max(np.abs(a - b)) < 1e-8
         assert np.max(np.abs(res.final_ados - ref.final_ados)) < 1e-8
+
+    def test_time_dependent_h_is_a_method_error(self):
+        ex = q.matsubara_decompose(q.DrudeLorentzEnvironment(T=1.0, lam=0.1, gamma=0.5), 1)
+        H = q.QobjEvo([0.5 * q.sigmaz(), [q.sigmax(), lambda t: np.cos(t)]])
+        with pytest.raises(MethodError, match="time-independent"):
+            q.heomsolve(H, (ex, q.sigmaz()), q.basis(2, 0), [0.0, 1.0], n_c=1)
+
+
+class TestDecayForm:
+    """The adaptive method steps the ADO decay rates exactly (the integrator's decay form)."""
+
+    def test_the_step_cap_keeps_the_exponentials_finite(self):
+        # The bath couples only to level 2, which the state never occupies, so
+        # every ADO stays exactly 0 and accuracy alone would let h grow far past
+        # 700 / max|D| (max|D| = n_c * gamma = 4000), where e^(-hD) overflows
+        # and the scaled zero stages turn to NaN.
+        env = q.DrudeLorentzEnvironment(T=1.0, lam=0.1, gamma=2000.0)
+        ex = q.matsubara_decompose(env, 2)
+        b0, b1 = q.basis(3, 0), q.basis(3, 1)
+        H = 0.2 * (b0 @ b1.dag() + b1 @ b0.dag()) + 0.1 * b1.proj()
+        ts = np.linspace(0, 50, 26)
+        e_ops = [b0.proj(), b0 @ b1.dag()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow in the scalings would warn
+            res = q.heomsolve(H, (ex, q.basis(3, 2).proj()), b0, ts, n_c=2, e_ops=e_ops)
+        ref = q.heomsolve(H, (ex, q.basis(3, 2).proj()), b0, ts, n_c=2, e_ops=e_ops,
+                          options={"method": "diag_expm"})
+        assert all(np.all(np.isfinite(e)) for e in res.expect)
+        assert res.stats["rejected_steps"] == 0
+        assert res.stats["accepted_steps"] >= 50 * 4000 / 700  # the cap bound every step
+        assert np.ptp(ref.expect[0]) > 0.1
+        for a, b in zip(res.expect, ref.expect):
+            assert np.max(np.abs(a - b)) <= 1e-6
+
+    @pytest.mark.parametrize("n_c", [2, 3])
+    def test_default_options_hold_the_level_0_slice_to_the_tolerance(self, n_c):
+        # The underdamped bath of criterion 8 at a depth diag_expm can check.
+        # The error is measured in the max norm: in the RMS norm over all
+        # components the few level-0 entries count for little, and the states
+        # here would miss diag_expm by 2.8e-6 (n_c=2) and 4.2e-6 (n_c=3),
+        # against under 5e-7 in the max norm.
+        H, [(Q, ex)] = _underdamped_case()
+        ts = np.linspace(0, 20, 81)
+        opts = {"store_states": True}
+        res = q.heomsolve(H, (ex, Q), q.basis(2, 0), ts, n_c=n_c, options=opts)
+        ref = q.heomsolve(H, (ex, Q), q.basis(2, 0), ts, n_c=n_c,
+                          options={**opts, "method": "diag_expm"})
+        rtol = q.IntegratorOptions().rtol
+        dev = max(np.max(np.abs(a.full() - b.full())) for a, b in zip(res.states, ref.states))
+        assert dev <= 2 * rtol  # well inside the 10 rtol of the benchmark's gate
+        assert max(abs(s.tr() - 1) for s in res.states) <= 1e-12
+
+    def test_demo_runs(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([os.path.join(root, "src"),
+                                              os.environ.get("PYTHONPATH", "")])}
+        demo = os.path.join(root, "demos", "06_heom_environments.py")
+        run = subprocess.run([sys.executable, demo], capture_output=True, text=True, env=env,
+                             timeout=300)
+        assert run.returncode == 0, run.stderr
+        drift = float(re.search(r"trace drift: (\S+)", run.stdout).group(1))
+        assert drift <= 1e-6
 
 
 class TestCutoffConvergence:
