@@ -8,8 +8,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .exceptions import ModelError, OqsimError, SolverError
-from .model import parse_model, run_model, write_csv
+from .exceptions import ModelError, OqsimError
+from .model import csv_lines, parse_model, run_model, write_csv
 
 __all__ = ["main"]
 
@@ -44,20 +44,14 @@ def main(argv=None) -> int:
 
     try:
         spec = parse_model(text)
-    except ModelError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 1
-
-    if args.command == "validate":
-        print(f"ok: {args.model} is a valid {spec.solver} model", file=sys.stderr)
-        return 0
-
-    try:
+        if args.command == "validate":
+            print(f"ok: {args.model} is a valid {spec.solver} model", file=sys.stderr)
+            return 0
         table = run_model(spec, seed=args.seed, ntraj=args.ntraj, solver=args.solver)
     except ModelError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
-    except (SolverError, OqsimError) as exc:
+    except OqsimError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
 
@@ -69,15 +63,7 @@ def main(argv=None) -> int:
             return 2
         print(f"wrote {args.output}", file=sys.stderr)
     else:
-        import io
-
-        buf = io.StringIO()
-        buf.write(",".join(table.labels) + "\n")
-        import numpy as np
-
-        for row in np.atleast_2d(table.rows):
-            buf.write(",".join(format(float(v), ".17g") for v in row) + "\n")
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.writelines(csv_lines(table))
     return 0
 
 

@@ -6,6 +6,19 @@ arithmetic), optional time-dependent coefficients, an initial state, a time
 grid, expectation operators, and a solver with its options.  Operator
 expressions are evaluated through a whitelisted expression grammar; arbitrary
 code is rejected.
+
+Every numeric field (``tlist``, coefficient, environment and flat-spectrum
+fields, and the ``solver_options`` a runner reads itself) follows one rule,
+:func:`_number`: a number, or an expression over ``parameters``.  One table,
+``_SOLVERS``, holds each solver's ``solver_options`` keys, the fields it
+requires and its runner: every solver but ``steadystate`` requires
+``initial_state``, ``tlist`` and ``hamiltonian``; ``brmesolve`` also
+``couplings``, ``nm_mcsolve`` ``ops_and_rates``, ``smesolve`` ``sc_ops``,
+``heomsolve`` ``environment`` and ``fsesolve`` ``solver_options.period``.
+:func:`run_model` checks a model against the
+solver that actually runs, so a solver named by an override must find its
+own required fields.  A malformed field raises :class:`ModelError`,
+whose message names the offending path.
 """
 
 from __future__ import annotations
@@ -13,33 +26,37 @@ from __future__ import annotations
 import ast
 import cmath
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
 
+from .brmesolve import brmesolve
 from .coefficient import Coefficient, ConstantCoefficient, FunctionCoefficient, SplineCoefficient
-from .exceptions import ModelError, OqsimError, SolverError
-from .qobj import Qobj, tensor
-from .smesolve import SmeOptions
-from .solver import SolverOptions
-from .states import _STATE_KINDS
+from .environment import (
+    DrudeLorentzEnvironment,
+    ExponentSet,
+    OhmicEnvironment,
+    UnderdampedEnvironment,
+)
+from .exceptions import ModelError, OptionError, OqsimError, SolverError
+from .floquet import floquet_basis, fsesolve
+from .heom import heomsolve
+from .mcsolve import mcsolve
+from .nm_mcsolve import nm_mcsolve
 from .operators import _OPERATOR_KINDS
+from .qobj import Qobj, expect, tensor
+from .qobjevo import QobjEvo
+from .result import MultiTrajResult, SolveResult
+from .smesolve import SmeOptions, smesolve
+from .solver import SolverOptions, mesolve, sesolve
+from .states import _STATE_KINDS
+from .steadystate import steadystate
 from .trajectory import McOptions
 
 __all__ = ["ModelSpec", "ResultTable", "parse_model", "run_model", "write_csv"]
-
-_DET, _MC = SolverOptions.option_keys(), McOptions.option_keys()
-# The solver_options keys of each solver: its options class, plus the keys
-# run_model pops for it.  Any other key is a ModelError.
-_OPTION_KEYS = {
-    "sesolve": _DET, "mesolve": _DET, "brmesolve": _DET + ("sec_cutoff",),
-    "steadystate": ("method", "solver"), "mcsolve": _MC, "nm_mcsolve": _MC,
-    "smesolve": SmeOptions.option_keys(), "heomsolve": _DET + ("n_c", "n_k"),
-    "fsesolve": ("period", "n_t"),
-}
-SOLVERS = tuple(_OPTION_KEYS)
 
 _SCALAR_FUNCS = {
     "sqrt": cmath.sqrt,
@@ -72,7 +89,12 @@ class _ExprEvaluator(ast.NodeVisitor):
             tree = ast.parse(str(text), mode="eval")
         except SyntaxError as exc:
             self.error(f"syntax error in expression {text!r}: {exc.msg}")
-        return self.visit(tree.body)
+        try:
+            return self.visit(tree.body)
+        except ModelError:
+            raise
+        except (OqsimError, ArithmeticError, TypeError, ValueError) as exc:
+            self.error(str(exc))
 
     def generic_visit(self, node):
         self.error(f"unsupported expression element {type(node).__name__}")
@@ -111,8 +133,6 @@ class _ExprEvaluator(ast.NodeVisitor):
             self.error(f"unknown factory or function {name!r}")
         try:
             out = fn(*args, **kwargs)
-        except OqsimError as exc:
-            self.error(str(exc))
         except TypeError as exc:
             self.error(f"bad arguments to {name}: {exc}")
         if name in _SCALAR_FUNCS and isinstance(out, complex) and out.imag == 0:
@@ -122,27 +142,24 @@ class _ExprEvaluator(ast.NodeVisitor):
     def visit_BinOp(self, node):
         left = self.visit(node.left)
         right = self.visit(node.right)
-        try:
-            if isinstance(node.op, ast.Add):
-                return left + right
-            if isinstance(node.op, ast.Sub):
-                return left - right
-            if isinstance(node.op, ast.Mult):
-                return left * right
-            if isinstance(node.op, ast.Div):
-                return left / right
-            if isinstance(node.op, ast.MatMult):
-                return left @ right
-            if isinstance(node.op, ast.Pow):
-                if isinstance(left, Qobj) or isinstance(right, Qobj):
-                    self.error("operator powers are not supported")
-                return left**right
-            if isinstance(node.op, ast.BitAnd):
-                if not (isinstance(left, Qobj) and isinstance(right, Qobj)):
-                    self.error("'&' (tensor product) needs two operators/states")
-                return tensor(left, right)
-        except OqsimError as exc:
-            self.error(str(exc))
+        if isinstance(node.op, ast.Add):
+            return left + right
+        if isinstance(node.op, ast.Sub):
+            return left - right
+        if isinstance(node.op, ast.Mult):
+            return left * right
+        if isinstance(node.op, ast.Div):
+            return left / right
+        if isinstance(node.op, ast.MatMult):
+            return left @ right
+        if isinstance(node.op, ast.Pow):
+            if isinstance(left, Qobj) or isinstance(right, Qobj):
+                self.error("operator powers are not supported")
+            return left**right
+        if isinstance(node.op, ast.BitAnd):
+            if not (isinstance(left, Qobj) and isinstance(right, Qobj)):
+                self.error("'&' (tensor product) needs two operators/states")
+            return tensor(left, right)
         self.error(f"unsupported operator {type(node.op).__name__}")
 
     def visit_UnaryOp(self, node):
@@ -154,44 +171,66 @@ class _ExprEvaluator(ast.NodeVisitor):
         self.error(f"unsupported unary operator {type(node.op).__name__}")
 
 
+def _number(value, params, path, kind=float):
+    """The one rule for a numeric field: a number, or an expression over ``parameters``.
+
+    ``kind`` is ``float``, ``int`` (integral values only), ``complex`` (a
+    float when the imaginary part is zero) or ``None`` (the number as given).
+    """
+    if isinstance(value, str):
+        value = _ExprEvaluator(params, path).eval(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Number):
+        raise ModelError(f"{path}: expected a number or an expression over parameters")
+    if kind is None:
+        return value
+    z = complex(value)
+    if kind is complex:
+        return z.real if z.imag == 0 else z
+    if z.imag != 0 or (kind is int and not z.real.is_integer()):
+        raise ModelError(f"{path}: expected a real {'integer' if kind is int else 'number'}")
+    return int(z.real) if kind is int else z.real
+
+
+def _qobj(expr, params, path, what="an operator") -> Qobj:
+    """Evaluate an operator or state expression; anything else is a ModelError."""
+    value = _ExprEvaluator(params, path).eval(expr)
+    if not isinstance(value, Qobj):
+        raise ModelError(f"{path}: expression does not produce {what}")
+    return value
+
+
 def _coeff_from_spec(spec, params, path) -> Coefficient:
     if spec is None:
         return ConstantCoefficient(1.0)
-    if isinstance(spec, (int, float, complex)):
-        return ConstantCoefficient(spec)
-    if not isinstance(spec, dict) or "type" not in spec:
+    if not isinstance(spec, dict):
+        return ConstantCoefficient(_number(spec, params, path, complex))
+    if "type" not in spec:
         raise ModelError(f"{path}: coefficient must be a number or a mapping with 'type'")
     kind = spec["type"]
 
-    def num(key, default=None):
-        if key not in spec:
-            if default is None:
-                raise ModelError(f"{path}: coefficient {kind!r} needs field {key!r}")
-            return default
-        val = spec[key]
-        if isinstance(val, str):
-            val = _ExprEvaluator(params, f"{path}.{key}").eval(val)
-        if isinstance(val, Qobj):
-            raise ModelError(f"{path}.{key}: expected a number")
-        return complex(val).real if complex(val).imag == 0 else complex(val)
+    def num(key, default=None, as_type=float):
+        if key not in spec and default is None:
+            raise ModelError(f"{path}: coefficient {kind!r} needs field {key!r}")
+        return _number(spec.get(key, default), params, f"{path}.{key}", as_type)
 
     if kind == "constant":
-        return ConstantCoefficient(num("value"))
+        return ConstantCoefficient(num("value", as_type=complex))
     if kind in ("sin", "cos"):
-        a, w, p = num("amplitude", 1.0), num("frequency"), num("phase", 0.0)
+        a, w, p = num("amplitude", 1.0, complex), num("frequency"), num("phase", 0.0)
         fn = math.sin if kind == "sin" else math.cos
         return FunctionCoefficient(lambda t, args=None: a * fn(w * t + p))
     if kind == "exp":
-        a, r = num("amplitude", 1.0), num("rate")
+        a, r = num("amplitude", 1.0, complex), num("rate")
         return FunctionCoefficient(lambda t, args=None: a * math.exp(r * t))
     if kind == "gauss":
-        a, t0, sigma = num("amplitude", 1.0), num("center"), num("width")
+        a, t0, sigma = num("amplitude", 1.0, complex), num("center"), num("width")
+        if sigma == 0:
+            raise ModelError(f"{path}.width: must be nonzero")
         return FunctionCoefficient(
             lambda t, args=None: a * math.exp(-((t - t0) ** 2) / (2 * sigma**2))
         )
     if kind == "array":
-        times = spec.get("times")
-        values = spec.get("values")
+        times, values = spec.get("times"), spec.get("values")
         if times is None or values is None:
             raise ModelError(f"{path}: array coefficient needs 'times' and 'values'")
         try:
@@ -213,8 +252,8 @@ class ModelSpec:
     """A fully validated batch model, ready to run."""
 
     solver: str
-    initial_state: Qobj
-    tlist: np.ndarray
+    initial_state: Qobj | None  # None only where the solver needs none (steadystate)
+    tlist: np.ndarray | None  # likewise
     hamiltonian: list = field(default_factory=list)
     c_ops: list = field(default_factory=list)
     sc_ops: list = field(default_factory=list)
@@ -234,7 +273,8 @@ class ResultTable:
     rows: np.ndarray
 
 
-def _term_list(entries, params, path, allow_coeff=True):
+def _term_list(entries, params, path, key="coeff", parse=_coeff_from_spec, required=False):
+    """``(op, parse(entry[key]))`` per entry; a bare string is an op without ``key``."""
     if entries is None:
         return []
     if not isinstance(entries, list):
@@ -242,21 +282,15 @@ def _term_list(entries, params, path, allow_coeff=True):
     out = []
     for i, entry in enumerate(entries):
         tpath = f"{path}[{i}]"
-        if isinstance(entry, str):
-            op_expr, coeff = entry, None
-        elif isinstance(entry, dict):
-            if "op" not in entry:
-                raise ModelError(f"{tpath}: term needs an 'op' expression")
-            op_expr = entry["op"]
-            coeff = entry.get("coeff")
-            if coeff is not None and not allow_coeff:
-                raise ModelError(f"{tpath}: coefficients are not allowed here")
-        else:
-            raise ModelError(f"{tpath}: term must be a string or a mapping")
-        op = _ExprEvaluator(params, f"{tpath}.op").eval(op_expr)
-        if not isinstance(op, Qobj):
-            raise ModelError(f"{tpath}.op: expression does not produce an operator")
-        out.append((op, _coeff_from_spec(coeff, params, f"{tpath}.coeff")))
+        if isinstance(entry, str) and not required:
+            entry = {"op": entry}
+        if not isinstance(entry, dict) or "op" not in entry or (required and key not in entry):
+            raise ModelError(
+                f"{tpath}: expected a mapping with 'op' and '{key}'" if required
+                else f"{tpath}: expected an expression or a mapping with 'op'"
+            )
+        op = _qobj(entry["op"], params, f"{tpath}.op")
+        out.append((op, parse(entry.get(key), params, f"{tpath}.{key}")))
     return out
 
 
@@ -265,8 +299,8 @@ def _spectrum_from_spec(spec, params, path):
         raise ModelError(f"{path}: spectrum must be a mapping with 'type'")
     kind = spec["type"]
     if kind == "flat":
-        gamma = float(spec.get("gamma", 1.0))
-        T = float(spec.get("T", 0.0))
+        gamma = _number(spec.get("gamma", 1.0), params, f"{path}.gamma")
+        T = _number(spec.get("T", 0.0), params, f"{path}.T")
 
         def S(w, gamma=gamma, T=T):
             # Flat J = gamma/2; theta(0) = 1/2 at zero temperature.
@@ -288,46 +322,38 @@ def _spectrum_from_spec(spec, params, path):
     raise ModelError(f"{path}: unknown spectrum type {kind!r}")
 
 
-def _environment_from_spec(spec, params, path):
-    from .environment import (
-        DrudeLorentzEnvironment,
-        ExponentSet,
-        OhmicEnvironment,
-        UnderdampedEnvironment,
-    )
+# Each environment kind: its class and its fields, with the default of an
+# optional one (None marks a required field).
+_ENVIRONMENTS = {
+    "drude_lorentz": (DrudeLorentzEnvironment, {"T": None, "lam": None, "gamma": None}),
+    "underdamped": (UnderdampedEnvironment, {"T": None, "lam": None, "Gamma": None, "w0": None}),
+    "ohmic": (OhmicEnvironment, {"T": None, "alpha": None, "wc": None, "s": 1.0}),
+}
 
+
+def _environment_from_spec(spec, params, path):
     kind = spec.get("kind")
+    kwargs = {}
+    if kind == "exponents":
+        make = ExponentSet
+        for key in ("ck_real", "vk_real", "ck_imag", "vk_imag"):
+            values = spec.get(key, [])
+            if not isinstance(values, list):
+                raise ModelError(f"{path}.{key}: expected a list of numbers")
+            kwargs[key] = [_number(v, params, f"{path}.{key}[{i}]", complex)
+                           for i, v in enumerate(values)]
+    elif kind in _ENVIRONMENTS:
+        make, fields = _ENVIRONMENTS[kind]
+        for key, default in fields.items():
+            if key not in spec and default is None:
+                raise ModelError(f"{path}: environment {kind!r} is missing field {key!r}")
+            kwargs[key] = _number(spec.get(key, default), params, f"{path}.{key}")
+    else:
+        raise ModelError(f"{path}: unknown environment kind {kind!r}")
     try:
-        if kind == "drude_lorentz":
-            return DrudeLorentzEnvironment(
-                T=float(spec["T"]), lam=float(spec["lam"]), gamma=float(spec["gamma"])
-            )
-        if kind == "underdamped":
-            return UnderdampedEnvironment(
-                T=float(spec["T"]),
-                lam=float(spec["lam"]),
-                Gamma=float(spec["Gamma"]),
-                w0=float(spec["w0"]),
-            )
-        if kind == "ohmic":
-            return OhmicEnvironment(
-                T=float(spec["T"]),
-                alpha=float(spec["alpha"]),
-                wc=float(spec["wc"]),
-                s=float(spec.get("s", 1.0)),
-            )
-        if kind == "exponents":
-            return ExponentSet(
-                spec.get("ck_real", []),
-                spec.get("vk_real", []),
-                spec.get("ck_imag", []),
-                spec.get("vk_imag", []),
-            )
-    except KeyError as exc:
-        raise ModelError(f"{path}: environment {kind!r} is missing field {exc}") from exc
+        return make(**kwargs)
     except OqsimError as exc:
         raise ModelError(f"{path}: {exc}") from exc
-    raise ModelError(f"{path}: unknown environment kind {kind!r}")
 
 
 class _ModelLoader(yaml.SafeLoader):
@@ -343,6 +369,18 @@ _ModelLoader.add_implicit_resolver(
     re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
     list("-+.0123456789"),
 )
+
+
+# The operator lists of a model, in the order their dims are checked, with
+# how each parses the field next to its 'op' (see _term_list).
+_TERM_FIELDS = {
+    "hamiltonian": (),
+    "c_ops": (),
+    "sc_ops": (),
+    "ops_and_rates": ("rate", _coeff_from_spec, True),
+    "e_ops": ("label", lambda label, params, path: label),
+    "couplings": ("spectrum", _spectrum_from_spec, True),
+}
 
 
 def parse_model(text: str) -> ModelSpec:
@@ -362,289 +400,88 @@ def parse_model(text: str) -> ModelSpec:
     if not isinstance(raw_params, dict):
         raise ModelError("parameters: expected a mapping")
     for key, val in raw_params.items():
-        if isinstance(val, str):
-            val = _ExprEvaluator(params, f"parameters.{key}").eval(val)
-        if isinstance(val, Qobj):
-            raise ModelError(f"parameters.{key}: parameters must be numbers")
-        params[key] = val
+        params[key] = _number(val, params, f"parameters.{key}", None)
 
     solver = doc.get("solver")
-    if solver not in SOLVERS:
+    if solver not in _SOLVERS:
         raise ModelError(
-            f"solver: unknown solver {solver!r}; expected one of {', '.join(SOLVERS)}"
+            f"solver: unknown solver {solver!r}; expected one of {', '.join(_SOLVERS)}"
         )
 
     tspec = doc.get("tlist")
-    if solver == "steadystate":
-        tlist = np.zeros(1)
-    else:
+    tlist = None
+    if tspec is not None:
         if not isinstance(tspec, dict) or not {"start", "stop", "num"} <= set(tspec):
             raise ModelError("tlist: expected a mapping with start, stop, num")
-        num = int(tspec["num"])
+        num = _number(tspec["num"], params, "tlist.num", int)
         if num < 2:
             raise ModelError("tlist.num: need at least two time points")
-        tlist = np.linspace(float(tspec["start"]), float(tspec["stop"]), num)
+        tlist = np.linspace(_number(tspec["start"], params, "tlist.start"),
+                            _number(tspec["stop"], params, "tlist.stop"), num)
 
-    state_expr = doc.get("initial_state")
-    if state_expr is None and solver != "steadystate":
-        raise ModelError("initial_state: required field is missing")
-    initial_state = None
-    if state_expr is not None:
-        initial_state = _ExprEvaluator(params, "initial_state").eval(state_expr)
-        if not isinstance(initial_state, Qobj):
-            raise ModelError("initial_state: expression does not produce a state")
+    state = doc.get("initial_state")
+    initial_state = None if state is None else _qobj(state, params, "initial_state", "a state")
 
-    hamiltonian = _term_list(doc.get("hamiltonian"), params, "hamiltonian")
-    c_ops = _term_list(doc.get("c_ops"), params, "c_ops")
-    sc_ops = _term_list(doc.get("sc_ops"), params, "sc_ops")
-
-    ops_and_rates = []
-    for i, entry in enumerate(doc.get("ops_and_rates") or []):
-        path = f"ops_and_rates[{i}]"
-        if not isinstance(entry, dict) or "op" not in entry or "rate" not in entry:
-            raise ModelError(f"{path}: expected a mapping with 'op' and 'rate'")
-        op = _ExprEvaluator(params, f"{path}.op").eval(entry["op"])
-        if not isinstance(op, Qobj):
-            raise ModelError(f"{path}.op: expression does not produce an operator")
-        ops_and_rates.append((op, _coeff_from_spec(entry["rate"], params, f"{path}.rate")))
-
-    e_ops = []
-    for i, entry in enumerate(doc.get("e_ops") or []):
-        path = f"e_ops[{i}]"
-        if isinstance(entry, str):
-            label, expr = f"e{i}", entry
-        elif isinstance(entry, dict) and "op" in entry:
-            label, expr = str(entry.get("label", f"e{i}")), entry["op"]
-        else:
-            raise ModelError(f"{path}: expected an expression or mapping with 'op'")
-        op = _ExprEvaluator(params, f"{path}.op").eval(expr)
-        if not isinstance(op, Qobj):
-            raise ModelError(f"{path}.op: expression does not produce an operator")
-        e_ops.append((label, op))
-
-    couplings = []
-    for i, entry in enumerate(doc.get("couplings") or []):
-        path = f"couplings[{i}]"
-        if not isinstance(entry, dict) or "op" not in entry or "spectrum" not in entry:
-            raise ModelError(f"{path}: expected a mapping with 'op' and 'spectrum'")
-        op = _ExprEvaluator(params, f"{path}.op").eval(entry["op"])
-        if not isinstance(op, Qobj):
-            raise ModelError(f"{path}.op: expression does not produce an operator")
-        couplings.append((op, _spectrum_from_spec(entry["spectrum"], params, f"{path}.spectrum")))
+    terms = {name: _term_list(doc.get(name), params, name, *how)
+             for name, how in _TERM_FIELDS.items()}
+    ops = [(f"{name}[{i}].op", op)
+           for name, pairs in terms.items() for i, (op, _) in enumerate(pairs)]
+    terms["e_ops"] = [(f"e{i}" if label is None else str(label), op)
+                      for i, (op, label) in enumerate(terms["e_ops"])]
 
     environment = None
-    if doc.get("environment") is not None:
-        env_spec = doc["environment"]
+    env_spec = doc.get("environment")
+    if env_spec is not None:
         if not isinstance(env_spec, dict) or "coupling" not in env_spec:
             raise ModelError("environment: expected a mapping with 'coupling' and bath fields")
-        Q = _ExprEvaluator(params, "environment.coupling").eval(env_spec["coupling"])
-        if not isinstance(Q, Qobj):
-            raise ModelError("environment.coupling: expression does not produce an operator")
-        bath = _environment_from_spec(env_spec, params, "environment")
-        environment = (bath, Q)
+        Q = _qobj(env_spec["coupling"], params, "environment.coupling")
+        environment = (_environment_from_spec(env_spec, params, "environment"), Q)
+        ops.append(("environment.coupling", Q))
 
     solver_options = doc.get("solver_options") or {}
     if not isinstance(solver_options, dict):
         raise ModelError("solver_options: expected a mapping")
 
-    spec = ModelSpec(
-        solver=solver,
-        initial_state=initial_state,
-        tlist=tlist,
-        hamiltonian=hamiltonian,
-        c_ops=c_ops,
-        sc_ops=sc_ops,
-        ops_and_rates=ops_and_rates,
-        e_ops=e_ops,
-        couplings=couplings,
-        environment=environment,
-        solver_options=dict(solver_options),
-        parameters=params,
-    )
-    _validate_dims(spec, doc)
+    spec = ModelSpec(solver, initial_state, tlist, environment=environment,
+                     solver_options=dict(solver_options), parameters=params, **terms)
+    _validate_dims(ops, initial_state, doc.get("dims"))
+    _require_fields(spec, solver)
     return spec
 
 
-def _validate_dims(spec: ModelSpec, doc) -> None:
-    """Cross-check all operator and state dims before any computation."""
-    dims_field = doc.get("dims")
-    ref = None
-    ref_path = None
-
-    def check(op: Qobj, path, square=True):
-        nonlocal ref, ref_path
-        if square and op.dims.ket != op.dims.bra:
+def _validate_dims(ops, initial_state, dims_field) -> None:
+    """Cross-check the dims of every ``(path, op)`` pair and of the state before any computation."""
+    ref = ref_path = None
+    for path, op in ops:
+        if op.dims.ket != op.dims.bra:
             raise ModelError(f"{path}: operator is not square")
         if ref is None:
-            ref = op.dims.ket
-            ref_path = path
+            ref, ref_path = op.dims.ket, path
         elif op.dims.ket != ref:
-            raise ModelError(
-                f"{path}: dims {op.dims.ket} do not match {ref} from {ref_path}"
-            )
-
-    for i, (op, _) in enumerate(spec.hamiltonian):
-        check(op, f"hamiltonian[{i}].op")
-    for name in ("c_ops", "sc_ops"):
-        for i, (op, _) in enumerate(getattr(spec, name)):
-            check(op, f"{name}[{i}].op")
-    for i, (op, _) in enumerate(spec.ops_and_rates):
-        check(op, f"ops_and_rates[{i}].op")
-    for i, (label, op) in enumerate(spec.e_ops):
-        check(op, f"e_ops[{i}].op")
-    for i, (op, _) in enumerate(spec.couplings):
-        check(op, f"couplings[{i}].op")
-    if spec.environment is not None:
-        check(spec.environment[1], "environment.coupling")
-    if spec.initial_state is not None and ref is not None:
-        if spec.initial_state.dims.ket != ref:
-            raise ModelError(
-                f"initial_state: dims {spec.initial_state.dims.ket} do not match {ref}"
-            )
-    if dims_field is not None and ref is not None and list(dims_field) != ref:
+            raise ModelError(f"{path}: dims {op.dims.ket} do not match {ref} from {ref_path}")
+    if initial_state is not None and ref is not None and initial_state.dims.ket != ref:
+        raise ModelError(f"initial_state: dims {initial_state.dims.ket} do not match {ref}")
+    if dims_field is not None and not isinstance(dims_field, list):
+        raise ModelError("dims: expected a list of subsystem sizes")
+    if dims_field is not None and ref is not None and dims_field != ref:
         raise ModelError(f"dims: declared {dims_field} but operators have {ref}")
-    if spec.solver in ("sesolve", "mesolve", "fsesolve", "smesolve") and not spec.hamiltonian:
-        raise ModelError("hamiltonian: required for this solver")
-    if spec.solver == "mcsolve" and not spec.hamiltonian:
-        raise ModelError("hamiltonian: required for this solver")
-    if spec.solver == "brmesolve" and not spec.couplings:
-        raise ModelError("couplings: brmesolve needs at least one coupling")
-    if spec.solver == "nm_mcsolve" and not spec.ops_and_rates:
-        raise ModelError("ops_and_rates: nm_mcsolve needs at least one pair")
-    if spec.solver == "heomsolve" and spec.environment is None:
-        raise ModelError("environment: heomsolve needs an environment block")
-    if spec.solver == "smesolve" and not spec.sc_ops:
-        raise ModelError("sc_ops: smesolve needs at least one monitored operator")
 
 
-def _evo_from_terms(terms):
-    from .qobjevo import QobjEvo
+def _require_fields(spec: ModelSpec, name: str) -> None:
+    """Raise a ModelError for the first field that solver ``name`` needs and ``spec`` lacks."""
+    for path, message in _SOLVERS[name][1].items():
+        head, _, key = path.partition(".")
+        value = getattr(spec, head)
+        if key:
+            value = value.get(key)
+        if value is None or (isinstance(value, list) and not value):
+            raise ModelError(f"{path}: {message}")
 
-    return QobjEvo([(op, coeff) for op, coeff in terms])
 
-
-def run_model(spec: ModelSpec, *, seed=None, ntraj=None, solver=None) -> ResultTable:
-    """Run a validated model and return its result table.
-
-    ``seed``, ``ntraj`` and ``solver`` override the corresponding model
-    fields (the CLI flags map here); ``seed`` and ``ntraj`` apply to the
-    trajectory solvers only.  A ``solver_options`` key the solver does not
-    take raises :class:`ModelError`.
-    """
-    from . import (
-        brmesolve,
-        fsesolve,
-        floquet_basis,
-        heomsolve,
-        mcsolve,
-        mesolve,
-        nm_mcsolve,
-        sesolve,
-        smesolve,
-        steadystate,
-    )
-    from .qobj import expect
-
-    name = solver or spec.solver
-    if name not in SOLVERS:
-        raise ModelError(f"solver: unknown solver {name!r}")
-    accepted = _OPTION_KEYS[name]
-    for key in spec.solver_options:
-        if key not in accepted:
-            raise ModelError(
-                f"solver_options.{key}: not an option of {name}; accepted: {', '.join(accepted)}"
-            )
-    opts = dict(spec.solver_options)
-    if seed is not None and "seed" in accepted:
-        opts["seed"] = int(seed)
-    if ntraj is not None and "ntraj" in accepted:
-        opts["ntraj"] = int(ntraj)
-
-    labels = [lbl for lbl, _ in spec.e_ops]
-    ops = [op for _, op in spec.e_ops]
-    e_ops = dict(zip(labels, ops)) if ops else None
-    H = _evo_from_terms(spec.hamiltonian) if spec.hamiltonian else None
-    tlist = spec.tlist
-
-    def pairs(terms):
-        return [op if coeff.is_constant and coeff(0.0) == 1.0 else _evo_from_terms([(op, coeff)])
-                for op, coeff in terms]
-
-    try:
-        if name == "sesolve":
-            res = sesolve(H, spec.initial_state, tlist, e_ops=e_ops, options=opts)
-            return _table_from_result(res, stochastic=False)
-        if name == "mesolve":
-            res = mesolve(
-                H, spec.initial_state, tlist, c_ops=pairs(spec.c_ops), e_ops=e_ops,
-                options=opts,
-            )
-            return _table_from_result(res, stochastic=False)
-        if name == "brmesolve":
-            res = brmesolve(
-                H(0.0) if H is not None and H.isconstant else H,
-                spec.couplings,
-                spec.initial_state,
-                tlist,
-                e_ops=e_ops,
-                sec_cutoff=float(opts.pop("sec_cutoff", 0.1)),
-                options=opts,
-            )
-            return _table_from_result(res, stochastic=False)
-        if name == "steadystate":
-            rho = steadystate(
-                _sum_constant(H), pairs(spec.c_ops),
-                method=opts.pop("method", "direct"),
-                solver=opts.pop("solver", "direct_lu"),
-            )
-            row = [0.0]
-            out_labels = ["time"]
-            for lbl, op in zip(labels, ops):
-                val = expect(op, rho)
-                if isinstance(val, complex):
-                    out_labels += [f"{lbl}_re", f"{lbl}_im"]
-                    row += [val.real, val.imag]
-                else:
-                    out_labels.append(lbl)
-                    row.append(float(val))
-            return ResultTable(out_labels, np.array([row]))
-        if name == "mcsolve":
-            res = mcsolve(
-                H, spec.initial_state, tlist, c_ops=pairs(spec.c_ops), e_ops=e_ops,
-                options=opts,
-            )
-            return _table_from_result(res, stochastic=True)
-        if name == "nm_mcsolve":
-            res = nm_mcsolve(
-                H, spec.initial_state, tlist, spec.ops_and_rates, e_ops=e_ops,
-                options=opts,
-            )
-            return _table_from_result(res, stochastic=True, trace=True)
-        if name == "smesolve":
-            res = smesolve(
-                H, spec.initial_state, tlist, c_ops=pairs(spec.c_ops),
-                sc_ops=pairs(spec.sc_ops), e_ops=e_ops, options=opts,
-            )
-            return _table_from_result(res, stochastic=True)
-        if name == "heomsolve":
-            res = heomsolve(
-                _sum_constant(H), spec.environment, spec.initial_state, tlist,
-                n_c=int(opts.pop("n_c", 4)), e_ops=e_ops, n_k=int(opts.pop("n_k", 3)),
-                options=opts,
-            )
-            return _table_from_result(res, stochastic=False)
-        if name == "fsesolve":
-            period = opts.pop("period", None)
-            if period is None:
-                raise ModelError("solver_options.period: required for fsesolve")
-            fb = floquet_basis(H, float(period), n_t=int(opts.pop("n_t", 64)))
-            res = fsesolve(fb, spec.initial_state, tlist, e_ops=e_ops)
-            return _table_from_result(res, stochastic=False)
-    except ModelError:
-        raise
-    except OqsimError as exc:
-        raise SolverError(f"solver {name} failed: {exc}") from exc
-    raise ModelError(f"solver: unknown solver {name!r}")
+def _ops(terms):
+    """Each term's operator, bare when its coefficient is the constant 1."""
+    return [op if coeff.is_constant and coeff(0.0) == 1.0 else QobjEvo([(op, coeff)])
+            for op, coeff in terms]
 
 
 def _sum_constant(H):
@@ -655,7 +492,134 @@ def _sum_constant(H):
     return H(0.0)
 
 
-def _table_from_result(res, stochastic: bool, trace: bool = False) -> ResultTable:
+def _option(spec, opts, key, default=None, kind=float):
+    """Pop a numeric solver option the runner itself reads."""
+    return _number(opts.pop(key, default), spec.parameters, f"solver_options.{key}", kind)
+
+
+# Runners: (spec, H as a QobjEvo or None, e_ops as {label: op} or None,
+# solver options) -> the solver's result.
+
+def _run_sesolve(spec, H, e_ops, opts):
+    return sesolve(H, spec.initial_state, spec.tlist, e_ops=e_ops, options=opts)
+
+
+def _run_mesolve(spec, H, e_ops, opts):
+    return mesolve(H, spec.initial_state, spec.tlist, c_ops=_ops(spec.c_ops), e_ops=e_ops,
+                   options=opts)
+
+
+def _run_brmesolve(spec, H, e_ops, opts):
+    sec_cutoff = _option(spec, opts, "sec_cutoff", 0.1)
+    return brmesolve(H(0.0) if H.isconstant else H, spec.couplings, spec.initial_state,
+                     spec.tlist, e_ops=e_ops, sec_cutoff=sec_cutoff, options=opts)
+
+
+def _run_steadystate(spec, H, e_ops, opts):
+    rho = steadystate(_sum_constant(H), _ops(spec.c_ops), method=opts.pop("method", "direct"),
+                      solver=opts.pop("solver", "direct_lu"))
+    e_ops = e_ops or {}
+    return SolveResult([0.0], list(e_ops), [[expect(op, rho)] for op in e_ops.values()])
+
+
+def _run_mcsolve(spec, H, e_ops, opts):
+    return mcsolve(H, spec.initial_state, spec.tlist, c_ops=_ops(spec.c_ops), e_ops=e_ops,
+                   options=opts)
+
+
+def _run_nm_mcsolve(spec, H, e_ops, opts):
+    return nm_mcsolve(H, spec.initial_state, spec.tlist, spec.ops_and_rates, e_ops=e_ops,
+                      options=opts)
+
+
+def _run_smesolve(spec, H, e_ops, opts):
+    return smesolve(H, spec.initial_state, spec.tlist, c_ops=_ops(spec.c_ops),
+                    sc_ops=_ops(spec.sc_ops), e_ops=e_ops, options=opts)
+
+
+def _run_heomsolve(spec, H, e_ops, opts):
+    n_c, n_k = _option(spec, opts, "n_c", 4, int), _option(spec, opts, "n_k", 3, int)
+    return heomsolve(_sum_constant(H), spec.environment, spec.initial_state, spec.tlist,
+                     n_c=n_c, e_ops=e_ops, n_k=n_k, options=opts)
+
+
+def _run_fsesolve(spec, H, e_ops, opts):
+    period, n_t = _option(spec, opts, "period"), _option(spec, opts, "n_t", 64, int)
+    return fsesolve(floquet_basis(H, period, n_t=n_t), spec.initial_state, spec.tlist,
+                    e_ops=e_ops)
+
+
+_DET, _MC = SolverOptions.option_keys(), McOptions.option_keys()
+_EVOLVE = {
+    "initial_state": "required field is missing",
+    "tlist": "required: a mapping with start, stop, num",
+    "hamiltonian": "required for this solver",
+}
+# Every solver: its solver_options keys (its options class, plus the keys
+# its runner reads), the fields it requires with the message for a missing
+# one, and its runner.
+_SOLVERS = {
+    "sesolve": (_DET, _EVOLVE, _run_sesolve),
+    "mesolve": (_DET, _EVOLVE, _run_mesolve),
+    "brmesolve": (_DET + ("sec_cutoff",),
+                  {**_EVOLVE, "couplings": "brmesolve needs at least one coupling"},
+                  _run_brmesolve),
+    "steadystate": (("method", "solver"), {}, _run_steadystate),
+    "mcsolve": (_MC, _EVOLVE, _run_mcsolve),
+    "nm_mcsolve": (_MC, {**_EVOLVE, "ops_and_rates": "nm_mcsolve needs at least one pair"},
+                   _run_nm_mcsolve),
+    "smesolve": (SmeOptions.option_keys(),
+                 {**_EVOLVE, "sc_ops": "smesolve needs at least one monitored operator"},
+                 _run_smesolve),
+    "heomsolve": (_DET + ("n_c", "n_k"),
+                  {**_EVOLVE, "environment": "heomsolve needs an environment block"},
+                  _run_heomsolve),
+    "fsesolve": (("period", "n_t"), {**_EVOLVE, "solver_options.period": "required for fsesolve"},
+                 _run_fsesolve),
+}
+
+
+def run_model(spec: ModelSpec, *, seed=None, ntraj=None, solver=None) -> ResultTable:
+    """Run a validated model and return its result table.
+
+    ``seed``, ``ntraj`` and ``solver`` override the corresponding model
+    fields (the CLI flags map here); ``seed`` and ``ntraj`` apply to the
+    trajectory solvers only.  The model is checked against the solver that
+    runs: a ``solver_options`` key it does not take, a field it requires
+    and the model lacks, or an option value it refuses raises
+    :class:`ModelError`.
+    """
+    name = solver or spec.solver
+    if name not in _SOLVERS:
+        raise ModelError(f"solver: unknown solver {name!r}")
+    accepted, _, runner = _SOLVERS[name]
+    for key in spec.solver_options:
+        if key not in accepted:
+            raise ModelError(
+                f"solver_options.{key}: not an option of {name}; accepted: {', '.join(accepted)}"
+            )
+    _require_fields(spec, name)
+    opts = dict(spec.solver_options)
+    if seed is not None and "seed" in accepted:
+        opts["seed"] = int(seed)
+    if ntraj is not None and "ntraj" in accepted:
+        opts["ntraj"] = int(ntraj)
+
+    H = QobjEvo(spec.hamiltonian) if spec.hamiltonian else None
+    try:
+        res = runner(spec, H, dict(spec.e_ops) or None, opts)
+    except OptionError as exc:
+        raise ModelError(f"solver_options: {exc}") from exc
+    except ModelError:
+        raise
+    except OqsimError as exc:
+        raise SolverError(f"solver {name} failed: {exc}") from exc
+    return _table_from_result(res)
+
+
+def _table_from_result(res) -> ResultTable:
+    """Columns ``time``, one per expectation (``_re``/``_im`` when complex), then a
+    trajectory result's ``_std`` columns and its martingale trace, if any."""
     labels = ["time"]
     cols = [np.asarray(res.times, dtype=float)]
     for lbl, series in zip(res.e_op_labels, res.expect):
@@ -666,23 +630,24 @@ def _table_from_result(res, stochastic: bool, trace: bool = False) -> ResultTabl
         else:
             labels.append(lbl)
             cols.append(series.astype(float))
-    if stochastic:
+    if isinstance(res, MultiTrajResult):
         for lbl, series in zip(res.e_op_labels, res.std_expect):
             labels.append(f"{lbl}_std")
             cols.append(np.asarray(series, dtype=float))
-    if trace and getattr(res, "trace", None) is not None:
-        labels.append("martingale")
-        cols.append(np.asarray(res.trace, dtype=float))
+        if res.trace is not None:
+            labels.append("martingale")
+            cols.append(np.asarray(res.trace, dtype=float))
     return ResultTable(labels, np.column_stack(cols))
+
+
+def csv_lines(table: ResultTable):
+    """The lines of a table's CSV text, values at full round-trip precision."""
+    yield ",".join(table.labels) + "\n"
+    for row in np.atleast_2d(table.rows):
+        yield ",".join(format(float(v), ".17g") for v in row) + "\n"
 
 
 def write_csv(table: ResultTable, path) -> None:
     """Write a result table as CSV with full round-trip precision."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(table.labels) + "\n")
-        for row in np.atleast_2d(table.rows):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+        fh.writelines(csv_lines(table))

@@ -1,13 +1,15 @@
 """Batch front end: model parsing, running, CSV output, CLI determinism."""
 
 import csv
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oqsim.cli import main
 from oqsim.exceptions import ModelError
-from oqsim.model import parse_model, run_model, write_csv
+from oqsim.model import _SOLVERS, parse_model, run_model, write_csv
 
 MINIMAL_DECAY = """
 parameters: {eps: 1.0, gamma: 0.25}
@@ -261,6 +263,21 @@ solver: steadystate
         captured = capsys.readouterr()
         assert captured.out.startswith("time,sz")
 
+    def test_stdout_bytes_equal_csv_file(self, tmp_path, capsys):
+        model = self._write(tmp_path, MINIMAL_DECAY)
+        out = tmp_path / "r.csv"
+        assert main(["run", model, "--output", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["run", model]) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
+    def test_bad_option_value_exits_1(self, tmp_path, capsys):
+        text = MINIMAL_DECAY + "solver_options: {atol: abc}\n"
+        with pytest.raises(ModelError, match=r"solver_options.*atol"):
+            run_model(parse_model(text))
+        assert main(["run", self._write(tmp_path, text)]) == 1
+        assert capsys.readouterr().err.startswith("validation error: solver_options")
+
 
 class TestLibraryEquality:
     def test_cli_matches_direct_library_call_bitwise(self):
@@ -280,3 +297,109 @@ class TestLibraryEquality:
         )
         assert np.array_equal(table.rows[:, 1], np.asarray(res.expect[0]))
         assert np.array_equal(table.rows[:, 2], np.asarray(res.std_expect[0]))
+
+
+# One snippet per model field; a solver's model is every snippet but the
+# solver_options one, which only fsesolve takes.
+_FIELDS = {
+    "parameters": "parameters: {gamma: 0.25}",
+    "hamiltonian": 'hamiltonian:\n  - op: "0.5*sigmaz"',
+    "c_ops": 'c_ops:\n  - op: "sqrt(gamma)*sigmam"',
+    "sc_ops": 'sc_ops:\n  - op: "0.3*sigmax"',
+    "ops_and_rates": "ops_and_rates:\n  - {op: sigmam, rate: 0.25}",
+    "couplings": "couplings:\n  - {op: sigmax, spectrum: {type: flat, gamma: 0.1}}",
+    "environment": "environment: {coupling: sigmax, kind: drude_lorentz, T: 1.0, lam: 0.1, gamma: 1.0}",
+    "initial_state": 'initial_state: "basis(2,0)"',
+    "tlist": "tlist: {start: 0.0, stop: 1.0, num: 3}",
+    "e_ops": 'e_ops:\n  - {label: sz, op: "sigmaz"}',
+    "solver_options.period": "solver_options: {period: 6.283185307179586}",
+}
+
+
+def _model_without(field, solver):
+    kept = [text for name, text in _FIELDS.items() if name != field
+            and (name != "solver_options.period" or solver == "fsesolve")]
+    return "\n".join(kept + [f"solver: {solver}"]) + "\n"
+
+
+_REQUIRED = [(name, field) for name, (_, required, _) in _SOLVERS.items() for field in required]
+
+
+class TestRequiredFields:
+    def test_every_solver_runs_in_the_table(self):
+        assert set(_SOLVERS) == {"sesolve", "mesolve", "brmesolve", "steadystate", "mcsolve",
+                                 "nm_mcsolve", "smesolve", "heomsolve", "fsesolve"}
+        for name in _SOLVERS:
+            parse_model(_model_without(None, name))
+
+    def test_readme_lists_the_required_fields(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        rows = dict(re.findall(r"^\| `(\w+)` \| ([^|]*) \|", readme, re.M))
+        for name, (_, required, _) in _SOLVERS.items():
+            listed = re.findall(r"`([\w.]+)`", rows[name])
+            assert listed == list(required), name
+
+    @pytest.mark.parametrize("name,field", _REQUIRED, ids=[f"{n}-{f}" for n, f in _REQUIRED])
+    def test_missing_field_is_model_error(self, name, field, tmp_path, capsys):
+        with pytest.raises(ModelError, match=rf"^{re.escape(field)}:"):
+            parse_model(_model_without(field, name))
+        # steadystate requires no field, so the model parses; the solver that
+        # runs is the one checked.
+        text = _model_without(field, "steadystate")
+        if field == "solver_options.period":
+            text += "solver_options: {}\n"
+        with pytest.raises(ModelError, match=rf"^{re.escape(field)}:"):
+            run_model(parse_model(text), solver=name)
+        path = tmp_path / "m.yaml"
+        path.write_text(text)
+        assert main(["run", str(path), "--solver", name]) == 1
+        assert capsys.readouterr().err.startswith(f"validation error: {field}:")
+
+
+_HEOM = _model_without("c_ops", "heomsolve")
+_BAD_FIELDS = {
+    "tlist.num": MINIMAL_DECAY.replace("num: 41", "num: abc"),
+    "tlist.start": MINIMAL_DECAY.replace("start: 0.0", "start: abc"),
+    "tlist.stop": MINIMAL_DECAY.replace("stop: 10.0", "stop: abc"),
+    "dims": MINIMAL_DECAY + "dims: 3\n",
+    "environment.T": _HEOM.replace("T: 1.0", "T: abc"),
+    "couplings[0].spectrum.gamma": _model_without(None, "brmesolve").replace(
+        "gamma: 0.1", "gamma: abc"),
+    "solver_options.n_c": _HEOM + "solver_options: {n_c: abc}\n",
+    "solver_options.period": _model_without(None, "fsesolve").replace(
+        "period: 6.283185307179586", "period: abc"),
+    "parameters.gamma": MINIMAL_DECAY.replace("gamma: 0.25", "gamma: '1/0'"),
+    "hamiltonian[0].op": MINIMAL_DECAY.replace("0.5*eps*sigmaz", "sigmaz + 'a'"),
+    "hamiltonian[1].coeff.frequency": MINIMAL_DECAY.replace(
+        "c_ops:", "  - {op: sigmax, coeff: {type: sin, frequency: 1j}}\nc_ops:"),
+    "hamiltonian[1].coeff.width": MINIMAL_DECAY.replace(
+        "c_ops:", "  - {op: sigmax, coeff: {type: gauss, center: 1, width: 0}}\nc_ops:"),
+}
+
+
+class TestMalformedFields:
+    @pytest.mark.parametrize("field", list(_BAD_FIELDS))
+    def test_bad_value_is_model_error(self, field, tmp_path, capsys):
+        text = _BAD_FIELDS[field]
+        with pytest.raises(ModelError, match=rf"^{re.escape(field)}:"):
+            run_model(parse_model(text))
+        path = tmp_path / "m.yaml"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: {field}:") and "Traceback" not in err
+
+    def test_smesolve_override_needs_sc_ops(self, tmp_path):
+        path = tmp_path / "m.yaml"
+        path.write_text(MINIMAL_DECAY)
+        assert main(["run", str(path), "--solver", "smesolve"]) == 1
+
+    def test_numeric_fields_take_parameter_expressions(self):
+        text = MINIMAL_DECAY.replace("parameters: {eps: 1.0, gamma: 0.25}",
+                                     "parameters: {eps: 1.0, gamma: 0.25, T: 5.0, n: 21}")
+        spec = parse_model(text.replace("stop: 10.0, num: 41", 'stop: "2*T", num: "2*n - 1"'))
+        assert np.array_equal(spec.tlist, parse_model(MINIMAL_DECAY).tlist)
+        with pytest.raises(ModelError, match=r"^tlist\.num: expected a real integer"):
+            parse_model(MINIMAL_DECAY.replace("num: 41", "num: 40.5"))
+        with pytest.raises(ModelError, match=r"^tlist\.stop: expected a number"):
+            parse_model(MINIMAL_DECAY.replace("stop: 10.0", "stop: [1, 2]"))
