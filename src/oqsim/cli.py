@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from .exceptions import ModelError, OqsimError
-from .model import csv_lines, parse_model, run_model, write_csv
+from .model import check_model, csv_lines, parse_model, run_model, write_csv
 
 __all__ = ["main"]
 
@@ -45,6 +45,7 @@ def main(argv=None) -> int:
     try:
         spec = parse_model(text)
         if args.command == "validate":
+            check_model(spec, spec.solver)
             print(f"ok: {args.model} is a valid {spec.solver} model", file=sys.stderr)
             return 0
         table = run_model(spec, seed=args.seed, ntraj=args.ntraj, solver=args.solver)

@@ -15,10 +15,16 @@ requires and its runner: every solver but ``steadystate`` requires
 ``initial_state``, ``tlist`` and ``hamiltonian``; ``brmesolve`` also
 ``couplings``, ``nm_mcsolve`` ``ops_and_rates``, ``smesolve`` ``sc_ops``,
 ``heomsolve`` ``environment`` and ``fsesolve`` ``solver_options.period``.
-:func:`run_model` checks a model against the
-solver that actually runs, so a solver named by an override must find its
-own required fields.  A malformed field raises :class:`ModelError`,
-whose message names the offending path.
+:func:`check_model` checks a model's ``solver_options`` keys and required
+fields against one solver: :func:`run_model` against the solver that
+actually runs, so a solver named by an override must find its own, and
+``oqsim validate`` against the model's own.  A ``tlist`` must be finite and
+ascending.  A malformed field raises :class:`ModelError`, whose message
+names the offending path.
+
+Documents are read by PyYAML's libyaml parser when PyYAML was built with
+it, and by its pure-Python parser otherwise; both give the same documents.
+Either way, numbers in exponent form (``1e-10``, ``1.0e10``) read as floats.
 """
 
 from __future__ import annotations
@@ -41,9 +47,10 @@ from .environment import (
     OhmicEnvironment,
     UnderdampedEnvironment,
 )
-from .exceptions import ModelError, OptionError, OqsimError, SolverError
+from .exceptions import ModelError, OptionError, OqsimError, RangeError, SolverError
 from .floquet import floquet_basis, fsesolve
 from .heom import heomsolve
+from .integrator import check_tlist
 from .mcsolve import mcsolve
 from .nm_mcsolve import nm_mcsolve
 from .operators import _OPERATOR_KINDS
@@ -56,7 +63,7 @@ from .states import _STATE_KINDS
 from .steadystate import steadystate
 from .trajectory import McOptions
 
-__all__ = ["ModelSpec", "ResultTable", "parse_model", "run_model", "write_csv"]
+__all__ = ["ModelSpec", "ResultTable", "check_model", "parse_model", "run_model", "write_csv"]
 
 _SCALAR_FUNCS = {
     "sqrt": cmath.sqrt,
@@ -356,19 +363,24 @@ def _environment_from_spec(spec, params, path):
         raise ModelError(f"{path}: {exc}") from exc
 
 
-class _ModelLoader(yaml.SafeLoader):
-    """``yaml.SafeLoader`` that also reads ``1e-10``, ``1e10`` and ``1.0e10`` as floats.
+def _model_loader(base):
+    """A subclass of ``base`` that also reads ``1e-10``, ``1e10`` and ``1.0e10`` as floats.
 
     YAML 1.1 leaves an exponent without a dot or without a sign a string.
     The int resolver is tried first, so ``10`` stays an int.
     """
+    loader = type("_ModelLoader", (base,), {})
+    loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"),
+    )
+    return loader
 
 
-_ModelLoader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
-    list("-+.0123456789"),
-)
+# libyaml scans and parses when PyYAML was built with it; tags are resolved
+# and objects built by the same Python resolver and constructor either way.
+_ModelLoader = _model_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 # The operator lists of a model, in the order their dims are checked, with
@@ -416,8 +428,13 @@ def parse_model(text: str) -> ModelSpec:
         num = _number(tspec["num"], params, "tlist.num", int)
         if num < 2:
             raise ModelError("tlist.num: need at least two time points")
-        tlist = np.linspace(_number(tspec["start"], params, "tlist.start"),
-                            _number(tspec["stop"], params, "tlist.stop"), num)
+        with np.errstate(invalid="ignore"):  # an infinite end gives NaN times
+            tlist = np.linspace(_number(tspec["start"], params, "tlist.start"),
+                                _number(tspec["stop"], params, "tlist.stop"), num)
+        try:
+            check_tlist(tlist)
+        except RangeError as exc:
+            raise ModelError(f"tlist: {exc}") from exc
 
     state = doc.get("initial_state")
     initial_state = None if state is None else _qobj(state, params, "initial_state", "a state")
@@ -476,6 +493,23 @@ def _require_fields(spec: ModelSpec, name: str) -> None:
             value = value.get(key)
         if value is None or (isinstance(value, list) and not value):
             raise ModelError(f"{path}: {message}")
+
+
+def check_model(spec: ModelSpec, name: str) -> None:
+    """Check ``spec`` against solver ``name`` as a run of it would.
+
+    A ``solver_options`` key the solver does not take, or a field it
+    requires and the model lacks, raises :class:`ModelError`.
+    """
+    if name not in _SOLVERS:
+        raise ModelError(f"solver: unknown solver {name!r}")
+    accepted = _SOLVERS[name][0]
+    for key in spec.solver_options:
+        if key not in accepted:
+            raise ModelError(
+                f"solver_options.{key}: not an option of {name}; accepted: {', '.join(accepted)}"
+            )
+    _require_fields(spec, name)
 
 
 def _ops(terms):
@@ -590,15 +624,8 @@ def run_model(spec: ModelSpec, *, seed=None, ntraj=None, solver=None) -> ResultT
     :class:`ModelError`.
     """
     name = solver or spec.solver
-    if name not in _SOLVERS:
-        raise ModelError(f"solver: unknown solver {name!r}")
+    check_model(spec, name)
     accepted, _, runner = _SOLVERS[name]
-    for key in spec.solver_options:
-        if key not in accepted:
-            raise ModelError(
-                f"solver_options.{key}: not an option of {name}; accepted: {', '.join(accepted)}"
-            )
-    _require_fields(spec, name)
     opts = dict(spec.solver_options)
     if seed is not None and "seed" in accepted:
         opts["seed"] = int(seed)

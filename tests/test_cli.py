@@ -1,15 +1,26 @@
 """Batch front end: model parsing, running, CSV output, CLI determinism."""
 
+import ast
 import csv
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+from oqsim import model
 from oqsim.cli import main
 from oqsim.exceptions import ModelError
-from oqsim.model import _SOLVERS, parse_model, run_model, write_csv
+from oqsim.model import (
+    _SOLVERS,
+    _ModelLoader,
+    _model_loader,
+    check_model,
+    parse_model,
+    run_model,
+    write_csv,
+)
 
 MINIMAL_DECAY = """
 parameters: {eps: 1.0, gamma: 0.25}
@@ -403,3 +414,121 @@ class TestMalformedFields:
             parse_model(MINIMAL_DECAY.replace("num: 41", "num: 40.5"))
         with pytest.raises(ModelError, match=r"^tlist\.stop: expected a number"):
             parse_model(MINIMAL_DECAY.replace("stop: 10.0", "stop: [1, 2]"))
+
+
+class TestValidateMatchesRun:
+    """``validate`` refuses what ``run`` would refuse for the model's own solver."""
+
+    @pytest.mark.parametrize("field,text", [
+        ("solver_options.rtoll", MINIMAL_DECAY + "solver_options: {rtoll: 1.0e-3}\n"),
+        ("tlist", MINIMAL_DECAY.replace("start: 0.0", "start: 20.0")),
+        ("tlist", MINIMAL_DECAY.replace("stop: 10.0", "stop: .inf")),
+    ], ids=["foreign-option", "descending-tlist", "infinite-tlist"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_exits_1_with_a_validation_error(self, command, field, text, tmp_path, capsys):
+        path = tmp_path / "m.yaml"
+        path.write_text(text)
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: {field}:") and "Traceback" not in err
+
+    def test_parse_model_keeps_keys_for_an_override(self):
+        # A key meant for a --solver override parses; the solver run checks it.
+        spec = parse_model(MINIMAL_DECAY + "solver_options: {ntraj: 10, seed: 3}\n")
+        assert run_model(spec, solver="mcsolve").labels == ["time", "sz", "sz_std"]
+        with pytest.raises(ModelError, match=r"^solver_options\.ntraj:"):
+            check_model(spec, spec.solver)
+
+
+def _nm_shaped_model(ntraj):
+    """An nm_mcsolve model with four 301-knot ``array`` lists, shaped like the batch benchmark's."""
+    ts = np.linspace(0.0, 3.0, 301)
+    times = ", ".join(repr(float(t)) for t in ts)
+    rates = ", ".join(repr(float(v)) for v in 0.3 * np.exp(-ts) * np.cos(4 * ts))
+    # Exponents without a dot ("3e-06") read as floats only through the model loader.
+    shifts = ", ".join(f"{v:.0e}" for v in 1e-5 * np.sin(3 * ts))
+    return f"""
+parameters: {{}}
+hamiltonian:
+  - op: "sigmap()*sigmam()"
+    coeff: {{type: array, times: [{times}], values: [{shifts}]}}
+ops_and_rates:
+  - op: "sigmam"
+    rate: {{type: array, times: [{times}], values: [{rates}]}}
+initial_state: "(basis(2,0) + basis(2,1))/sqrt(2)"
+tlist: {{start: 0.0, stop: 3.0, num: 31}}
+e_ops:
+  - {{label: pop, op: "sigmap()*sigmam()"}}
+solver: nm_mcsolve
+solver_options: {{ntraj: {ntraj}, seed: 0, map: serial}}
+"""
+
+
+def _model_texts():
+    """Every model text of this file, malformed ones included: its string literals with a
+    ``solver:`` line, and the generated ones."""
+    tree = ast.parse(Path(__file__).read_text())
+    parts = {id(v) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+             for v in node.values}
+    texts = [node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and id(node) not in parts
+             and isinstance(node.value, str) and re.search(r"^solver: ", node.value, re.M)]
+    texts += [_model_without(None, name) for name in _SOLVERS]
+    texts += [_model_without(f, name) for name, f in _REQUIRED]
+    texts += list(_BAD_FIELDS.values()) + _MALFORMED + [_nm_shaped_model(200)]
+    return texts
+
+
+_PURE_LOADER = _model_loader(yaml.SafeLoader)
+
+
+def _load(text, loader):
+    """The repr of the document, or the name of the YAML error class."""
+    try:
+        return repr(yaml.load(text, Loader=loader))
+    except yaml.YAMLError as exc:
+        return type(exc).__name__
+_MALFORMED = [
+    MINIMAL_DECAY.replace("num: 41}", "num: 41"),
+    MINIMAL_DECAY + "  - bad: [indent\n",
+    "solver: mesolve\n\ttlist: {}\n",
+]
+_needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__,
+                                    reason="PyYAML was built without libyaml")
+_LOADERS = [pytest.param(_PURE_LOADER, id="pure"),
+            pytest.param(_ModelLoader, id="libyaml", marks=_needs_libyaml)]
+
+
+class TestLoaderEquivalence:
+    """libyaml and the pure-Python parser read every model file alike."""
+
+    @_needs_libyaml
+    def test_model_loader_uses_libyaml(self):
+        assert issubclass(_ModelLoader, yaml.CSafeLoader)
+
+    @_needs_libyaml
+    def test_documents_are_equal(self):
+        texts = _model_texts()
+        assert len(texts) > 40
+        for text in texts:
+            # repr tells 1 from 1.0 and True, and keeps the key order.
+            assert _load(text, _ModelLoader) == _load(text, _PURE_LOADER), text
+
+    @_needs_libyaml
+    @pytest.mark.parametrize("text", [MINIMAL_DECAY, _nm_shaped_model(20)],
+                             ids=["minimal-decay", "array-model"])
+    def test_csv_bytes_are_equal(self, text, tmp_path, monkeypatch):
+        def csv_bytes(loader, name):
+            monkeypatch.setattr(model, "_ModelLoader", loader)
+            path = tmp_path / name
+            write_csv(run_model(parse_model(text)), path)
+            return path.read_bytes()
+
+        assert csv_bytes(_ModelLoader, "c.csv") == csv_bytes(_PURE_LOADER, "py.csv")
+
+    @pytest.mark.parametrize("loader", _LOADERS)
+    @pytest.mark.parametrize("text", _MALFORMED, ids=["unclosed-flow", "unclosed-bracket", "tab"])
+    def test_malformed_yaml_is_model_error(self, loader, text, monkeypatch):
+        monkeypatch.setattr(model, "_ModelLoader", loader)
+        with pytest.raises(ModelError, match="not valid YAML"):
+            parse_model(text)
