@@ -10,7 +10,6 @@ exceeds a cutoff (measured in the same absolute frequency units as H).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,12 +17,11 @@ import numpy as np
 
 from . import data as _d
 from .dimensions import Dimensions
-from .exceptions import (ArgumentError, DimensionMismatchError, NotHermitianError, RangeError,
-                         UnsupportedError)
+from .exceptions import ArgumentError, NotHermitianError, RangeError, UnsupportedError
 from .qobj import Qobj
 from .qobjevo import QobjEvo
-from .result import SolveResult, normalize_e_ops
-from .solver import MESolver, SolverOptions
+from .result import SolveResult, check_operators, check_state, normalize_e_ops
+from .solver import MESolver
 
 __all__ = ["BRCoupling", "br_tensor", "brmesolve"]
 
@@ -67,8 +65,7 @@ def br_tensor(H: Qobj, couplings, sec_cutoff: float = 0.1):
     R = np.zeros((n, n, n, n), dtype=np.complex128)
     eye = np.eye(n)
     for coup in couplings:
-        if coup.op.dims.ket != H.dims.ket:
-            raise DimensionMismatchError("coupling operator dims do not match H")
+        check_operators([coup.op], H.dims, "coupling operator")
         if not coup.op.isherm:
             raise NotHermitianError("Bloch-Redfield coupling operators must be Hermitian")
         A = Varr.conj().T @ coup.op.full() @ Varr
@@ -131,16 +128,10 @@ def brmesolve(
     n = H.shape[0]
     Varr = np.column_stack([k.full().ravel() for k in ekets])
 
-    if rho0.isket:
-        rho0 = rho0.proj()
-    if rho0.dims.ket != H.dims.ket:
-        raise DimensionMismatchError("initial state dims do not match H")
+    rho0 = check_state(rho0, H.dims, "oper")
     rho_eig = Qobj(Varr.conj().T @ rho0.full() @ Varr, dims=Dimensions([n], [n]))
 
-    labels, ops = normalize_e_ops(e_ops)
-    for op in ops:
-        if op.dims.ket != H.dims.ket:
-            raise DimensionMismatchError("e_op dims do not match H")
+    labels, ops = normalize_e_ops(e_ops, H.dims)
     ops_eig = {
         lbl: Qobj(Varr.conj().T @ op.full() @ Varr, dims=Dimensions([n], [n]))
         for lbl, op in zip(labels, ops)

@@ -14,7 +14,7 @@ from .exceptions import DimensionMismatchError, RangeError
 from .integrator import IntegratorOptions, check_tlist, integrate
 from .qobj import Qobj
 from .qobjevo import QobjEvo
-from .result import SolveResult, normalize_e_ops
+from .result import SolveResult, check_state, normalize_e_ops
 
 __all__ = ["FloquetBasis", "floquet_basis", "fsesolve"]
 
@@ -114,16 +114,13 @@ def fsesolve(fb: FloquetBasis, psi0: Qobj, tlist, e_ops=None) -> SolveResult:
     ``psi(t) = sum_a c_a exp(-i eps_a t) Phi_a(t mod T)`` with coefficients
     fixed by the initial state.  Times must be non-negative.
     """
-    if not psi0.isket:
-        raise DimensionMismatchError("fsesolve needs a ket initial state")
-    if psi0.dims.ket != fb.dims.ket:
-        raise DimensionMismatchError("initial state dims do not match the Floquet basis")
+    psi0 = check_state(psi0, fb.dims, "ket")
     tlist = check_tlist(tlist)
     if np.any(tlist < 0):
         raise RangeError("fsesolve times must be non-negative")
 
     coeffs = fb.expand(psi0)
-    labels, ops = normalize_e_ops(e_ops)
+    labels, ops = normalize_e_ops(e_ops, fb.dims)
     mats = [op.data.scipy_matrix() for op in ops]
     real_flags = [op.isherm for op in ops]
     expect_out = [np.empty(tlist.size, dtype=complex) for _ in ops]

@@ -259,6 +259,8 @@ _ALPHA_EXP = np.arange(7.0)  # column m of _ALPHA multiplies h^m
 _C128 = np.dtype(np.complex128)
 # Smallest step, relative to max(|t|, 1), before the step size counts as underflowed.
 _H_MIN = 16 * np.finfo(float).eps
+# How close to an output time, relative to max(|t|, 1), counts as reaching it.
+_T_REACHED = 4 * np.finfo(float).eps
 # Largest ``h max|D|`` of a decay-form step: e^700 is finite in float64.
 _EXP_LIMIT = 700.0
 # Decay form: stage i scales by e^(c_i h D), computed once per distinct node.
@@ -588,7 +590,7 @@ def advance(stepper: DP54Stepper, tlist, nsteps: int, on_step=None, done: int = 
     cut_seg, t_cut = None, -np.inf
     for j, target in enumerate(tlist):
         count, done = done, 0
-        eps_t = 4 * np.finfo(float).eps * max(1.0, abs(target))
+        eps_t = _T_REACHED * max(1.0, abs(target))
         while stepper.t < target - eps_t:
             if count >= nsteps:
                 raise StepLimitError(f"exceeded {nsteps} steps before t={target:.6g}")

@@ -50,11 +50,11 @@ import time
 import numpy as np
 
 from .coefficient import Coefficient
-from .exceptions import DimensionMismatchError, RangeError, SolverError
+from .exceptions import RangeError, SolverError
 from .integrator import DP54Stepper, advance, check_tlist
 from .qobj import Qobj
 from .qobjevo import QobjEvo, apply_matrix
-from .result import MultiTrajResult
+from .result import MultiTrajResult, check_operators, check_state
 from .solver import SolverOptions, sesolve
 from .trajectory import Ensemble, McOptions, run_map, trajectory_rng
 
@@ -338,11 +338,10 @@ class MCSolver:
         self.options = McOptions.coerce(options)
         H_evo = H if isinstance(H, QobjEvo) else QobjEvo(H)
         self.dims = H_evo.dims
+        c_evos = [c if isinstance(c, QobjEvo) else QobjEvo(c) for c in c_ops]
+        check_operators(c_evos, H_evo.dims, "collapse operator")
         channels = []
-        for c in c_ops:
-            cev = c if isinstance(c, QobjEvo) else QobjEvo(c)
-            if cev.dims.ket != H_evo.dims.ket:
-                raise DimensionMismatchError("collapse operator dims do not match H")
+        for cev in c_evos:
             if cev.isconstant:
                 channels.append(_Channel(cev(0.0)))
             else:
@@ -371,19 +370,17 @@ class MCSolver:
 def _run_trajectories(drift_evo, channels, psi0, tlist, e_ops, opts: McOptions, dims,
                       solver_name: str, martingale_cont=None):
     """Common driver for mcsolve and nm_mcsolve ensembles."""
-    ens = Ensemble(solver_name, opts, tlist, e_ops)
+    ens = Ensemble(solver_name, opts, tlist, e_ops, dims)
     e_mats = [op.data.scipy_matrix() for op in ens.ops]
 
-    if isinstance(psi0, Qobj):
+    if not isinstance(psi0, (list, tuple)):
         components = [(psi0, 1.0)]
     else:
         components = [(k, float(p)) for k, p in psi0]
         total_p = sum(p for _, p in components)
         if abs(total_p - 1.0) > 1e-8:
             raise RangeError("mixture probabilities must sum to 1")
-    for ket, _ in components:
-        if not ket.isket:
-            raise DimensionMismatchError("initial states must be kets")
+    components = [(check_state(ket, dims, "ket", nonzero=True), p) for ket, p in components]
 
     counts = _allot(opts.ntraj, [p for _, p in components])
 
@@ -470,7 +467,7 @@ def _run_trajectories(drift_evo, channels, psi0, tlist, e_ops, opts: McOptions, 
     accepted, rejected, replayed = (sum(traj.steps[i] for _, traj in pairs) for i in range(3))
     stats = {"jumps": sum(len(traj.jumps) for _, traj in pairs), "accepted_steps": accepted,
              "rejected_steps": rejected, "replayed_steps": replayed}
-    return ens.result(ensemble, len(done) == len(jobs), dims, stats=stats, trace=trace,
+    return ens.result(ensemble, len(done) == len(jobs), stats=stats, trace=trace,
                       trace_std=trace_std,
                       photocurrent=_photocurrent(pairs, len(channels), tlist, w_total))
 
@@ -507,14 +504,17 @@ def mcsolve(H, psi0, tlist, c_ops=(), e_ops=None, options=None) -> MultiTrajResu
 
     ``psi0`` is a ket or, for mixed initial states, a list of ``(ket, prob)``
     pairs; trajectories are allotted to the components proportionally and the
-    results weighted by the component probabilities.  Without collapse
+    results weighted by the component probabilities.  Each ket, collapse
+    operator and e_op (an operator, not a ket) must have H's dims and ENR
+    marker, even where another ket has H's size; else ``DimensionMismatchError``.
+    A trajectory run refuses a zero ket with ``RangeError``.  Without collapse
     operators the problem is deterministic and is delegated to
     :func:`~oqsim.solver.sesolve` with the caller's integrator options
     (wrapped as a single-trajectory result whose ``stats`` hold the shared
     trajectory keys and ``delegated``).
     """
     if not c_ops:
-        if not isinstance(psi0, Qobj):
+        if isinstance(psi0, (list, tuple)):
             raise RangeError("mixed initial states need collapse operators")
         opts = McOptions.coerce(options)
         t_start = time.perf_counter()

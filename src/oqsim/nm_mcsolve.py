@@ -23,12 +23,13 @@ from scipy.integrate import quad
 
 from . import data as _d
 from .coefficient import Coefficient, ConstantCoefficient, coefficient
-from .exceptions import DimensionMismatchError, RangeError
+from .dimensions import Dimensions
+from .exceptions import RangeError
 from .integrator import check_tlist
 from .mcsolve import _Channel, _drift, _run_trajectories
 from .qobj import Qobj
 from .qobjevo import QobjEvo
-from .result import MultiTrajResult
+from .result import MultiTrajResult, check_operators
 from .trajectory import McOptions
 
 __all__ = ["NmPrepared", "nm_prepare", "nm_mcsolve"]
@@ -95,19 +96,12 @@ def nm_prepare(ops_and_rates) -> NmPrepared:
     distinct time: a right-hand side asks for every shifted rate at one
     ``t``, and each rate is evaluated there once, not once per use.
     """
-    ops = []
-    rates = []
-    for op, rate in ops_and_rates:
-        if not op.isoper or op.dims.ket != op.dims.bra:
-            raise DimensionMismatchError("jump operators must be square operators")
-        ops.append(op)
-        rates.append(coefficient(rate))
-    if not ops:
+    pairs = list(ops_and_rates)
+    if not pairs:
         raise RangeError("need at least one (operator, rate) pair")
-    dims = ops[0].dims
-    for op in ops[1:]:
-        if op.dims != dims:
-            raise DimensionMismatchError("all jump operators must share dims")
+    ops, rates = [op for op, _ in pairs], [coefficient(rate) for _, rate in pairs]
+    d = ops[0].dims  # every operator is a square one on the space of the first
+    check_operators(ops, Dimensions(d.ket, d.ket, enr=d.enr), "jump operator")
 
     total = None
     for op in ops:
@@ -146,13 +140,15 @@ def nm_mcsolve(H, psi0, tlist, ops_and_rates, e_ops=None, options=None) -> Multi
     negative rates.
 
     Returns martingale-weighted ensemble statistics; the ``trace`` field of
-    the result holds the average influence martingale.
+    the result holds the average influence martingale.  The inputs are
+    checked as in :func:`~oqsim.mcsolve.mcsolve`.
     """
     opts = McOptions.coerce(options)
     tlist = check_tlist(tlist)
     prep = nm_prepare(ops_and_rates)
 
     H_evo = H if isinstance(H, QobjEvo) else QobjEvo(H)
+    check_operators(prep.ops, H_evo.dims, "jump operator")
     channels = [_Channel(op, rate=Gamma, ratio_fn=Gamma.ratio)
                 for op, Gamma in zip(prep.ops, prep.shifted_rates)]
 

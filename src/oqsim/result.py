@@ -1,27 +1,60 @@
-"""Result containers for the dynamics solvers."""
+"""Result containers for the dynamics solvers, and the input gate they share:
+every solver checks its initial state, e_ops and jump operators against the
+system's operator dims (ENR marker included) with the functions below."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import ArgumentError
+from .exceptions import ArgumentError, DimensionMismatchError, NotHermitianError, RangeError
 from .qobj import Qobj
 
-__all__ = ["SolveResult", "MultiTrajResult", "normalize_e_ops"]
+__all__ = ["SolveResult", "MultiTrajResult", "normalize_e_ops", "check_state",
+           "check_operators"]
 
 
-def normalize_e_ops(e_ops):
+def check_state(state, dims, kind: str, nonzero=False, hermitian=False) -> Qobj:
+    """``state`` as the initial ``kind`` (``"ket"``, or ``"oper"`` where a ket becomes its
+    projector) of a system on ``dims``.  A non-Qobj raises :class:`ArgumentError`, another
+    kind or dims :class:`DimensionMismatchError`; ``hermitian`` refuses a non-Hermitian
+    operator (:class:`NotHermitianError`), ``nonzero`` a zero norm or trace (:class:`RangeError`).
+    """
+    if not isinstance(state, Qobj):
+        raise ArgumentError(f"the initial state must be a Qobj; got {type(state).__name__}")
+    if kind == "oper" and state.isket:
+        state = state.proj()
+    if state.kind != kind or state.dims.ket != dims.ket or state.dims.enr != dims.enr or (
+            kind == "oper" and state.dims.bra != dims.bra):
+        noun = "ket" if kind == "ket" else "ket or density operator"
+        raise DimensionMismatchError(f"the initial state must be a {noun} on {dims!r}; "
+                                     f"got a {state.kind} with dims {state.dims!r}")
+    if hermitian and not state.isherm:
+        raise NotHermitianError("the initial state must be a Hermitian operator")
+    if nonzero and (state.norm() if kind == "ket" else state.tr()) == 0:
+        raise RangeError(f"the initial state has zero {'norm' if kind == 'ket' else 'trace'}")
+    return state
+
+
+def check_operators(ops, dims, what: str) -> None:
+    """Raise :class:`DimensionMismatchError` unless each Qobj or QobjEvo in ``ops`` has ``dims``."""
+    for op in ops:
+        if op.dims != dims:
+            raise DimensionMismatchError(f"{what} dims {op.dims!r} do not match {dims!r}")
+
+
+def normalize_e_ops(e_ops, dims):
     """Coerce e_ops into parallel (labels, operators) lists.
 
     Accepts None, a single Qobj, a list of Qobjs, or a dict label -> Qobj.
     Anything else, or an entry that is not a Qobj, raises
-    :class:`ArgumentError`.
+    :class:`ArgumentError`; an entry whose dims are not ``dims``,
+    :class:`DimensionMismatchError`.
     """
     if e_ops is None:
         return [], []
     if isinstance(e_ops, Qobj):
-        return ["e0"], [e_ops]
-    if isinstance(e_ops, dict):
+        labels, ops = ["e0"], [e_ops]
+    elif isinstance(e_ops, dict):
         labels, ops = list(e_ops.keys()), list(e_ops.values())
     else:
         try:
@@ -33,6 +66,7 @@ def normalize_e_ops(e_ops):
     for label, op in zip(labels, ops):
         if not isinstance(op, Qobj):
             raise ArgumentError(f"e_ops entry {label!r} must be a Qobj; got {type(op).__name__}")
+        check_operators([op], dims, f"e_ops entry {label!r}")
     return labels, ops
 
 

@@ -43,11 +43,11 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .exceptions import DimensionMismatchError, NotHermitianError, RangeError, SolverError
+from .exceptions import RangeError, SolverError
 from .integrator import check_tlist
 from .qobj import Qobj
 from .qobjevo import QobjEvo, liouvillian_evo
-from .result import MultiTrajResult
+from .result import MultiTrajResult, check_operators, check_state
 from .superop import spost, spre
 from .trajectory import Ensemble, TrajectoryOptions, run_map, trajectory_rng
 
@@ -137,11 +137,12 @@ class HermitianCoords:
         return out
 
 
-def _as_constant_matrix(op, name):
-    ev = op if isinstance(op, QobjEvo) else QobjEvo(op)
-    if not ev.isconstant:
+def _as_constant_matrices(ops, dims, name):
+    evos = [op if isinstance(op, QobjEvo) else QobjEvo(op) for op in ops]
+    check_operators(evos, dims, name)
+    if not all(ev.isconstant for ev in evos):
         raise SolverError(f"smesolve requires time-independent {name}")
-    return ev(0.0).full()
+    return [ev(0.0).full() for ev in evos]
 
 
 def smesolve(H, rho0: Qobj, tlist, c_ops=(), sc_ops=(), e_ops=None, options=None) -> MultiTrajResult:
@@ -151,10 +152,12 @@ def smesolve(H, rho0: Qobj, tlist, c_ops=(), sc_ops=(), e_ops=None, options=None
     ``c_ops`` add unmonitored deterministic dissipation.  ``tlist`` must be
     uniform (see :func:`~oqsim.integrator.check_tlist`) and the substep
     ``dt_sub`` must divide its spacing; the default substep is spacing/100.
-    ``rho0`` must be Hermitian.  ``options`` takes the :class:`SmeOptions`
-    keys.  With ``target_tol`` set, the run stops after the first block of
-    ``BLOCK`` trajectories at which the standard error of every expectation
-    value is within it; the result then holds those blocks only.
+    ``rho0`` is a ket or a Hermitian operator of nonzero trace; it and every
+    operator in ``c_ops``, ``sc_ops`` and ``e_ops`` have H's dims and ENR
+    marker.  ``options`` takes the :class:`SmeOptions` keys.  With
+    ``target_tol`` set, the run stops after the first block of ``BLOCK``
+    trajectories at which the standard error of every expectation value is
+    within it; the result then holds those blocks only.
 
     ``stats`` holds the keys every trajectory solver reports (see
     :mod:`oqsim.trajectory`), plus ``dt_sub``, ``build_time`` (everything
@@ -163,7 +166,8 @@ def smesolve(H, rho0: Qobj, tlist, c_ops=(), sc_ops=(), e_ops=None, options=None
     """
     opts = SmeOptions.coerce(options)
     tlist = check_tlist(tlist, uniform=True)
-    ens = Ensemble("smesolve", opts, tlist, e_ops)
+    H_evo = H if isinstance(H, QobjEvo) else QobjEvo(H)
+    ens = Ensemble("smesolve", opts, tlist, e_ops, H_evo.dims)
     dt_out = tlist[1] - tlist[0]
     dt_sub = opts.dt_sub if opts.dt_sub is not None else dt_out / 100.0
     n_sub = dt_out / dt_sub
@@ -177,16 +181,10 @@ def smesolve(H, rho0: Qobj, tlist, c_ops=(), sc_ops=(), e_ops=None, options=None
     if not sc_ops and not c_ops:
         raise RangeError("smesolve needs at least one collapse or monitored operator")
 
-    H_evo = H if isinstance(H, QobjEvo) else QobjEvo(H)
-    if rho0.isket:
-        rho0 = rho0.proj()
-    if rho0.dims.ket != H_evo.dims.ket:
-        raise DimensionMismatchError("initial state dims do not match H")
-    if not rho0.isherm:
-        raise NotHermitianError("smesolve needs a Hermitian initial density matrix")
+    rho0 = check_state(rho0, H_evo.dims, "oper", nonzero=True, hermitian=True)
 
-    cs = [_as_constant_matrix(c, "c_ops") for c in c_ops]
-    ss = [_as_constant_matrix(s, "sc_ops") for s in sc_ops]
+    cs = _as_constant_matrices(c_ops, H_evo.dims, "c_ops")
+    ss = _as_constant_matrices(sc_ops, H_evo.dims, "sc_ops")
     d = rho0.shape[0]
     coords = HermitianCoords(d)
     # s rho + rho s^dag, and the row of tr[(s + s^dag) rho].
@@ -201,8 +199,8 @@ def smesolve(H, rho0: Qobj, tlist, c_ops=(), sc_ops=(), e_ops=None, options=None
     # Hermitian matrices to Hermitian matrices, so its real form is exact and
     # the exponential is taken of that real matrix.  Products with the
     # propagator and the measurement terms are sparse: for a cavity most of
-    # their entries are exact zeros.  The operators are taken as plain
-    # matrices so that their dims agree whatever dims the caller gave them.
+    # their entries are exact zeros.  The operators enter as plain matrices,
+    # their dims having been checked against H's above.
     L = liouvillian_evo(
         QobjEvo([(Qobj(q.full()), c) for q, c in H_evo.terms]),
         [Qobj(m) for m in cs + ss],
@@ -293,7 +291,7 @@ def smesolve(H, rho0: Qobj, tlist, c_ops=(), sc_ops=(), e_ops=None, options=None
     blocks = run_map(run_block, jobs, timeout=opts.timeout, check_every=1,
                      stop_check=lambda blocks: ens.stop_check(blocks, weigh))
     records = weigh(blocks)
-    return ens.result(records, len(blocks) == len(jobs), rho0.dims,
+    return ens.result(records, len(blocks) == len(jobs),
                       measurements=[rec for block in blocks for _, rec, _ in block],
                       stats={"dt_sub": dt, "build_time": build_time,
                              "substeps": n_total_sub * len(records)})

@@ -21,7 +21,7 @@ from .integrator import (DP54Stepper, FlatOptions, IntegratorOptions, advance, c
                          propagate_diag)
 from .qobj import Qobj
 from .qobjevo import QobjEvo, liouvillian_evo
-from .result import SolveResult, normalize_e_ops
+from .result import SolveResult, check_state, normalize_e_ops
 
 __all__ = ["SolverOptions", "Solver", "SESolver", "MESolver", "sesolve", "mesolve"]
 
@@ -40,9 +40,11 @@ class SolverOptions(FlatOptions):
 
 
 class Solver:
-    """Base class: owns the packed right-hand side and result assembly."""
+    """Base class: owns the packed right-hand side and result assembly.  A subclass
+    sets ``_op_dims``, the system's operator dims, and the ``state_kind`` it integrates."""
 
     name = "solver"
+    state_kind = "oper"
 
     def __init__(self, rhs_evo: QobjEvo, options=None):
         self.rhs_evo = rhs_evo
@@ -55,9 +57,6 @@ class Solver:
 
     def _unpack(self, y: np.ndarray) -> Qobj:
         raise NotImplementedError
-
-    def _check_state(self, state: Qobj) -> Qobj:
-        return state
 
     def _expect_row(self, e_op: Qobj):
         """Return a closure evaluating <e_op> on a packed state vector."""
@@ -72,10 +71,10 @@ class Solver:
     def run(self, state0: Qobj, tlist, e_ops=None, args=None) -> SolveResult:
         """Propagate ``state0`` over ``tlist`` and collect the requested output."""
         t_start = time.perf_counter()
-        state0 = self._check_state(state0)
+        state0 = check_state(state0, self._op_dims, self.state_kind)
         tlist = check_tlist(tlist)
 
-        labels, ops = normalize_e_ops(e_ops)
+        labels, ops = normalize_e_ops(e_ops, self._op_dims)
         opts = self.options
         store_states = opts.store_states if opts.store_states is not None else not ops
         evaluators = [self._expect_row(op) for op in ops]
@@ -138,7 +137,7 @@ class Solver:
 
     def start(self, state0: Qobj, t0: float, args=None) -> None:
         """Initialize a manual step() session at time ``t0``."""
-        state0 = self._check_state(state0)
+        state0 = check_state(state0, self._op_dims, self.state_kind)
         holder = {"args": args}
         # The session integrates on demand; the domain end is unknown, so use
         # a far horizon and clamp steps per step() target instead.
@@ -170,22 +169,17 @@ class SESolver(Solver):
     """Schrodinger equation solver: ``d psi/dt = -i H(t) psi`` (hbar = 1)."""
 
     name = "sesolve"
+    state_kind = "ket"
 
     def __init__(self, H, options=None):
         H_evo = H if isinstance(H, QobjEvo) else QobjEvo(H)
         if H_evo.shape[0] != H_evo.shape[1]:
             raise DimensionMismatchError("Hamiltonian must be square")
         super().__init__(-1j * H_evo, options)
+        self._op_dims = H_evo.dims
         self._dims = Dimensions(
             H_evo.dims.ket, [1] * len(H_evo.dims.ket), enr=H_evo.dims.enr
         )
-
-    def _check_state(self, state):
-        if not state.isket:
-            raise DimensionMismatchError("sesolve needs a ket initial state")
-        if state.dims.ket != self.rhs_evo.dims.bra or state.dims.enr != self.rhs_evo.dims.enr:
-            raise DimensionMismatchError("initial state dims do not match the Hamiltonian")
-        return state
 
     def _pack(self, state):
         return state.full().ravel()
@@ -194,8 +188,6 @@ class SESolver(Solver):
         return Qobj(y.reshape(-1, 1), dims=self._dims)
 
     def _expect_row(self, e_op: Qobj):
-        if e_op.dims.bra != self.rhs_evo.dims.bra:
-            raise DimensionMismatchError("e_op dims do not match the Hamiltonian")
         mat = e_op.data.scipy_matrix()
         return lambda y: complex(np.vdot(y, mat @ y))
 
@@ -212,15 +204,6 @@ class MESolver(Solver):
         self._op_dims = Dimensions(op_dims[0], op_dims[1], enr=L.dims.enr)
         self._n = self._op_dims.shape[0]
 
-    def _check_state(self, state):
-        if state.isket:
-            state = state.proj()
-        if not state.isoper:
-            raise DimensionMismatchError("mesolve needs a ket or density operator")
-        if state.dims.ket != self._op_dims.ket or state.dims.enr != self._op_dims.enr:
-            raise DimensionMismatchError("initial state dims do not match the generator")
-        return state
-
     def _pack(self, state):
         return state.full().flatten(order="F")
 
@@ -228,8 +211,6 @@ class MESolver(Solver):
         return Qobj(y.reshape((self._n, self._n), order="F"), dims=self._op_dims)
 
     def _expect_row(self, e_op: Qobj):
-        if e_op.dims.ket != self._op_dims.ket:
-            raise DimensionMismatchError("e_op dims do not match the generator")
         row = e_op.full().flatten(order="C")  # vec of E^T, so tr(E rho) = row . vec(rho)
         return lambda y: complex(row @ y)
 
@@ -250,6 +231,7 @@ def mesolve(H, rho0: Qobj, tlist, c_ops=(), e_ops=None, options=None, args=None)
     """
     if H is not None and not isinstance(H, QobjEvo):
         H = QobjEvo(H)
-    if H is not None and not c_ops and rho0.isket and not H.terms[0][0].issuper:
+    if (H is not None and not c_ops and isinstance(rho0, Qobj) and rho0.isket
+            and not H.terms[0][0].issuper):
         return sesolve(H, rho0, tlist, e_ops=e_ops, options=options, args=args)
     return MESolver(H, c_ops, options).run(rho0, tlist, e_ops=e_ops, args=args)

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dimensions import Dimensions
 from .exceptions import MethodError, OptionError, RangeError
 from .integrator import FlatOptions, IntegratorOptions
 from .qobj import Qobj
@@ -189,13 +188,14 @@ class Ensemble:
     """The reduction, the stop check and the result of one trajectory solve.
 
     Built when the solve starts: it splits ``e_ops`` into ``labels`` and
-    ``ops``, and ``run_time`` is measured from then.
+    ``ops``, checked against the system's operator dims ``dims``, and
+    ``run_time`` is measured from then.
     """
 
-    def __init__(self, solver: str, opts: TrajectoryOptions, tlist: np.ndarray, e_ops):
+    def __init__(self, solver: str, opts: TrajectoryOptions, tlist: np.ndarray, e_ops, dims):
         self.t_start = time.perf_counter()
-        self.solver, self.opts, self.tlist = solver, opts, tlist
-        self.labels, self.ops = normalize_e_ops(e_ops)
+        self.solver, self.opts, self.tlist, self.dims = solver, opts, tlist, dims
+        self.labels, self.ops = normalize_e_ops(e_ops, dims)
         self.stopped = False
 
     def reduce(self, records) -> WeightedStats:
@@ -215,11 +215,11 @@ class Ensemble:
         self.stopped = target_reached(self.reduce(weigh(done)), self.opts.target_tol)
         return self.stopped
 
-    def result(self, records, finished: bool, dims, stats=None, **fields) -> MultiTrajResult:
+    def result(self, records, finished: bool, stats=None, **fields) -> MultiTrajResult:
         """The :class:`MultiTrajResult` of ``records``.
 
         ``finished`` says whether :func:`run_map` ran every job.  The averaged
-        states take the ket side of ``dims``.  ``stats`` holds the solver's own
+        states are density operators on the system's space.  ``stats`` holds the solver's own
         stats keys and ``fields`` its own result fields.
         """
         opts, real_flags = self.opts, [op.isherm for op in self.ops]
@@ -229,15 +229,14 @@ class Ensemble:
             runs_expect = [np.array([(e[k].real if flag else e[k]) for _, e, _, _ in records])
                            for k, flag in enumerate(real_flags)]
         if opts.store_states:
-            n = dims.shape[0]
+            n = self.dims.shape[0]
             acc = [np.zeros((n, n), dtype=complex) for _ in self.tlist]
             for w, _, mu, states in records:
                 for j, s in enumerate(states):
                     rho = np.outer(s, s.conj()) if s.ndim == 1 else s
                     acc[j] += (w if mu is None else w * mu[j]) * rho
             w_total = sum(w for w, _, _, _ in records)
-            dm_dims = Dimensions(dims.ket, dims.ket, enr=dims.enr)
-            average_states = [Qobj(a / w_total, dims=dm_dims) for a in acc]
+            average_states = [Qobj(a / w_total, dims=self.dims) for a in acc]
         n_used = len(records)
         stop = "target_tol" if self.stopped else "ntraj" if finished else "timeout"
         return MultiTrajResult(

@@ -209,7 +209,7 @@ class TestWriteCsv:
         spec = parse_model(MINIMAL_DECAY)
         path = tmp_path / "out.csv"
         write_csv(run_model(spec), path)
-        assert open(path, "rb").read().endswith(b"\n")
+        assert Path(path).read_bytes().endswith(b"\n")
 
     def test_empty_e_ops_header(self, tmp_path):
         text = MINIMAL_DECAY.replace(
@@ -258,7 +258,7 @@ solver: steadystate
         o1, o2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert main(["run", model, "-o", o1, "--seed", "55", "--ntraj", "30"]) == 0
         assert main(["run", model, "-o", o2, "--seed", "55", "--ntraj", "30"]) == 0
-        assert open(o1, "rb").read() == open(o2, "rb").read()
+        assert Path(o1).read_bytes() == Path(o2).read_bytes()
 
     def test_seed_and_ntraj_flags_on_mesolve_model(self, tmp_path):
         # A deterministic model takes the trajectory flags and ignores them.
@@ -266,7 +266,7 @@ solver: steadystate
         o1, o2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert main(["run", model, "-o", o1, "--seed", "7", "--ntraj", "30"]) == 0
         assert main(["run", model, "-o", o2]) == 0
-        assert open(o1, "rb").read() == open(o2, "rb").read()
+        assert Path(o1).read_bytes() == Path(o2).read_bytes()
 
     def test_stdout_output(self, tmp_path, capsys):
         model = self._write(tmp_path, MINIMAL_DECAY)

@@ -507,28 +507,28 @@ _HEOM_BATH = (q.ExponentSet([0.1], [1.0], [], []), q.sigmaz())
 _OPTION_CLASSES = {"mcsolve": McOptions, "nm_mcsolve": McOptions, "smesolve": SmeOptions}
 
 
-def _solve(name, tlist=(0.0, 0.5, 1.0), options=None, e_ops=None):
+def _solve(name, tlist=(0.0, 0.5, 1.0), options=None, e_ops=None, state=_PSI):
     """Call solver ``name`` on a qubit with the given inputs."""
     opts = dict(options or {})
     if name in ("mcsolve", "nm_mcsolve", "smesolve"):
         opts = {**_MC, **opts}
     if name == "sesolve":
-        return q.sesolve(_H, _PSI, tlist, e_ops=e_ops, options=opts)
+        return q.sesolve(_H, state, tlist, e_ops=e_ops, options=opts)
     if name == "mesolve":
-        return q.mesolve(_H, _PSI, tlist, _C, e_ops=e_ops, options=opts)
+        return q.mesolve(_H, state, tlist, _C, e_ops=e_ops, options=opts)
     if name == "mcsolve":
-        return q.mcsolve(_H, _PSI, tlist, _C, e_ops=e_ops, options=opts)
+        return q.mcsolve(_H, state, tlist, _C, e_ops=e_ops, options=opts)
     if name == "nm_mcsolve":
-        return q.nm_mcsolve(_H, _PSI, tlist, [(q.sigmam(), 0.5)], e_ops=e_ops, options=opts)
+        return q.nm_mcsolve(_H, state, tlist, [(q.sigmam(), 0.5)], e_ops=e_ops, options=opts)
     if name == "smesolve":
-        return q.smesolve(_H, _PSI, tlist, sc_ops=_C, e_ops=e_ops, options=opts)
+        return q.smesolve(_H, state, tlist, sc_ops=_C, e_ops=e_ops, options=opts)
     if name == "brmesolve":
-        return q.brmesolve(_H, [(q.sigmax(), lambda w: 0.1)], _PSI, tlist, e_ops=e_ops,
+        return q.brmesolve(_H, [(q.sigmax(), lambda w: 0.1)], state, tlist, e_ops=e_ops,
                            options=opts)
     if name == "heomsolve":
-        return q.heomsolve(_H, _HEOM_BATH, _PSI, tlist, n_c=1, e_ops=e_ops, options=opts)
+        return q.heomsolve(_H, _HEOM_BATH, state, tlist, n_c=1, e_ops=e_ops, options=opts)
     if name == "fsesolve":
-        return q.fsesolve(_floquet_basis(), _PSI, tlist, e_ops=e_ops)
+        return q.fsesolve(_floquet_basis(), state, tlist, e_ops=e_ops)
     if name == "integrate":
         integ = IntegratorOptions(**opts)
         return integrate(lambda t, y: -1j * y, np.array([1.0 + 0j]), 0.0, tlist, integ)
@@ -555,13 +555,40 @@ def _option_types(name):
 
 _SOLVERS = ["sesolve", "mesolve", "mcsolve", "nm_mcsolve", "smesolve", "brmesolve", "heomsolve",
             "fsesolve", "integrate"]
+# The solvers that integrate a ket; the others take a ket or a density operator.
+_KET_SOLVERS = ("sesolve", "mcsolve", "nm_mcsolve", "fsesolve", "SESolver.start")
+
+
+def _foreign_states(name):
+    """Initial states that are not on the qubit's space, or not of the kind ``name`` takes:
+    another size, the same size with other dims or an ENR marker, a bra, and for a ket
+    solver a density operator."""
+    states = [q.basis(4, 0), q.Qobj(_PSI.full(), dims=[[1, 2], [1, 1]]),
+              q.enr_fock([2], 1, [0]), _PSI.dag(), q.basis(4, 0).proj()]
+    if name in _KET_SOLVERS:
+        states.append(_PSI.proj())
+    return states
+
+
+# Entries that are not operators on the qubit's space: kets, bras, other sizes,
+# other dims of the same size, an ENR marker and a non-square operator.
+_FOREIGN_E_OPS = [q.basis(2, 0), q.basis(2, 0).dag(), q.qeye(4),
+                  q.Qobj(q.sigmaz().full(), dims=[[1, 2], [1, 2]]),
+                  q.sigmaz() & q.sigmaz(), q.enr_identity([2], 1),
+                  q.Qobj(np.ones((2, 3)))]
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_malformed_input_is_a_typed_error(data):
     _floquet_basis()  # built, by integration, before the checks are watched
-    name = data.draw(st.sampled_from(_SOLVERS + ["SESolver.step"]), label="solver")
+    name = data.draw(st.sampled_from(_SOLVERS + ["SESolver.step", "SESolver.start"]),
+                     label="solver")
+    if name == "SESolver.start":
+        state = data.draw(st.sampled_from(_foreign_states(name)), label="state")
+        with no_integration(), pytest.raises(DimensionMismatchError):
+            q.SESolver(_H).start(state, 0.0)
+        return
     if name == "SESolver.step":
         solver = q.SESolver(_H)
         solver.start(_PSI, 0.0)
@@ -574,9 +601,21 @@ def test_malformed_input_is_a_typed_error(data):
     if types_:  # integrate takes an IntegratorOptions, not a mapping with keys
         kinds += ["option"] if name == "integrate" else ["option", "unknown_key"]
     if name != "integrate":
-        kinds.append("e_ops")
+        kinds += ["e_ops", "state", "e_op_dims"]
     kind = data.draw(st.sampled_from(kinds), label="kind")
     kwargs = {}
+    if kind in ("state", "e_op_dims"):
+        if kind == "state":
+            kwargs["state"] = data.draw(st.sampled_from(_foreign_states(name)), label="state")
+        else:
+            entries = [q.sigmaz()]
+            entries.insert(data.draw(st.integers(0, 1), label="position"),
+                           data.draw(st.sampled_from(_FOREIGN_E_OPS), label="entry"))
+            kwargs["e_ops"] = data.draw(st.sampled_from([entries, dict(zip("ab", entries))]),
+                                        label="e_ops")
+        with no_integration(), pytest.raises(DimensionMismatchError):
+            _solve(name, **kwargs)
+        return
     if kind == "tlist":
         kwargs["tlist"] = data.draw(malformed_tlists(name == "smesolve"), label="tlist")
     elif kind == "option":
@@ -596,6 +635,94 @@ def test_malformed_input_is_a_typed_error(data):
                                     label="e_ops")
     with no_integration(), pytest.raises(OqsimError):
         _solve(name, **kwargs)
+
+
+class TestOneInputGate:
+    """Each solver that took a state, an e_op or a jump operator off the system's
+    space without a typed error, on two qubits: every such input is now a
+    :class:`DimensionMismatchError` before integration, and a zero initial state
+    of a trajectory solver a :class:`RangeError`."""
+
+    H = q.sigmaz() & q.qeye(2)
+    C = [q.sigmam() & q.qeye(2)]
+    PSI = q.basis(2, 0) & q.basis(2, 0)
+    E = [q.sigmaz() & q.qeye(2)]
+    T = [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("case", [
+        "mcsolve_qubit_ket", "nm_mcsolve_qubit_ket", "mcsolve_qubit_mixture",
+        "mcsolve_flat_ket", "nm_mcsolve_flat_ket", "mcsolve_qubit_e_op", "mcsolve_ket_e_op",
+        "fsesolve_qubit_pair_e_op", "fsesolve_ket_e_op", "smesolve_qubit_e_op",
+        "smesolve_ket_e_op", "smesolve_qubit_sc_op", "smesolve_qubit_c_op",
+        "nm_mcsolve_qubit_jump_op"])
+    def test_foreign_input_is_a_dimension_error(self, case):
+        H, C, psi, E, T = self.H, self.C, self.PSI, self.E, self.T
+        qubit, flat = q.basis(2, 0), q.basis(4, 0)
+        calls = {
+            "mcsolve_qubit_ket": lambda: q.mcsolve(H, qubit, T, C, options=_MC),
+            "nm_mcsolve_qubit_ket": lambda: q.nm_mcsolve(H, qubit, T, [(C[0], 0.5)],
+                                                         options=_MC),
+            "mcsolve_qubit_mixture": lambda: q.mcsolve(H, [(psi, 0.5), (qubit, 0.5)], T, C,
+                                                       options=_MC),
+            "mcsolve_flat_ket": lambda: q.mcsolve(H, flat, T, C, options=_MC),
+            "nm_mcsolve_flat_ket": lambda: q.nm_mcsolve(H, flat, T, [(C[0], 0.5)], options=_MC),
+            "mcsolve_qubit_e_op": lambda: q.mcsolve(H, psi, T, C, e_ops=[q.sigmaz()],
+                                                    options=_MC),
+            "mcsolve_ket_e_op": lambda: q.mcsolve(H, psi, T, C, e_ops=[psi], options=_MC),
+            "fsesolve_qubit_pair_e_op": lambda: q.fsesolve(_floquet_basis(), _PSI, T,
+                                                           e_ops=[E[0]]),
+            "fsesolve_ket_e_op": lambda: q.fsesolve(_floquet_basis(), _PSI, T, e_ops=[_PSI]),
+            "smesolve_qubit_e_op": lambda: q.smesolve(H, psi, T, sc_ops=C, e_ops=[q.sigmaz()],
+                                                      options=_MC),
+            "smesolve_ket_e_op": lambda: q.smesolve(H, psi, T, sc_ops=C, e_ops=[psi],
+                                                    options=_MC),
+            "smesolve_qubit_sc_op": lambda: q.smesolve(H, psi, T, sc_ops=[q.sigmam()],
+                                                       options=_MC),
+            "smesolve_qubit_c_op": lambda: q.smesolve(H, psi, T, c_ops=[q.sigmam()], sc_ops=C,
+                                                      options=_MC),
+            "nm_mcsolve_qubit_jump_op": lambda: q.nm_mcsolve(H, psi, T, [(q.sigmam(), 0.5)],
+                                                             options=_MC),
+        }
+        _floquet_basis()
+        gate = "the initial state must be a ket on|dims .* do not match"
+        with no_integration(), pytest.raises(DimensionMismatchError, match=gate):
+            calls[case]()
+
+    @pytest.mark.parametrize("name", [s for s in _SOLVERS if s != "integrate"])
+    def test_a_state_that_is_not_a_qobj_is_an_argument_error(self, name):
+        _floquet_basis()
+        with no_integration(), pytest.raises(ArgumentError, match="must be a Qobj"):
+            _solve(name, state=_PSI.full())
+
+    @pytest.mark.parametrize("solve", [q.sesolve, q.mesolve, q.mcsolve])
+    def test_without_c_ops_a_state_that_is_not_a_qobj_is_an_argument_error(self, solve):
+        with no_integration(), pytest.raises(ArgumentError, match="must be a Qobj"):
+            solve(_H, _PSI.full(), self.T)
+
+    def test_mcsolve_refuses_a_zero_state(self):
+        with no_integration(), pytest.raises(RangeError, match="zero norm"):
+            q.mcsolve(self.H, 0 * self.PSI, self.T, self.C, options=_MC)
+
+    def test_nm_mcsolve_refuses_a_zero_state(self):
+        with no_integration(), pytest.raises(RangeError, match="zero norm"):
+            q.nm_mcsolve(self.H, 0 * self.PSI, self.T, [(self.C[0], 0.5)], options=_MC)
+
+    def test_smesolve_refuses_a_zero_state(self):
+        for rho0 in (0 * self.PSI, 0 * self.PSI.proj(), self.E[0]):  # E[0] has zero trace
+            with no_integration(), pytest.raises(RangeError, match="zero trace"):
+                q.smesolve(self.H, rho0, self.T, sc_ops=self.C, e_ops=self.E, options=_MC)
+
+    def test_the_enr_marker_is_compared(self):
+        a = q.enr_destroy([2, 2], 1)
+        n = a[0].dag() @ a[0]
+        psi = q.enr_fock([2, 2], 1, [1, 0])
+        res = q.mcsolve(n, psi, self.T, [a[0]], e_ops=[n], options=_MC)
+        assert res.expect[0].shape == (3,)
+        flat = q.basis(3, 1)  # the same size, without the marker
+        with no_integration(), pytest.raises(DimensionMismatchError):
+            q.mcsolve(n, flat, self.T, [a[0]], options=_MC)
+        with no_integration(), pytest.raises(DimensionMismatchError):
+            q.mcsolve(n, psi, self.T, [a[0]], e_ops=[q.qeye(3)], options=_MC)
 
 
 def loop_step(self):
