@@ -155,7 +155,10 @@ def _canonical_dense(arr) -> np.ndarray:
 
 
 def _canonical_csr(m) -> sp.csr_matrix:
-    m = sp.csr_matrix(m, dtype=np.complex128)
+    # Every caller passes a matrix it has just made, so a complex128
+    # csr_matrix is kept, not re-wrapped, and its indices sorted in place.
+    if m.__class__ is not sp.csr_matrix or m.dtype != np.complex128:
+        m = sp.csr_matrix(m, dtype=np.complex128)
     m.sort_indices()
     return m
 

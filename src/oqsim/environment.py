@@ -249,12 +249,17 @@ class ExponentSet:
         return f"ExponentSet(n_real={self.n_real}, n_imag={self.n_imag})"
 
 
-def _combine(c, v, tol: float = 1e-10):
+def _same_rate(vk, vo, tol: float = 1e-10) -> bool:
+    """Whether decay rate ``vk`` equals ``vo`` to within ``tol`` relative to ``max(1, |vo|)``."""
+    return abs(vk - vo) <= tol * max(1.0, abs(vo))
+
+
+def _combine(c, v):
     """Merge exponents with equal decay rates by summing coefficients."""
     out_c, out_v = [], []
     for ck, vk in zip(c, v):
         for i, vo in enumerate(out_v):
-            if abs(vk - vo) <= tol * max(1.0, abs(vo)):
+            if _same_rate(vk, vo):
                 out_c[i] += ck
                 break
         else:

@@ -7,11 +7,18 @@ the stack of all multi-indices ``n`` with ``sum n_jk <= N_c`` evolves under
                  - i sum_jk [Q_j, rho^(n_jk +)]
                  - i sum_(real k) n_jk cR_jk [Q_j, rho^(n_jk -)]
                  + sum_(imag k) n_jk cI_jk {Q_j, rho^(n_jk -)}
+                 + sum_(RI k) n_jk (-i cR_jk [Q_j, .] + cI_jk {Q_j, .}) rho^(n_jk -)
 
 in column-stacked form.  The bracket structure of the down-coupling terms
 (commutator for the real-part exponents, anticommutator for the
 imaginary-part ones) is the one validated by the exact pure-dephasing
 solution; see the package README for a note on the convention.
+
+A real-part and an imaginary-part exponent of one bath that share a decay
+rate share one index, an "RI" exponent whose down-coupling is the sum of
+both.  Its ADO ``sigma^m`` stands for ``sum_(a+b=m) binom(m, a) rho^(a, b)``
+of the hierarchy that indexes them apart, which obeys the same equations
+under the same truncation: merging changes the cost, not the answer.
 
 The adaptive method steps the hierarchy in the integrator's decay form: the
 real part of the generator's diagonal, ``D = -Re(n . v)`` (the ADO decay
@@ -34,7 +41,7 @@ import scipy.sparse as sp
 
 from . import data as _d
 from .dimensions import Dimensions
-from .environment import BosonicEnvironment, ExponentSet, matsubara_decompose
+from .environment import BosonicEnvironment, ExponentSet, _same_rate, matsubara_decompose
 from .exceptions import (ArgumentError, DimensionMismatchError, MethodError, NotHermitianError,
                          RangeError)
 from .integrator import DP54Stepper
@@ -114,9 +121,22 @@ class HEOMResult(SolveResult):
 
 
 def _exponent_records(exps: ExponentSet):
-    recs = [("R", c, v) for c, v in zip(exps.ck_real, exps.vk_real)]
-    recs += [("I", c, v) for c, v in zip(exps.ck_imag, exps.vk_imag)]
-    return recs
+    """One ``(kind, cR, cI, v)`` record per hierarchy index of one bath.
+
+    An imaginary-part exponent takes the index of the first real-part one
+    of equal rate (to :class:`ExponentSet`'s merge tolerance) that has no
+    partner yet, as one ``"RI"`` record with both coefficients; the others
+    stay ``"R"`` (``cI = 0``) and ``"I"`` (``cR = 0``) records.
+    """
+    recs = [["R", c, 0, v] for c, v in zip(exps.ck_real, exps.vk_real)]
+    for c, v in zip(exps.ck_imag, exps.vk_imag):
+        for rec in recs:
+            if rec[0] == "R" and _same_rate(v, rec[3]):
+                rec[0], rec[2] = "RI", c
+                break
+        else:
+            recs.append(["I", 0, c, v])
+    return [tuple(rec) for rec in recs]
 
 
 def _label_keys(labels: np.ndarray, n_c: int):
@@ -136,13 +156,17 @@ def _build_generator(H: Qobj, couplings, n_c: int):
 
         I_ado (x) L_sys - diag(damp) (x) I_d2
         + sum_k U_k (x) (-i comm_k)
-        + sum_k D_k (x) n_k c_k (-i comm_k | anti_k)
+        + sum_k D_k (x) n_k (-i cR_k comm_k + cI_k anti_k)
 
     ``U_k`` links each ADO to its neighbour with entry k raised, ``D_k`` to
     the one with entry k lowered, and ``damp_a = n_a . v``.  Neighbours come
     from mixed-radix label keys: raising entry k adds ``(n_c + 1)**k`` to the
     key, so one ``searchsorted`` into the sorted keys per exponent yields
     every up pair, and the same pairs reversed are the down pairs.
+
+    The lowering block of an "R" record is its commutator part alone, of an
+    "I" record its anticommutator part, and of an "RI" record both, as two
+    COO blocks that the conversion to CSR adds entry by entry.
 
     Each product is written straight into COO form: block positions offset by
     ``d^2`` times the ADO indices, block values gathered, not multiplied.
@@ -162,9 +186,8 @@ def _build_generator(H: Qobj, couplings, n_c: int):
             raise NotHermitianError("HEOM coupling operators must be Hermitian")
         comm = sp.csr_matrix((spre(Q) - spost(Q)).data.scipy_matrix()).tocoo()
         anti = sp.csr_matrix((spre(Q) + spost(Q)).data.scipy_matrix()).tocoo()
-        for kind, c, v in recs:
-            records.append((kind, c, v))
-            per_bath_ops.append((comm, anti))
+        records += recs
+        per_bath_ops += [(comm, anti)] * len(recs)
 
     ados = AdoIndexSet(len(records), n_c)
     n_ado = len(ados)
@@ -190,7 +213,7 @@ def _build_generator(H: Qobj, couplings, n_c: int):
     l_diag = np.zeros(d2, dtype=np.complex128)
     on = L_sys.row == L_sys.col
     l_diag[L_sys.row[on]] = L_sys.data[on]
-    rates = np.array([v for _, _, v in records])
+    rates = np.array([rec[3] for rec in records])
     damp = np.array([complex(np.dot(row, rates)) for row in labels.astype(float)])
     diag = l_diag - np.ones(1, dtype=np.complex128) * damp[:, None]
     a, i = np.nonzero(diag != 0)
@@ -202,18 +225,20 @@ def _build_generator(H: Qobj, couplings, n_c: int):
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     lower = np.flatnonzero(labels.sum(axis=1) < n_c)
-    for k, (kind, c, _) in enumerate(records):
+    for k, (kind, cR, cI, _) in enumerate(records):
         comm, anti = per_bath_ops[k]
         upper = order[np.searchsorted(sorted_keys, keys[lower] + weights[k])]
         add_blocks(lower, upper, comm.row, comm.col, comm.data * -1j)
         # Lowering entry k of ``upper`` reaches ``lower``; the entry's value
         # n = 1..n_c picks the block.
-        if kind == "R":
-            block, coefs = comm, [-1j * n * c for n in range(n_c + 1)]
-        else:
-            block, coefs = anti, [n * c for n in range(n_c + 1)]
-        table = np.array([block.data * coef for coef in coefs])
-        add_blocks(upper, lower, block.row, block.col, table[labels[upper, k]])
+        parts = []
+        if kind != "I":
+            parts.append((comm, [-1j * n * cR for n in range(n_c + 1)]))
+        if kind != "R":
+            parts.append((anti, [n * cI for n in range(n_c + 1)]))
+        for block, coefs in parts:
+            table = np.array([block.data * coef for coef in coefs])
+            add_blocks(upper, lower, block.row, block.col, table[labels[upper, k]])
 
     size = n_ado * d2
     gen = sp.coo_matrix(
@@ -227,8 +252,9 @@ def hierarchy_build(H: Qobj, Q: Qobj, exps: ExponentSet, n_c: int):
     """Hierarchy generator for a single bath: ``(generator, AdoIndexSet)``.
 
     The generator is a CSR DataMatrix over the stacked vec-space of all ADOs;
-    its stack dimension is ``d^2 * binomial(n_c + N, n_c)`` with
-    ``N = n_real + n_imag``.
+    its stack dimension is ``d^2 * binomial(n_c + N, n_c)`` with ``N`` the
+    number of hierarchy indices: ``n_real + n_imag`` less one for each
+    imaginary-part exponent that shares its rate with a real-part one.
     """
     return _build_generator(H, [(Q, _exponent_records(exps))], n_c)
 

@@ -49,7 +49,8 @@ import time
 
 import numpy as np
 
-from .coefficient import Coefficient
+from . import data as _d
+from .coefficient import Coefficient, ConstantCoefficient
 from .exceptions import RangeError, SolverError
 from .integrator import DP54Stepper, advance, check_tlist
 from .qobj import Qobj
@@ -94,13 +95,28 @@ class _Channel:
 def _drift(H_evo: QobjEvo, channels) -> QobjEvo:
     """The no-jump generator ``-iH - 1/2 sum_n rate_n(t) C_n^dag C_n``.
 
-    A channel without a rate enters with rate 1, as a constant term.
+    A channel without a rate enters with rate 1, as a constant term.  The
+    terms are formed on the data layer and the constant ones summed in the
+    order ``-iH``, then the channels', as :class:`QobjEvo` folds them; each
+    term becomes a Qobj only at the end.
     """
-    terms = list((-1j * H_evo).terms)
+    const, terms = None, []
+    for q, c in H_evo.terms:
+        m = _d.mul(q.data, -1j)
+        if c.is_constant:
+            const = m  # H_evo's folded constant term, with coefficient 1
+        else:
+            terms.append((m, c))
     for ch in channels:
-        cdc = -0.5 * (ch.op.dag() @ ch.op)
-        terms.append(cdc if ch.rate is None else (cdc, ch.rate))
-    return QobjEvo(terms)
+        cdc = _d.mul(_d.matmul(_d.adjoint(ch.op.data), ch.op.data), -0.5)
+        if ch.rate is not None:
+            terms.append((cdc, ch.rate))
+        else:
+            const = cdc if const is None else _d.add(const, cdc)
+    if const is not None:
+        terms.insert(0, (const, ConstantCoefficient(1.0)))
+    dims = H_evo.dims
+    return QobjEvo._from_terms([(Qobj(m, dims=dims), c) for m, c in terms], dims)
 
 
 class _Trajectory:
@@ -507,8 +523,8 @@ def mcsolve(H, psi0, tlist, c_ops=(), e_ops=None, options=None) -> MultiTrajResu
     results weighted by the component probabilities.  Each ket, collapse
     operator and e_op (an operator, not a ket) must have H's dims and ENR
     marker, even where another ket has H's size; else ``DimensionMismatchError``.
-    A trajectory run refuses a zero ket with ``RangeError``.  Without collapse
-    operators the problem is deterministic and is delegated to
+    A zero ket raises ``RangeError``, with or without collapse operators.
+    Without collapse operators the problem is deterministic and is delegated to
     :func:`~oqsim.solver.sesolve` with the caller's integrator options
     (wrapped as a single-trajectory result whose ``stats`` hold the shared
     trajectory keys and ``delegated``).
@@ -516,6 +532,7 @@ def mcsolve(H, psi0, tlist, c_ops=(), e_ops=None, options=None) -> MultiTrajResu
     if not c_ops:
         if isinstance(psi0, (list, tuple)):
             raise RangeError("mixed initial states need collapse operators")
+        check_state(psi0, QobjEvo(H).dims, "ket", nonzero=True)
         opts = McOptions.coerce(options)
         t_start = time.perf_counter()
         res = sesolve(H, psi0, tlist, e_ops=e_ops, options=SolverOptions(integrator=opts.integrator))

@@ -10,6 +10,9 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oqsim as q
 from oqsim.exceptions import (
@@ -170,10 +173,12 @@ class TestHierarchy:
         assert np.max(np.abs(gen.to_array() - L.full())) < 1e-14
 
     def test_stack_dimension(self):
+        # The imaginary-part rate 1.0 shares the real-part index of rate 1.0:
+        # two hierarchy indices, not three.
         H = 0.5 * q.sigmaz()
         ex = q.ExponentSet([0.5, 0.1], [1.0, 2.0], [0.2], [1.0])
         gen, ados = q.hierarchy_build(H, q.sigmaz(), ex, 3)
-        expected = 4 * math.comb(3 + 3, 3)
+        expected = 4 * math.comb(3 + 2, 3)
         assert gen.shape == (expected, expected)
 
     def test_initial_dissipative_flux_vanishes(self):
@@ -210,9 +215,8 @@ def loop_build(H, couplings, n_c):
             raise NotHermitianError("HEOM coupling operators must be Hermitian")
         comm = sp.csr_matrix((spre(Q) - spost(Q)).data.scipy_matrix())
         anti = sp.csr_matrix((spre(Q) + spost(Q)).data.scipy_matrix())
-        for kind, c, v in recs:
-            records.append((kind, c, v))
-            per_bath_ops.append((comm, anti))
+        records += recs
+        per_bath_ops += [(comm, anti)] * len(recs)
     ados = AdoIndexSet(len(records), n_c)
     L_sys = sp.csr_matrix(q.liouvillian(H, ()).data.scipy_matrix())
     eye = sp.identity(d2, dtype=np.complex128, format="csr")
@@ -224,22 +228,23 @@ def loop_build(H, couplings, n_c):
         cols.append(block.col + b * d2)
         vals.append(block.data)
 
-    rates = np.array([v for _, _, v in records])
+    rates = np.array([v for _, _, _, v in records])
     for a, label in enumerate(ados.labels):
         damp = complex(np.dot(np.asarray(label, dtype=float), rates)) if records else 0.0
         put(a, a, L_sys - damp * eye)
-        for k, (kind, c, v) in enumerate(records):
+        for k, (kind, cR, cI, v) in enumerate(records):
             comm, anti = per_bath_ops[k]
             up = ados.up(label, k)
             if up is not None:
                 put(a, ados.index(up), -1j * comm)
             down = ados.down(label, k)
             if down is not None:
+                # An RI record puts both parts; the conversion to CSR adds them.
                 n_k = label[k]
-                if kind == "R":
-                    put(a, ados.index(down), (-1j * n_k * c) * comm)
-                else:
-                    put(a, ados.index(down), (n_k * c) * anti)
+                if kind != "I":
+                    put(a, ados.index(down), (-1j * n_k * cR) * comm)
+                if kind != "R":
+                    put(a, ados.index(down), (n_k * cI) * anti)
     size = len(ados) * d2
     return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -263,13 +268,38 @@ def _real_only_case():
     return 0.5 * q.sigmaz() + 0.3 * q.sigmax(), [(q.sigmax(), real)]
 
 
+def _drude_lorentz_case():
+    ex = q.matsubara_decompose(q.DrudeLorentzEnvironment(T=1.0, lam=0.1, gamma=0.5), 2)
+    return 0.5 * q.sigmaz() + 0.3 * q.sigmax(), [(q.sigmaz(), ex)]
+
+
 def _wide_case():
     # 2**64 label keys: more than int64 holds.
     ex = q.ExponentSet([0.1] * 64, [1.0 + 0.01 * j for j in range(64)], [], [])
     return 0.5 * q.sigmaz(), [(q.sigmaz(), ex)]
 
 
+def _unmerged_records(exps):
+    """One record per exponent, an imaginary-part one apart from a real-part one of equal rate."""
+    return ([("R", c, 0, v) for c, v in zip(exps.ck_real, exps.vk_real)]
+            + [("I", 0, c, v) for c, v in zip(exps.ck_imag, exps.vk_imag)])
+
+
 class TestKroneckerBuild:
+    @staticmethod
+    def assert_bit_identical(case, n_c, records):
+        H, baths = case()
+        couplings = [(Q, records(ex)) for Q, ex in baths]
+        ref = loop_build(H, couplings, n_c)
+        gen, ados = _build_generator(H, couplings, n_c)
+        mat = gen.scipy_matrix()
+        assert len(ados) * H.shape[0] ** 2 == mat.shape[0]
+        assert mat.indptr.dtype == ref.indptr.dtype
+        assert mat.indices.dtype == ref.indices.dtype
+        assert np.array_equal(mat.indptr, ref.indptr)
+        assert np.array_equal(mat.indices, ref.indices)
+        assert mat.data.tobytes() == ref.data.tobytes()
+
     @pytest.mark.parametrize(
         "case, n_c",
         [
@@ -280,22 +310,20 @@ class TestKroneckerBuild:
             # rates differently from the per-row dot products.
             (_underdamped_case, 4),
             (_two_bath_case, 3),
+            (_drude_lorentz_case, 4),
             (_real_only_case, 4),
             (_wide_case, 1),
         ],
     )
     def test_bit_identical_to_loop_build(self, case, n_c):
-        H, baths = case()
-        couplings = [(Q, _exponent_records(ex)) for Q, ex in baths]
-        ref = loop_build(H, couplings, n_c)
-        gen, ados = _build_generator(H, couplings, n_c)
-        mat = gen.scipy_matrix()
-        assert len(ados) * H.shape[0] ** 2 == mat.shape[0]
-        assert mat.indptr.dtype == ref.indptr.dtype
-        assert mat.indices.dtype == ref.indices.dtype
-        assert np.array_equal(mat.indptr, ref.indptr)
-        assert np.array_equal(mat.indices, ref.indices)
-        assert mat.data.tobytes() == ref.data.tobytes()
+        self.assert_bit_identical(case, n_c, _exponent_records)
+
+    @pytest.mark.parametrize(
+        "case, n_c", [(_underdamped_case, 3), (_two_bath_case, 3), (_drude_lorentz_case, 4)]
+    )
+    def test_unmerged_records_bit_identical_to_loop_build(self, case, n_c):
+        # "R" and "I" records of equal rate, as the equivalence tests build them.
+        self.assert_bit_identical(case, n_c, _unmerged_records)
 
     @pytest.mark.parametrize(
         "Q, n_c, error",
@@ -312,6 +340,90 @@ class TestKroneckerBuild:
             loop_build(H, couplings, n_c)
         with pytest.raises(error):
             _build_generator(H, couplings, n_c)
+
+
+def _merge_map(baths, ados_u, ados_m):
+    """The stack map ``P`` from the unmerged hierarchy to the merged one.
+
+    Merged ADO ``sigma^m`` is ``sum_(a+b=m) binom(m, a) rho^(a, b)`` over each
+    RI index, where ``a`` counts its real-part and ``b`` its imaginary-part
+    exponent in the unmerged labels (the imaginary-part rates here are distinct).
+    """
+    groups, offset = [], 0  # the unmerged positions of each merged index
+    for _, ex in baths:
+        for j, (kind, _, _, v) in enumerate(_exponent_records(ex)):
+            imag = offset + ex.n_real + int(np.flatnonzero(np.isclose(ex.vk_imag, v))[0]) \
+                if kind != "R" else None
+            groups.append({"R": [offset + j], "RI": [offset + j, imag], "I": [imag]}[kind])
+        offset += ex.n_real + ex.n_imag
+    rows, cols, vals = [], [], []
+    for col, label in enumerate(ados_u.labels):
+        parts = [[label[u] for u in g] for g in groups]
+        rows.append(ados_m.index(tuple(sum(p) for p in parts)))
+        cols.append(col)
+        vals.append(math.prod(math.comb(sum(p), p[0]) for p in parts))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(len(ados_m), len(ados_u)))
+
+
+class TestMergedExponents:
+    """An imaginary-part exponent that shares a real-part one's rate shares its index."""
+
+    @pytest.mark.parametrize(
+        "case, n_c", [(_underdamped_case, 2), (_underdamped_case, 3), (_two_bath_case, 3)]
+    )
+    def test_level_0_matches_the_unmerged_hierarchy(self, case, n_c):
+        H, baths = case()
+        d2 = H.shape[0] ** 2
+        rho0 = ((q.basis(2, 0) + 0.5j * q.basis(2, 1)).unit().proj()).full().ravel(order="F")
+        out = {}
+        for records in (_exponent_records, _unmerged_records):
+            gen, ados = _build_generator(H, [(Q, records(ex)) for Q, ex in baths], n_c)
+            y0 = np.zeros(gen.shape[0], dtype=complex)
+            y0[:d2] = rho0
+            ys = spla.expm_multiply(gen.scipy_matrix().tocsc(), y0, start=0.0, stop=5.0,
+                                    num=11, endpoint=True)
+            out[records] = (len(ados), ys[:, :d2])
+        (n_merged, merged), (n_unmerged, unmerged) = out.values()
+        assert n_merged < n_unmerged
+        assert np.ptp(np.abs(merged[:, 1])) > 1e-3  # the coherence moves
+        assert np.max(np.abs(merged - unmerged)) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "case, n_c", [(_underdamped_case, 3), (_two_bath_case, 3), (_drude_lorentz_case, 4)]
+    )
+    def test_merged_ados_are_binomial_sums_of_unmerged_ones(self, case, n_c):
+        # P G_unmerged = G_merged P: the truncated hierarchies are one and the
+        # same, so merging changes the cost, not the answer.
+        H, baths = case()
+        gen_m, ados_m = _build_generator(H, [(Q, _exponent_records(ex)) for Q, ex in baths], n_c)
+        gen_u, ados_u = _build_generator(H, [(Q, _unmerged_records(ex)) for Q, ex in baths], n_c)
+        P = sp.kron(_merge_map(baths, ados_u, ados_m),
+                    sp.identity(H.shape[0] ** 2, dtype=complex), format="csr")
+        lhs = (P @ gen_u.scipy_matrix()).toarray()
+        rhs = (gen_m.scipy_matrix() @ P).toarray()
+        assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(rhs))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 3), n_c=st.integers(0, 3),
+           n_rates=st.integers(1, 4))
+    def test_level_0_trace_and_ado_count(self, seed, d, n_c, n_rates):
+        rng = np.random.default_rng(seed)
+
+        def hermitian():
+            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            return q.Qobj(a + a.conj().T)
+
+        rates = rng.uniform(0.1, 3.0, n_rates) + 1j * rng.uniform(-2.0, 2.0, n_rates)
+        real = rng.random(n_rates) < 0.7
+        imag = ~real | (rng.random(n_rates) < 0.5)  # every rate is in one part or both
+        ex = q.ExponentSet(rng.normal(size=real.sum()) + 0j, rates[real],
+                           rng.normal(size=imag.sum()) + 0j, rates[imag])
+        gen, ados = q.hierarchy_build(hermitian(), hermitian(), ex, n_c)
+        assert len(ados) == math.comb(n_c + n_rates, n_c)
+        assert gen.shape[0] == len(ados) * d * d
+        vec_eye = np.eye(d).ravel(order="F")
+        flux = vec_eye @ gen.scipy_matrix()[: d * d, :]
+        assert np.max(np.abs(flux)) <= 1e-12 * max(1.0, abs(gen.scipy_matrix()).max())
 
 
 def dephasing_oracle(exponents, t):

@@ -1083,7 +1083,11 @@ class TestDenseOutputBytes:
     comparison runs with restart sharing off, so every step of both sides
     runs ``step``.  The two heomsolve digests were re-recorded when the
     hierarchy moved to the decay form (outputs moved by at most 3.9e-8,
-    within the tolerances); its oracle is ``lawson_loop_step``.
+    within the tolerances); its oracle is ``lawson_loop_step``.  They were
+    re-recorded again when the Drude-Lorentz bath's imaginary-part exponent
+    came to share its real-part twin's hierarchy index (70 -> 35 and 35 -> 20
+    ADOs; outputs moved by at most 1.4e-9).  ``TestMergedExponents`` in
+    ``test_heom.py`` shows the two hierarchies equivalent.
     """
 
     @staticmethod
@@ -1165,7 +1169,7 @@ class TestDenseOutputBytes:
 
     def test_heomsolve(self):
         assert self.dp54_digest("heomsolve") == (
-            "01e132ac8bc4e4d802ddd6fcfff1c9be049e0f249bc0bf1c146b3db62cb94238"
+            "78a2b64130f4ce8e47ab5472ae5a9820d74fcdb91c4762da18463f605f6c7929"
         )
 
     def test_mesolve_time_dependent(self):
@@ -1192,7 +1196,7 @@ class TestDenseOutputBytes:
         groups, res = case_heomsolve_states_and_ados()
         assert res.stats["rhs_evaluations"] == 404
         assert self.digest_arrays(_flat(groups)) == (
-            "2ebfbf1ccee6a1dde56707dbead71f4e95fe27e8538015c9dcef33eafa1091ba"
+            "ad687fabbb56d1878106349cf52f1380db51ee839aab498040af847f1725408c"
         )
 
     def test_mcsolve_runs_photocurrent_states(self):

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oqsim as q
-from oqsim.exceptions import NotHermitianError, OptionError, RangeError, StepLimitError
+from oqsim.exceptions import (DimensionMismatchError, NotHermitianError, OptionError, RangeError,
+                              StepLimitError)
 from oqsim.coefficient import SplineCoefficient
 from oqsim.integrator import DP54Stepper
 from oqsim.mcsolve import (MCSolver, _Channel, _drift, _mcwf_trajectory, _NoJumpPath, _norm,
@@ -74,6 +75,15 @@ class TestMcsolve:
         res = q.mcsolve(q.sigmaz(), q.basis(2, 0), [0.0, 1.0], e_ops=[q.sigmaz()])
         assert res.stats.get("delegated") == "sesolve"
         assert res.ntraj_used == 1
+
+    def test_no_cops_refuses_a_zero_ket(self):
+        # As a trajectory run does: sesolve alone would return all-zero expectations.
+        for c_ops in ([q.sigmam()], []):
+            with pytest.raises(RangeError, match="zero norm"):
+                q.mcsolve(q.sigmax(), 0 * q.basis(2, 0), [0.0, 1.0], c_ops=c_ops,
+                          e_ops=[q.sigmaz()])
+        with pytest.raises(DimensionMismatchError):
+            q.mcsolve(q.sigmax(), q.basis(3, 0), [0.0, 1.0], e_ops=[q.sigmaz()])
 
     def test_no_cops_keeps_integrator_options(self):
         with pytest.raises(StepLimitError):
