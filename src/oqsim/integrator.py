@@ -42,9 +42,11 @@ A power-form step reads no ``t``: with its first attempt unclamped by
 ``t_end``, it is a function of the stepper's state alone.  So steppers that
 start in one state, at different times, take the same steps, and one can
 replay what another recorded (:meth:`DP54Stepper.follow`; ``mcsolve`` does
-this after its jumps).  A replayed step rebuilds its dense segment at the
-stepper's own times from the recorded ``U`` and ``h``, makes no
-right-hand-side call, and counts in ``replayed``, not in ``accepted``.
+this after its jumps).  A record keeps each step's interpolant coefficients,
+built once from ``U`` and ``h`` when the step is recorded, in place of ``U``;
+a replayed step builds its dense segment at the stepper's own times on that
+one array, makes no right-hand-side call, and counts in ``replayed``, not in
+``accepted``.
 
 The decay form serves ``y' = D y + N(t, y)`` with a constant real diagonal
 ``D <= 0`` (``heomsolve``'s ADO decay rates): it is Lawson's
@@ -285,24 +287,28 @@ class DenseSegment:
 
     ``K`` is the step's stage matrix or, with the step size ``h`` given, its
     power matrix ``U`` (``K = (_ALPHA * h ** m) @ U``).  Most steps are never
-    evaluated, so the interpolant coefficients are built at the first call.
-    ``y_old`` is the stepper's own state vector, which it never writes in
-    place.  With ``decay`` given, ``K`` holds the stages of the decay form
-    and a read is ``e^(decay (t - t_old))`` times the interpolant.
+    evaluated, so the ``(n, 4)`` interpolant coefficients are built at the
+    first call, or by :meth:`coefficients`, and ``K`` is then dropped.  They
+    depend on ``K`` and ``h`` only, not on the times, so a segment can be
+    built from them directly (``coef``), as a replayed step is.  ``y_old`` is
+    the stepper's own state vector, which it never writes in place.  With
+    ``decay`` given, ``K`` holds the stages of the decay form and a read is
+    ``e^(decay (t - t_old))`` times the interpolant.
     """
 
     __slots__ = ("t_old", "t_new", "y_old", "_K", "_h", "_q", "_decay")
 
-    def __init__(self, t_old, t_new, y_old, K, h=None, decay=None):
+    def __init__(self, t_old, t_new, y_old, K, h=None, decay=None, coef=None):
         self.t_old = t_old
         self.t_new = t_new
         self.y_old = y_old
         self._K = K
         self._h = h
-        self._q = None
+        self._q = coef
         self._decay = decay
 
-    def __call__(self, t: float) -> np.ndarray:
+    def coefficients(self) -> np.ndarray:
+        """The ``(n, 4)`` interpolant coefficients, built once."""
         if self._q is None:
             if self._h is None:
                 self._q = self._K.T @ _P  # shape (n, 4)
@@ -310,10 +316,14 @@ class DenseSegment:
                 W = (_ALPHA * self._h ** _ALPHA_EXP).T @ _P  # K.T @ _P == U.T @ W
                 self._q = W.T.dot(self._K.view(np.float64)).view(_C128).T
             self._K = None
+        return self._q
+
+    def __call__(self, t: float) -> np.ndarray:
+        q = self._q if self._q is not None else self.coefficients()
         h = self.t_new - self.t_old
         x = (t - self.t_old) / h
         p = np.array([x, x**2, x**3, x**4])
-        u = self.y_old + h * (self._q @ p)
+        u = self.y_old + h * (q @ p)
         return u if self._decay is None else np.exp((t - self.t_old) * self._decay) * u
 
 
@@ -508,11 +518,11 @@ class DP54Stepper:
             return None
         if self._pos == len(self.record):
             return None
-        y, f0, abs_y, err_prev, h_next, U, h = self.record[self._pos]
+        y, f0, abs_y, err_prev, h_next, coef, h = self.record[self._pos]
         if h <= _H_MIN * max(abs(self.t), 1.0):
             self.record = None
             return None
-        seg = DenseSegment(self.t, self.t + h, self.y, U, h)
+        seg = DenseSegment(self.t, self.t + h, self.y, None, coef=coef)
         self.t = self.t + h
         self.y, self._f0, self._abs_y, self._err_prev, self._h = y, f0, abs_y, err_prev, h_next
         self.segment = seg
@@ -521,10 +531,14 @@ class DP54Stepper:
         return seg
 
     def extend(self, seg: DenseSegment) -> DenseSegment:
-        """Record ``seg``, the step just taken at the end of the followed record; returns it."""
+        """Record ``seg``, the step just taken at the end of the followed record; returns it.
+
+        An entry holds the step's interpolant coefficients, not its power
+        matrix: every replay of the step reads the one array.
+        """
         if self.record is not None:
             self.record.append((self.y, self._f0, self._abs_y, self._err_prev, self._h,
-                                seg._K, seg._h))
+                                seg.coefficients(), seg._h))
             self._pos += 1
         return seg
 

@@ -34,11 +34,17 @@ without rounding, and keeps its own path).  One solve holds a
 restart in ``e_m``, extended by every later one that goes past its end.  A
 later restart in ``e_m`` replays them at its own times while its stepper
 would take them unchanged (:meth:`DP54Stepper.replay`); outputs, jump times
-and draws stay its own, bit for bit.  A step is about ``10 * d`` complex
-numbers (state, FSAL derivative, ``|y|`` and the ``(7, d)`` power matrix),
-with at most one record per basis index.  ``stats`` reports ``jumps`` and
-the ``accepted_steps``, ``rejected_steps`` and ``replayed_steps`` of the
-trajectories in the result.
+and draws stay its own, bit for bit.  A step is about ``7 * d`` complex
+numbers (state, FSAL derivative, ``|y|`` and the ``(d, 4)`` interpolant
+coefficients, built once when the step is recorded and read by every
+replay), with at most one record per basis index.  ``stats`` reports
+``jumps`` and the ``accepted_steps``, ``rejected_steps`` and
+``replayed_steps`` of the trajectories in the result.
+
+A trajectory collects the states it reads at the output times in one
+``(n_out, d)`` array and reduces them in one pass at its end
+(:func:`_outputs`): norms, normalised kets and expectation values, with the
+bits of the formula applied to one output at a time.
 """
 
 from __future__ import annotations
@@ -83,13 +89,13 @@ class _Channel:
         self.ratio_fn = ratio_fn  # martingale ratio gamma/Gamma at a jump time
 
     def weight(self, t: float, psi: np.ndarray) -> float:
-        w = _norm(self.mat @ psi) ** 2
+        w = _norm(apply_matrix(self.mat, psi)) ** 2
         if self.rate is not None:
             w *= max(float(self.rate(t).real), 0.0)
         return w
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        return self.mat @ psi
+        return apply_matrix(self.mat, psi)
 
 
 def _drift(H_evo: QobjEvo, channels) -> QobjEvo:
@@ -197,6 +203,32 @@ class _Restarts:
         start = (y.tobytes(), f0.tobytes(), h, err)
         if self.starts.setdefault(m, start) == start:
             stepper.follow(self.steps.setdefault(m, []))
+
+
+def _outputs(Y: np.ndarray, e_mats) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The normalised kets and the expectation values of the rows of ``Y``.
+
+    One pass over the C-contiguous ``(n_out, d)`` stack has the bits of the
+    formula per output ``y``: ``nrm = _norm(y)``, ``k = y / nrm`` (``y`` itself
+    where ``nrm > 0`` fails) and ``np.vdot(k, apply_matrix(m, k))``.  Each
+    stacked ``(1, d) @ (d, 1)`` product is the dot product of one row, with the
+    strides of the vector it stands for; a sparse ``m`` multiplies the stack in
+    one matvecs kernel call, column by column as its matvec does, and a dense
+    ``m`` makes one gemv per row (``Y @ m.T`` would round differently).
+    """
+    re, im = Y.real, Y.imag
+    nrm = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0]
+    kets = Y.copy()
+    np.divide(Y, nrm, out=kets, where=nrm > 0)
+    bras = kets.conj()[:, None, :]
+    expect = []
+    for m in e_mats:
+        if isinstance(m, np.ndarray):
+            mk = m[None] @ kets[:, :, None]
+        else:
+            mk = np.ascontiguousarray((m @ kets.T).T)[:, :, None]
+        expect.append((bras @ mk).ravel())
+    return kets, expect
 
 
 def _bisect_jump_time(segment, r: float, rel_tol: float) -> float:
@@ -308,20 +340,28 @@ def _mcwf_trajectory(
             path.norm2.append(norm2)
             path.states.append(stepper.state())
 
-    for j, _, y in advance(last, tlist[j0:], integ_opts.nsteps, on_step=jump, done=done):
-        j += j0
-        nrm = _norm(y)
-        ynorm = y / nrm if nrm > 0 else y
-        for series, m in zip(expect, e_mats):
-            series[j] = complex(np.vdot(ynorm, apply_matrix(m, ynorm)))
+    # The outputs are read into Y and reduced in one pass; n at each read on the path.
+    Y = np.empty((tlist.size - j0, psi0.size), dtype=complex)
+    n_read, on_path = 0, []
+    try:
+        for _, _, y in advance(last, tlist[j0:], integ_opts.nsteps, on_step=jump, done=done):
+            Y[n_read] = y
+            n_read += 1
+            if n is not None:
+                on_path.append(n)
+    finally:  # even when advance raises: the path holds each output before its frontier
+        kets, values = _outputs(Y[:n_read], e_mats)
+        for series, v in zip(expect, values):
+            series[j0:j0 + n_read] = v
         if store_states:
-            states.append(ynorm.copy())
-        if n is not None:  # read on the path at its frontier
-            path.reads.append(n)
+            states.extend(kets)
+        if on_path:  # read on the path at its frontier
+            j1 = j0 + len(on_path)
+            path.reads.extend(on_path)
             for rec, series in zip(path.expect, expect):
-                rec[j] = series[j]
+                rec[j0:j1] = series[j0:j1]
             if store_states:
-                path.kets.append(states[-1])
+                path.kets.extend(states[j0:j1])
 
     return _Trajectory(expect, jumps, ratios, _norm(last.y) ** 2, states, _tally(steps, last))
 

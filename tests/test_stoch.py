@@ -16,9 +16,10 @@ import oqsim as q
 from oqsim.exceptions import (DimensionMismatchError, NotHermitianError, OptionError, RangeError,
                               StepLimitError)
 from oqsim.coefficient import SplineCoefficient
-from oqsim.integrator import DP54Stepper
+from oqsim.integrator import DenseSegment, DP54Stepper
 from oqsim.mcsolve import (MCSolver, _Channel, _drift, _mcwf_trajectory, _NoJumpPath, _norm,
-                           _Restarts)
+                           _outputs, _Restarts)
+from oqsim.qobjevo import apply_matrix
 from oqsim.smesolve import HermitianCoords, WienerPath
 from oqsim.trajectory import McOptions, trajectory_rng
 
@@ -390,6 +391,69 @@ class TestNoJumpPath:
         assert got == want
 
 
+def _outputs_per_output(Y, e_mats):
+    """The oracle of ``_outputs``: the normalised ket and expectation values of
+    each output, one output at a time."""
+    kets, expect = [], [np.empty(len(Y), dtype=complex) for _ in e_mats]
+    for j, y in enumerate(Y):
+        nrm = _norm(y)
+        ket = y / nrm if nrm > 0 else y
+        kets.append(ket.copy())
+        for series, m in zip(expect, e_mats):
+            series[j] = complex(np.vdot(ket, apply_matrix(m, ket)))
+    return kets, expect
+
+
+def _e_ops_in_each_format(d):
+    """A Hermitian e_op of dimension ``d`` in each data format: dense, CSR and DIA."""
+    a = q.destroy(d)
+    x = a + a.dag()
+    return [x.to("dense"), (a.dag() @ a + 0.5 * x).to("csr"),
+            (x @ x + 0.25j * (a - a.dag())).to("dia")]
+
+
+class TestBatchedOutputs:
+    """A trajectory reduces its outputs in one pass, with the bits of the
+    formula applied to one output at a time."""
+
+    @pytest.mark.parametrize("d", [2, 16, 64])
+    def test_one_pass_has_the_bits_of_each_output(self, d):
+        e_ops = _e_ops_in_each_format(d)
+        e_mats = [op.data.scipy_matrix() for op in e_ops]
+        assert [op.dtype for op in e_ops] == ["dense", "csr", "dia"]
+        rng = np.random.default_rng(d)
+        Y = rng.normal(size=(41, d)) + 1j * rng.normal(size=(41, d))
+        Y[3] = 0.0  # a zero norm: the ket is the output itself
+        Y[7] *= 1e-170  # the norm underflows to 0 as well
+        Y[9] *= 1e150
+        kets, expect = _outputs(Y, e_mats)
+        want_kets, want_expect = _outputs_per_output(Y, e_mats)
+        assert kets.tobytes() == np.array(want_kets).tobytes()
+        assert [e.tobytes() for e in expect] == [e.tobytes() for e in want_expect]
+        assert kets[3].tobytes() == Y[3].tobytes() and kets[7].tobytes() == Y[7].tobytes()
+        # A trajectory that raises before its first output reduces no rows.
+        kets, expect = _outputs(Y[:0], e_mats)
+        assert kets.shape == (0, d) and [e.shape for e in expect] == [(0,)] * 3
+
+    @pytest.mark.parametrize("d", [2, 16])
+    def test_solves_have_the_bits_of_the_formula_per_output(self, d, monkeypatch):
+        # Restarts in basis states, a mixture and stored states: every output
+        # goes through the no-jump record, the restart records or the pass.
+        # A diagonal H keeps a collapsed basis state a basis state.
+        a = q.destroy(d)
+        n = a.dag() @ a
+        psi0 = [(q.basis(d, d - 1), 0.5), ((q.basis(d, 0) + q.basis(d, d - 1)).unit(), 0.5)]
+        args = (n + 0.1 * n @ n, psi0, np.linspace(0, 2, 11),
+                [np.sqrt(0.5) * a], _e_ops_in_each_format(d))
+        options = {"ntraj": 24, "seed": 11, "improved_sampling": True, "store_states": True,
+                   "keep_runs_results": True}
+        batched = q.mcsolve(*args, options=dict(options))
+        monkeypatch.setattr(mc_module, "_outputs", _outputs_per_output)
+        oracle = q.mcsolve(*args, options=dict(options))
+        assert batched.stats["jumps"] > 0 and batched.stats["replayed_steps"] > 0
+        assert _result_bits(batched) == _result_bits(oracle)
+
+
 class TestStepLimitParity:
     """A resumed trajectory counts the steps the record took in its output
     interval, so ``StepLimitError`` fires where the oracle's does and nowhere else."""
@@ -614,6 +678,57 @@ class TestRestartRecords:
         assert _bits(early) == _bits(oracle)
         assert early.jumps[0][0] < late.jumps[0][0]
         assert early.steps[2] == n_late and len(record) > n_late
+
+    def test_restarts_read_one_coefficient_array_per_recorded_step(self, monkeypatch):
+        built, reads = [], []  # reads: the coefficient arrays each trajectory read
+        coefficients, call = DenseSegment.coefficients, DenseSegment.__call__
+
+        def building(seg):
+            if seg._q is None:
+                built.append(seg)
+            return coefficients(seg)
+
+        def reading(seg, t):
+            out = call(seg, t)
+            reads[-1].append(seg._q)
+            return out
+
+        monkeypatch.setattr(DenseSegment, "coefficients", building)
+        monkeypatch.setattr(DenseSegment, "__call__", reading)
+        drift, channels, psi0 = self._driven_decay()
+        opts = McOptions.coerce({})
+        restarts = _Restarts()
+        trajs, n_built = [], []
+        # The first restart records its steps, the second and third replay them.
+        for r_first in (0.9, 0.8, 0.8):
+            reads.append([])
+            trajs.append(_mcwf_trajectory(drift, channels, psi0, self.TS,
+                                          [q.sigmaz().data.scipy_matrix()], opts.integrator,
+                                          opts.norm_tol, _ScriptedRng([0.5, 0.01]), r_first,
+                                          False, restarts=restarts))
+            n_built.append(len(built) - sum(n_built))
+        record = [entry[5] for entry in restarts.steps[1]]
+        assert len(record) > 3 and trajs[1].steps[2] > 0
+        # Each recorded step's coefficients were built once, by the first restart ...
+        assert [sum(seg._q is coef for seg in built) for coef in record] == [1] * len(record)
+        # ... and a replayed step builds none: only the steps a trajectory takes do.
+        assert all(n <= traj.steps[0] for n, traj in zip(n_built, trajs))
+        # Two restarts that read a recorded step read its one array.
+        replayed = [[r for r in rs if any(r is coef for coef in record)] for rs in reads[1:]]
+        assert replayed[0] and all(a is b for a, b in zip(*replayed, strict=True))
+
+    def test_a_solve_builds_no_coefficients_for_replayed_steps(self, monkeypatch):
+        built = [0]
+        coefficients = DenseSegment.coefficients
+
+        def building(seg):
+            built[0] += seg._q is None
+            return coefficients(seg)
+
+        monkeypatch.setattr(DenseSegment, "coefficients", building)
+        res = q.mcsolve(*_mc_qubits_args(ntraj=100, seed=3))
+        assert res.stats["replayed_steps"] > 10 * res.stats["accepted_steps"]
+        assert 0 < built[0] <= res.stats["accepted_steps"]
 
     def test_the_dark_state_renormalisation_leaves_the_record(self):
         # A qubit that only decays: after the jump it sits in the dark ground
