@@ -17,10 +17,9 @@ import numpy as np
 
 from . import data as _d
 from .dimensions import Dimensions
-from .exceptions import ArgumentError, NotHermitianError, RangeError, UnsupportedError
+from .exceptions import RangeError
 from .qobj import Qobj
-from .qobjevo import QobjEvo
-from .result import SolveResult, check_operators, check_state, normalize_e_ops
+from .result import SolveResult, check_operators, check_state, constant_operator, normalize_e_ops
 from .solver import MESolver
 
 __all__ = ["BRCoupling", "br_tensor", "brmesolve"]
@@ -55,7 +54,9 @@ def br_tensor(H: Qobj, couplings, sec_cutoff: float = 0.1):
     relaxation tensor, secular-filtered) over column-stacked density matrices
     in the eigenbasis, and ``ekets`` are the eigenvectors as kets in the lab
     basis.  ``sec_cutoff = -1`` keeps every term (no secular approximation).
+    ``H`` and the Hermitian coupling operators may be constant QobjEvos or list specs.
     """
+    H = constant_operator(H, "br_tensor's H")
     couplings = _as_couplings(couplings)
     w, V = _d.eig_herm(H.data)  # ascending eigenvalues; raises if not Hermitian
     Varr = V.to_array()
@@ -65,10 +66,9 @@ def br_tensor(H: Qobj, couplings, sec_cutoff: float = 0.1):
     R = np.zeros((n, n, n, n), dtype=np.complex128)
     eye = np.eye(n)
     for coup in couplings:
-        check_operators([coup.op], H.dims, "coupling operator")
-        if not coup.op.isherm:
-            raise NotHermitianError("Bloch-Redfield coupling operators must be Hermitian")
-        A = Varr.conj().T @ coup.op.full() @ Varr
+        op = constant_operator(coup.op, "a Bloch-Redfield coupling operator")
+        check_operators([op], H.dims, "Bloch-Redfield coupling operator", hermitian=True)
+        A = Varr.conj().T @ op.full() @ Varr
         S = np.empty((n, n))
         for i in range(n):
             for j in range(n):
@@ -113,41 +113,33 @@ def brmesolve(
 
     The density matrix is propagated in the Hamiltonian eigenbasis and
     expectation values (and stored states) are transformed back to the lab
-    basis.  Time-dependent Hamiltonians are not supported.
+    basis.  ``H`` and the coupling operators are taken as in :func:`br_tensor`; a
+    time-dependent one raises :class:`~oqsim.exceptions.MethodError`.
     """
-    if isinstance(H, QobjEvo):
-        if not H.isconstant:
-            raise UnsupportedError(
-                "brmesolve supports time-independent Hamiltonians only"
-            )
-        H = H(0.0)
-    if not isinstance(H, Qobj):
-        raise ArgumentError("H must be a Qobj (or constant QobjEvo)")
+    H = constant_operator(H, "brmesolve's H")
 
     R_super, ekets = br_tensor(H, couplings, sec_cutoff=sec_cutoff)
     n = H.shape[0]
     Varr = np.column_stack([k.full().ravel() for k in ekets])
 
     rho0 = check_state(rho0, H.dims, "oper")
-    rho_eig = Qobj(Varr.conj().T @ rho0.full() @ Varr, dims=Dimensions([n], [n]))
-
     labels, ops = normalize_e_ops(e_ops, H.dims)
-    ops_eig = {
-        lbl: Qobj(Varr.conj().T @ op.full() @ Varr, dims=Dimensions([n], [n]))
-        for lbl, op in zip(labels, ops)
-    }
+
+    def to_eig(op):
+        return Qobj(Varr.conj().T @ op.full() @ Varr, dims=Dimensions([n], [n]))
+
+    def to_lab(rho):
+        return Qobj(Varr @ rho.full() @ Varr.conj().T, dims=rho0.dims)
+
+    ops_eig = {lbl: to_eig(op) for lbl, op in zip(labels, ops)}
 
     solver = MESolver(R_super, (), options)
     solver.name = "brmesolve"
-    res = solver.run(rho_eig, tlist, e_ops=ops_eig if ops_eig else None)
+    res = solver.run(to_eig(rho0), tlist, e_ops=ops_eig or None)
 
     if res.states is not None:
-        res.states = [
-            Qobj(Varr @ s.full() @ Varr.conj().T, dims=rho0.dims) for s in res.states
-        ]
+        res.states = [to_lab(s) for s in res.states]
         res.final_state = res.states[-1]
     elif res.final_state is not None:
-        res.final_state = Qobj(
-            Varr @ res.final_state.full() @ Varr.conj().T, dims=rho0.dims
-        )
+        res.final_state = to_lab(res.final_state)
     return res

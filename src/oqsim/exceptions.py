@@ -53,11 +53,13 @@ class StiffnessError(OqsimError):
 
 
 class MethodError(OqsimError):
-    """The requested numerical method cannot be applied to this problem."""
+    """The requested numerical method cannot be applied to this problem, such as a
+    time-dependent operator where a constant one is needed (``result.constant_operator``)."""
 
 
 class UnsupportedError(OqsimError):
-    """The operation is not defined for this kind of object (e.g. ENR dims)."""
+    """The operation is not defined for this kind of object (e.g. ENR dims); a
+    time-dependent operator where a constant one is needed is a :class:`MethodError`."""
 
 
 class ModelError(OqsimError, ValueError):

@@ -13,7 +13,7 @@ from .dimensions import Dimensions
 from .exceptions import DimensionMismatchError, RangeError
 from .integrator import IntegratorOptions, check_tlist, integrate
 from .qobj import Qobj
-from .qobjevo import QobjEvo
+from .qobjevo import as_evo
 from .result import SolveResult, check_state, normalize_e_ops
 
 __all__ = ["FloquetBasis", "floquet_basis", "fsesolve"]
@@ -76,7 +76,7 @@ def floquet_basis(H, T: float, n_t: int = 64, options: IntegratorOptions | None 
     """
     if n_t < 2:
         raise RangeError("need at least two grid steps per period")
-    H_evo = H if isinstance(H, QobjEvo) else QobjEvo(H)
+    H_evo = as_evo(H)
     if H_evo.shape[0] != H_evo.shape[1]:
         raise DimensionMismatchError("Hamiltonian must be square")
     dim = H_evo.shape[0]

@@ -42,12 +42,11 @@ import scipy.sparse as sp
 from . import data as _d
 from .dimensions import Dimensions
 from .environment import BosonicEnvironment, ExponentSet, _same_rate, matsubara_decompose
-from .exceptions import (ArgumentError, DimensionMismatchError, MethodError, NotHermitianError,
-                         RangeError)
+from .exceptions import ArgumentError, RangeError
 from .integrator import DP54Stepper
 from .qobj import Qobj
 from .qobjevo import QobjEvo
-from .result import SolveResult
+from .result import SolveResult, check_operators, constant_operator
 from .solver import MESolver, Solver, SolverOptions
 from .superop import spost, spre
 
@@ -180,10 +179,8 @@ def _build_generator(H: Qobj, couplings, n_c: int):
     records = []
     per_bath_ops = []
     for Q, recs in couplings:
-        if Q.dims != H.dims:
-            raise DimensionMismatchError("coupling operator dims do not match H")
-        if not Q.isherm:
-            raise NotHermitianError("HEOM coupling operators must be Hermitian")
+        Q = constant_operator(Q, "a HEOM coupling operator")
+        check_operators([Q], H.dims, "HEOM coupling operator", hermitian=True)
         comm = sp.csr_matrix((spre(Q) - spost(Q)).data.scipy_matrix()).tocoo()
         anti = sp.csr_matrix((spre(Q) + spost(Q)).data.scipy_matrix()).tocoo()
         records += recs
@@ -256,6 +253,7 @@ def hierarchy_build(H: Qobj, Q: Qobj, exps: ExponentSet, n_c: int):
     number of hierarchy indices: ``n_real + n_imag`` less one for each
     imaginary-part exponent that shares its rate with a real-part one.
     """
+    H = constant_operator(H, "hierarchy_build's H")
     return _build_generator(H, [(Q, _exponent_records(exps))], n_c)
 
 
@@ -341,16 +339,15 @@ def heomsolve(
 
     ``baths`` is a ``(bath, Q)`` pair or a list of them, where each bath is an
     :class:`ExponentSet` or a :class:`BosonicEnvironment` (decomposed with
-    ``n_k`` Matsubara terms).  Expectation values are taken on the level-0
-    slice of the stack.
+    ``n_k`` Matsubara terms).  ``H`` and each Hermitian ``Q`` may be constant
+    QobjEvos or list specs; a time-dependent one raises
+    :class:`~oqsim.exceptions.MethodError`.  Expectation values are taken on
+    the level-0 slice of the stack.
     """
     t_start = time.perf_counter()
     # Like the ADO stack, the final state is always returned.
     opts = replace(SolverOptions.coerce(options), store_final_state=True)
-    if isinstance(H, QobjEvo):
-        if not H.isconstant:
-            raise MethodError("heomsolve supports time-independent H only")
-        H = H(0.0)
+    H = constant_operator(H, "heomsolve's H")
     if isinstance(baths, tuple) and len(baths) == 2 and not isinstance(baths[0], (list, tuple)):
         baths = [baths]
     couplings = []

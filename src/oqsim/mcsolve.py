@@ -60,7 +60,7 @@ from .coefficient import Coefficient, ConstantCoefficient
 from .exceptions import RangeError, SolverError
 from .integrator import DP54Stepper, advance, check_tlist
 from .qobj import Qobj
-from .qobjevo import QobjEvo, apply_matrix
+from .qobjevo import QobjEvo, apply_matrix, as_evo
 from .result import MultiTrajResult, check_operators, check_state
 from .solver import SolverOptions, sesolve
 from .trajectory import Ensemble, McOptions, run_map, trajectory_rng
@@ -392,9 +392,9 @@ class MCSolver:
         if not c_ops:
             raise RangeError("MCSolver needs at least one collapse operator")
         self.options = McOptions.coerce(options)
-        H_evo = H if isinstance(H, QobjEvo) else QobjEvo(H)
+        H_evo = as_evo(H)
         self.dims = H_evo.dims
-        c_evos = [c if isinstance(c, QobjEvo) else QobjEvo(c) for c in c_ops]
+        c_evos = [as_evo(c) for c in c_ops]
         check_operators(c_evos, H_evo.dims, "collapse operator")
         channels = []
         for cev in c_evos:
@@ -572,7 +572,7 @@ def mcsolve(H, psi0, tlist, c_ops=(), e_ops=None, options=None) -> MultiTrajResu
     if not c_ops:
         if isinstance(psi0, (list, tuple)):
             raise RangeError("mixed initial states need collapse operators")
-        check_state(psi0, QobjEvo(H).dims, "ket", nonzero=True)
+        check_state(psi0, as_evo(H).dims, "ket", nonzero=True)
         opts = McOptions.coerce(options)
         t_start = time.perf_counter()
         res = sesolve(H, psi0, tlist, e_ops=e_ops, options=SolverOptions(integrator=opts.integrator))

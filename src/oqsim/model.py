@@ -518,14 +518,6 @@ def _ops(terms):
             for op, coeff in terms]
 
 
-def _sum_constant(H):
-    if H is None:
-        return None
-    if not H.isconstant:
-        raise SolverError("this solver requires a time-independent Hamiltonian")
-    return H(0.0)
-
-
 def _option(spec, opts, key, default=None, kind=float):
     """Pop a numeric solver option the runner itself reads."""
     return _number(opts.pop(key, default), spec.parameters, f"solver_options.{key}", kind)
@@ -545,12 +537,12 @@ def _run_mesolve(spec, H, e_ops, opts):
 
 def _run_brmesolve(spec, H, e_ops, opts):
     sec_cutoff = _option(spec, opts, "sec_cutoff", 0.1)
-    return brmesolve(H(0.0) if H.isconstant else H, spec.couplings, spec.initial_state,
+    return brmesolve(H, spec.couplings, spec.initial_state,
                      spec.tlist, e_ops=e_ops, sec_cutoff=sec_cutoff, options=opts)
 
 
 def _run_steadystate(spec, H, e_ops, opts):
-    rho = steadystate(_sum_constant(H), _ops(spec.c_ops), method=opts.pop("method", "direct"),
+    rho = steadystate(H, _ops(spec.c_ops), method=opts.pop("method", "direct"),
                       solver=opts.pop("solver", "direct_lu"))
     e_ops = e_ops or {}
     return SolveResult([0.0], list(e_ops), [[expect(op, rho)] for op in e_ops.values()])
@@ -573,7 +565,7 @@ def _run_smesolve(spec, H, e_ops, opts):
 
 def _run_heomsolve(spec, H, e_ops, opts):
     n_c, n_k = _option(spec, opts, "n_c", 4, int), _option(spec, opts, "n_k", 3, int)
-    return heomsolve(_sum_constant(H), spec.environment, spec.initial_state, spec.tlist,
+    return heomsolve(H, spec.environment, spec.initial_state, spec.tlist,
                      n_c=n_c, e_ops=e_ops, n_k=n_k, options=opts)
 
 

@@ -28,7 +28,7 @@ from .exceptions import RangeError
 from .integrator import check_tlist
 from .mcsolve import _Channel, _drift, _run_trajectories
 from .qobj import Qobj
-from .qobjevo import QobjEvo
+from .qobjevo import as_evo
 from .result import MultiTrajResult, check_operators
 from .trajectory import McOptions
 
@@ -147,7 +147,7 @@ def nm_mcsolve(H, psi0, tlist, ops_and_rates, e_ops=None, options=None) -> Multi
     tlist = check_tlist(tlist)
     prep = nm_prepare(ops_and_rates)
 
-    H_evo = H if isinstance(H, QobjEvo) else QobjEvo(H)
+    H_evo = as_evo(H)
     check_operators(prep.ops, H_evo.dims, "jump operator")
     channels = [_Channel(op, rate=Gamma, ratio_fn=Gamma.ratio)
                 for op, Gamma in zip(prep.ops, prep.shifted_rates)]

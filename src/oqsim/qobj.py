@@ -227,13 +227,12 @@ class Qobj:
         raise RangeError(f"unknown norm kind {kind!r}")
 
     def unit(self) -> "Qobj":
-        """Normalize: 2-norm for states, unit trace for operators."""
-        if self.kind in ("ket", "bra", "operator_ket", "operator_bra"):
-            n = self.norm("l2")
-        else:
-            n = abs(self.tr())
+        """Normalize: 2-norm for states, unit trace for operators.  A zero norm or
+        trace raises :class:`RangeError`."""
+        state = self.kind in ("ket", "bra", "operator_ket", "operator_bra")
+        n = self.norm("l2") if state else abs(self.tr())
         if n == 0:
-            raise ZeroDivisionError("cannot normalize a zero object")
+            raise RangeError(f"cannot normalize an object of zero {'norm' if state else 'trace'}")
         return self / n
 
     def proj(self) -> "Qobj":

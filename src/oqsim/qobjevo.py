@@ -19,7 +19,7 @@ from .exceptions import ArgumentError, DimensionMismatchError, RangeError
 from .qobj import Qobj
 from .superop import liouvillian, spost, spre, sprepost
 
-__all__ = ["QobjEvo", "apply_matrix", "liouvillian_evo"]
+__all__ = ["QobjEvo", "apply_matrix", "as_evo", "liouvillian_evo"]
 
 
 class QobjEvo:
@@ -63,7 +63,8 @@ class QobjEvo:
             if not terms:
                 raise RangeError("QobjEvo needs at least one term")
         else:
-            raise ArgumentError(f"cannot build QobjEvo from {type(spec)}")
+            raise ArgumentError(f"an operator must be a Qobj, a QobjEvo or a list spec; "
+                                f"got {type(spec).__name__}")
 
         dims = terms[0][0].dims
         for q, _ in terms[1:]:
@@ -235,8 +236,10 @@ def apply_matrix(m, y: np.ndarray) -> np.ndarray:
     return m @ y
 
 
-def _as_evo(x) -> QobjEvo:
-    return x if isinstance(x, QobjEvo) else QobjEvo(x)
+def as_evo(op) -> QobjEvo:
+    """``op``, a QobjEvo, Qobj or list spec, as a QobjEvo: how every solver reads an
+    operator argument.  Anything else raises :class:`ArgumentError`."""
+    return op if isinstance(op, QobjEvo) else QobjEvo(op)
 
 
 def liouvillian_evo(H, c_ops=()) -> QobjEvo:
@@ -251,12 +254,12 @@ def liouvillian_evo(H, c_ops=()) -> QobjEvo:
     with ``|f(t)|^2`` on both the sandwich and anticommutator parts, i.e. the
     physical-rate semantics ``D[f(t) c]``.
     """
-    H_terms = [] if H is None else _as_evo(H).terms
+    H_terms = [] if H is None else as_evo(H).terms
     H0 = next((q for q, c in H_terms if c.is_constant), None)
     parts = [(liouvillian(q), c) for q, c in H_terms if not c.is_constant]
     const_c = []
     for c in c_ops or ():
-        cev = _as_evo(c)
+        cev = as_evo(c)
         if cev.terms[0][0].issuper or cev.isconstant:
             const_c += [q for q, co in cev.terms if co.is_constant]
             parts += [(q, co) for q, co in cev.terms if not co.is_constant]

@@ -1,16 +1,19 @@
 """Result containers for the dynamics solvers, and the input gate they share:
 every solver checks its initial state, e_ops and jump operators against the
-system's operator dims (ENR marker included) with the functions below."""
+system's operator dims (ENR marker included) with the functions below, and
+takes an operator it needs constant through :func:`constant_operator`."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import ArgumentError, DimensionMismatchError, NotHermitianError, RangeError
+from .exceptions import (ArgumentError, DimensionMismatchError, MethodError, NotHermitianError,
+                         RangeError)
 from .qobj import Qobj
+from .qobjevo import as_evo
 
 __all__ = ["SolveResult", "MultiTrajResult", "normalize_e_ops", "check_state",
-           "check_operators"]
+           "check_operators", "constant_operator"]
 
 
 def check_state(state, dims, kind: str, nonzero=False, hermitian=False) -> Qobj:
@@ -35,11 +38,26 @@ def check_state(state, dims, kind: str, nonzero=False, hermitian=False) -> Qobj:
     return state
 
 
-def check_operators(ops, dims, what: str) -> None:
-    """Raise :class:`DimensionMismatchError` unless each Qobj or QobjEvo in ``ops`` has ``dims``."""
+def check_operators(ops, dims, what: str, hermitian=False) -> None:
+    """Raise :class:`DimensionMismatchError` unless each Qobj or QobjEvo in ``ops`` has ``dims``;
+    ``hermitian`` also refuses a non-Hermitian Qobj (:class:`NotHermitianError`)."""
     for op in ops:
         if op.dims != dims:
             raise DimensionMismatchError(f"{what} dims {op.dims!r} do not match {dims!r}")
+        if hermitian and not op.isherm:
+            raise NotHermitianError(f"{what} must be Hermitian")
+
+
+def constant_operator(op, what: str) -> Qobj:
+    """``op`` where a solver needs it constant: a Qobj itself, a constant QobjEvo or list
+    spec its value.  A time-dependent one raises :class:`MethodError`, a non-operator
+    :class:`ArgumentError`."""
+    if isinstance(op, Qobj):
+        return op
+    evo = as_evo(op)
+    if not evo.isconstant:
+        raise MethodError(f"{what} must be time-independent")
+    return evo(0.0)
 
 
 def normalize_e_ops(e_ops, dims):

@@ -43,11 +43,11 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .exceptions import RangeError, SolverError
+from .exceptions import RangeError
 from .integrator import check_tlist
 from .qobj import Qobj
-from .qobjevo import QobjEvo, liouvillian_evo
-from .result import MultiTrajResult, check_operators, check_state
+from .qobjevo import QobjEvo, as_evo, liouvillian_evo
+from .result import MultiTrajResult, check_operators, check_state, constant_operator
 from .superop import spost, spre
 from .trajectory import Ensemble, TrajectoryOptions, run_map, trajectory_rng
 
@@ -138,11 +138,9 @@ class HermitianCoords:
 
 
 def _as_constant_matrices(ops, dims, name):
-    evos = [op if isinstance(op, QobjEvo) else QobjEvo(op) for op in ops]
-    check_operators(evos, dims, name)
-    if not all(ev.isconstant for ev in evos):
-        raise SolverError(f"smesolve requires time-independent {name}")
-    return [ev(0.0).full() for ev in evos]
+    ops = [constant_operator(op, f"each of smesolve's {name}") for op in ops]
+    check_operators(ops, dims, name)
+    return [op.full() for op in ops]
 
 
 def smesolve(H, rho0: Qobj, tlist, c_ops=(), sc_ops=(), e_ops=None, options=None) -> MultiTrajResult:
@@ -152,6 +150,8 @@ def smesolve(H, rho0: Qobj, tlist, c_ops=(), sc_ops=(), e_ops=None, options=None
     ``c_ops`` add unmonitored deterministic dissipation.  ``tlist`` must be
     uniform (see :func:`~oqsim.integrator.check_tlist`) and the substep
     ``dt_sub`` must divide its spacing; the default substep is spacing/100.
+    ``c_ops`` and ``sc_ops`` may be constant QobjEvos or list specs; a
+    time-dependent one raises :class:`~oqsim.exceptions.MethodError`.
     ``rho0`` is a ket or a Hermitian operator of nonzero trace; it and every
     operator in ``c_ops``, ``sc_ops`` and ``e_ops`` have H's dims and ENR
     marker.  ``options`` takes the :class:`SmeOptions` keys.  With
@@ -166,7 +166,7 @@ def smesolve(H, rho0: Qobj, tlist, c_ops=(), sc_ops=(), e_ops=None, options=None
     """
     opts = SmeOptions.coerce(options)
     tlist = check_tlist(tlist, uniform=True)
-    H_evo = H if isinstance(H, QobjEvo) else QobjEvo(H)
+    H_evo = as_evo(H)
     ens = Ensemble("smesolve", opts, tlist, e_ops, H_evo.dims)
     dt_out = tlist[1] - tlist[0]
     dt_sub = opts.dt_sub if opts.dt_sub is not None else dt_out / 100.0

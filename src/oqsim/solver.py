@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dimensions import Dimensions
-from .exceptions import DimensionMismatchError, MethodError, RangeError, SolverError
+from .exceptions import DimensionMismatchError, RangeError, SolverError
 from .integrator import (DP54Stepper, FlatOptions, IntegratorOptions, advance, check_tlist,
                          propagate_diag)
 from .qobj import Qobj
-from .qobjevo import QobjEvo, liouvillian_evo
-from .result import SolveResult, check_state, normalize_e_ops
+from .qobjevo import QobjEvo, as_evo, liouvillian_evo
+from .result import SolveResult, check_state, constant_operator, normalize_e_ops
 
 __all__ = ["SolverOptions", "Solver", "SESolver", "MESolver", "sesolve", "mesolve"]
 
@@ -86,11 +86,8 @@ class Solver:
         integ = opts.integrator
         stepper = None
         if integ.method == "diag_expm":
-            if not self.rhs_evo.isconstant:
-                raise MethodError("diag_expm requires a time-independent generator")
-            ys = propagate_diag(
-                self.rhs_evo(tlist[0]).full(), y0, tlist, t0=float(tlist[0])
-            )
+            L = constant_operator(self.rhs_evo, "the generator of method diag_expm")
+            ys = propagate_diag(L.full(), y0, tlist, t0=float(tlist[0]))
         else:
             holder = {"args": args}
             stepper = self._stepper(self._rhs(holder), float(tlist[0]), y0, float(tlist[-1]))
@@ -172,7 +169,7 @@ class SESolver(Solver):
     state_kind = "ket"
 
     def __init__(self, H, options=None):
-        H_evo = H if isinstance(H, QobjEvo) else QobjEvo(H)
+        H_evo = as_evo(H)
         if H_evo.shape[0] != H_evo.shape[1]:
             raise DimensionMismatchError("Hamiltonian must be square")
         super().__init__(-1j * H_evo, options)
@@ -229,8 +226,8 @@ def mesolve(H, rho0: Qobj, tlist, c_ops=(), e_ops=None, options=None, args=None)
     Schrodinger evolution and is delegated to :func:`sesolve`.  ``H=None``
     solves pure dissipation, as ``MESolver(None, c_ops)`` does.
     """
-    if H is not None and not isinstance(H, QobjEvo):
-        H = QobjEvo(H)
+    if H is not None:
+        H = as_evo(H)
     if (H is not None and not c_ops and isinstance(rho0, Qobj) and rho0.isket
             and not H.terms[0][0].issuper):
         return sesolve(H, rho0, tlist, e_ops=e_ops, options=options, args=args)

@@ -12,7 +12,7 @@ import scipy.sparse.linalg as spla
 from .dimensions import Dimensions
 from .exceptions import ConvergenceError, RangeError, SingularMatrixError
 from .qobj import Qobj
-from .qobjevo import QobjEvo
+from .result import constant_operator
 from .superop import liouvillian
 
 __all__ = ["steadystate"]
@@ -64,6 +64,10 @@ def steadystate(
 ) -> Qobj:
     """Unique steady state of ``d rho/dt = L rho``.
 
+    ``H_or_L`` (a Hamiltonian, a Liouvillian or None) and ``c_ops`` may be
+    constant QobjEvos or list specs; a time-dependent one raises
+    :class:`~oqsim.exceptions.MethodError`.
+
     Methods
     -------
     ``direct``
@@ -80,11 +84,10 @@ def steadystate(
     :class:`ConvergenceError` is raised.  If the null space looks degenerate a
     warning is emitted and an arbitrary element is returned.
     """
-    if isinstance(H_or_L, QobjEvo):
-        if not H_or_L.isconstant:
-            raise RangeError("steadystate requires a time-independent generator")
-        H_or_L = H_or_L(0.0)
-    L = liouvillian(H_or_L, c_ops)
+    if H_or_L is not None:
+        H_or_L = constant_operator(H_or_L, "steadystate's generator")
+    L = liouvillian(H_or_L, [constant_operator(c, "a steadystate collapse operator")
+                             for c in c_ops])
     op_ket = L.dims.ket[0]
     n = 1
     for d in op_ket:
@@ -137,24 +140,17 @@ def steadystate(
                 f"inverse power iteration did not reach ||L x|| < {power_tol}"
             )
     elif method == "svd":
-        dense = Lmat.toarray()
-        _, s, vh = scipy.linalg.svd(dense)
-        if s.size >= 2 and s[-2] < 1e-10 * max(s[0], 1e-300):
-            warnings.warn(
-                "steady state appears degenerate; returning one null-space element",
-                RuntimeWarning,
-            )
+        _, s, vh = scipy.linalg.svd(Lmat.toarray())
         x = vh[-1].conj()
     else:
         raise RangeError(f"unknown steadystate method {method!r}")
 
-    if method != "svd" and size <= _DEGENERACY_PROBE_LIMIT:
-        s = scipy.linalg.svd(Lmat.toarray(), compute_uv=False)
-        if s.size >= 2 and s[-2] < 1e-10 * max(s[0], 1e-300):
-            warnings.warn(
-                "steady state appears degenerate; returning one null-space element",
-                RuntimeWarning,
-            )
+    if method != "svd":  # probe a small generator's null space as the svd method does
+        small = size <= _DEGENERACY_PROBE_LIMIT
+        s = scipy.linalg.svd(Lmat.toarray(), compute_uv=False) if small else ()
+    if len(s) >= 2 and s[-2] < 1e-10 * max(s[0], 1e-300):
+        warnings.warn("steady state appears degenerate; returning one null-space element",
+                      RuntimeWarning)
 
     rho = _unvec_to_dm(x, n, op_dims)
     residual = np.linalg.norm(Lmat @ rho.full().flatten(order="F"))

@@ -250,6 +250,16 @@ solver: steadystate
         model = self._write(tmp_path, text)
         assert main(["run", model]) == 2
 
+    @pytest.mark.parametrize("solver", ["steadystate", "heomsolve", "brmesolve"])
+    def test_a_driven_hamiltonian_for_a_constant_solver_exits_2(self, solver, tmp_path,
+                                                                capsys):
+        plain = _FIELDS["hamiltonian"]
+        driven = plain + "\n  - {op: sigmax, coeff: {type: sin, frequency: 1.0}}"
+        model = self._write(tmp_path, _model_without(None, solver).replace(plain, driven))
+        assert main(["validate", model]) == 0
+        assert main(["run", model]) == 2
+        assert "time-independent" in capsys.readouterr().err
+
     def test_cli_overrides_and_determinism(self, tmp_path):
         text = MINIMAL_DECAY.replace("solver: mesolve", "solver: mcsolve") + (
             "solver_options: {ntraj: 20, seed: 1}\n"

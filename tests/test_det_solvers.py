@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oqsim as q
-from oqsim.exceptions import ConvergenceError, NotHermitianError, StepLimitError, UnsupportedError
+from oqsim.exceptions import ConvergenceError, MethodError, NotHermitianError, StepLimitError
 
 RNG = np.random.default_rng(42)
 TIGHT = {"atol": 1e-12, "rtol": 1e-11}
@@ -327,7 +327,7 @@ class TestBlochRedfield:
 
     def test_time_dependent_rejected(self):
         H = q.QobjEvo([(q.sigmax(), np.sin)])
-        with pytest.raises(UnsupportedError):
+        with pytest.raises(MethodError, match="time-independent"):
             q.brmesolve(H, [(q.sigmax(), flat_spectrum(1.0))], q.basis(2, 0), [0, 1])
 
 

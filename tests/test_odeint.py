@@ -507,26 +507,26 @@ _HEOM_BATH = (q.ExponentSet([0.1], [1.0], [], []), q.sigmaz())
 _OPTION_CLASSES = {"mcsolve": McOptions, "nm_mcsolve": McOptions, "smesolve": SmeOptions}
 
 
-def _solve(name, tlist=(0.0, 0.5, 1.0), options=None, e_ops=None, state=_PSI):
+def _solve(name, tlist=(0.0, 0.5, 1.0), options=None, e_ops=None, state=_PSI, H=_H):
     """Call solver ``name`` on a qubit with the given inputs."""
     opts = dict(options or {})
     if name in ("mcsolve", "nm_mcsolve", "smesolve"):
         opts = {**_MC, **opts}
     if name == "sesolve":
-        return q.sesolve(_H, state, tlist, e_ops=e_ops, options=opts)
+        return q.sesolve(H, state, tlist, e_ops=e_ops, options=opts)
     if name == "mesolve":
-        return q.mesolve(_H, state, tlist, _C, e_ops=e_ops, options=opts)
+        return q.mesolve(H, state, tlist, _C, e_ops=e_ops, options=opts)
     if name == "mcsolve":
-        return q.mcsolve(_H, state, tlist, _C, e_ops=e_ops, options=opts)
+        return q.mcsolve(H, state, tlist, _C, e_ops=e_ops, options=opts)
     if name == "nm_mcsolve":
-        return q.nm_mcsolve(_H, state, tlist, [(q.sigmam(), 0.5)], e_ops=e_ops, options=opts)
+        return q.nm_mcsolve(H, state, tlist, [(q.sigmam(), 0.5)], e_ops=e_ops, options=opts)
     if name == "smesolve":
-        return q.smesolve(_H, state, tlist, sc_ops=_C, e_ops=e_ops, options=opts)
+        return q.smesolve(H, state, tlist, sc_ops=_C, e_ops=e_ops, options=opts)
     if name == "brmesolve":
-        return q.brmesolve(_H, [(q.sigmax(), lambda w: 0.1)], state, tlist, e_ops=e_ops,
+        return q.brmesolve(H, [(q.sigmax(), lambda w: 0.1)], state, tlist, e_ops=e_ops,
                            options=opts)
     if name == "heomsolve":
-        return q.heomsolve(_H, _HEOM_BATH, state, tlist, n_c=1, e_ops=e_ops, options=opts)
+        return q.heomsolve(H, _HEOM_BATH, state, tlist, n_c=1, e_ops=e_ops, options=opts)
     if name == "fsesolve":
         return q.fsesolve(_floquet_basis(), state, tlist, e_ops=e_ops)
     if name == "integrate":
@@ -555,6 +555,9 @@ def _option_types(name):
 
 _SOLVERS = ["sesolve", "mesolve", "mcsolve", "nm_mcsolve", "smesolve", "brmesolve", "heomsolve",
             "fsesolve", "integrate"]
+# The solvers that take a Hamiltonian, and those of them that need it constant.
+_H_SOLVERS = [s for s in _SOLVERS if s not in ("fsesolve", "integrate")]
+_CONSTANT_H_SOLVERS = ("brmesolve", "heomsolve")
 # The solvers that integrate a ket; the others take a ket or a density operator.
 _KET_SOLVERS = ("sesolve", "mcsolve", "nm_mcsolve", "fsesolve", "SESolver.start")
 
@@ -602,8 +605,21 @@ def test_malformed_input_is_a_typed_error(data):
         kinds += ["option"] if name == "integrate" else ["option", "unknown_key"]
     if name != "integrate":
         kinds += ["e_ops", "state", "e_op_dims"]
+    if name in _H_SOLVERS:
+        kinds += ["hamiltonian"]
     kind = data.draw(st.sampled_from(kinds), label="kind")
     kwargs = {}
+    if kind == "hamiltonian":
+        # Not an operator: a str, an ndarray, or a list spec with a non-Qobj entry.
+        cases = [("x", ArgumentError), (np.eye(2), ArgumentError),
+                 ([_H, np.eye(2)], ArgumentError), (["x"], ArgumentError),
+                 ([1.0, _H], ArgumentError)]
+        if name in _CONSTANT_H_SOLVERS:
+            cases.append((q.QobjEvo([_H, [q.sigmaz(), np.cos]]), MethodError))
+        H, error = data.draw(st.sampled_from(cases), label="H")
+        with no_integration(), pytest.raises(error):
+            _solve(name, H=H)
+        return
     if kind in ("state", "e_op_dims"):
         if kind == "state":
             kwargs["state"] = data.draw(st.sampled_from(_foreign_states(name)), label="state")
@@ -641,7 +657,10 @@ class TestOneInputGate:
     """Each solver that took a state, an e_op or a jump operator off the system's
     space without a typed error, on two qubits: every such input is now a
     :class:`DimensionMismatchError` before integration, and a zero initial state
-    of a trajectory solver a :class:`RangeError`."""
+    of a trajectory solver a :class:`RangeError`.  Every entry point that needs a
+    constant operator takes it through ``result.constant_operator``: a
+    time-dependent one is a :class:`MethodError`, a non-operator an
+    :class:`ArgumentError`, and a constant QobjEvo or list spec runs as its value."""
 
     H = q.sigmaz() & q.qeye(2)
     C = [q.sigmam() & q.qeye(2)]
@@ -723,6 +742,73 @@ class TestOneInputGate:
             q.mcsolve(n, flat, self.T, [a[0]], options=_MC)
         with no_integration(), pytest.raises(DimensionMismatchError):
             q.mcsolve(n, psi, self.T, [a[0]], e_ops=[q.qeye(3)], options=_MC)
+
+    @staticmethod
+    def _constant_entry(case, op):
+        """Call the entry point of ``case`` with ``op`` where it needs a constant operator."""
+        ex, rate, T = _HEOM_BATH[0], lambda w: 0.1, TestOneInputGate.T
+        calls = {
+            "steadystate_H": lambda: q.steadystate(op, [q.sigmam()]),
+            "steadystate_c_op": lambda: q.steadystate(_H, [q.sigmam(), op]),
+            "smesolve_c_op": lambda: q.smesolve(_H, _PSI, [0.0, 0.1], c_ops=[op], sc_ops=_C,
+                                                options=_MC),
+            "smesolve_sc_op": lambda: q.smesolve(_H, _PSI, [0.0, 0.1], sc_ops=[op],
+                                                 options=_MC),
+            "hierarchy_build_H": lambda: q.hierarchy_build(op, q.sigmaz(), ex, 1),
+            "hierarchy_build_Q": lambda: q.hierarchy_build(_H, op, ex, 1),
+            "heomsolve_H": lambda: _solve("heomsolve", H=op),
+            "heomsolve_Q": lambda: q.heomsolve(_H, (ex, op), _PSI, T, n_c=1),
+            "br_tensor_H": lambda: q.br_tensor(op, [(q.sigmax(), rate)]),
+            "br_tensor_coupling": lambda: q.br_tensor(_H, [(op, rate)]),
+            "brmesolve_H": lambda: _solve("brmesolve", H=op),
+            "brmesolve_coupling": lambda: q.brmesolve(_H, [(op, rate)], _PSI, T),
+        }
+        with no_integration():
+            return calls[case]()
+
+    _CONSTANT_ENTRIES = ["steadystate_H", "steadystate_c_op", "smesolve_c_op", "smesolve_sc_op",
+                         "hierarchy_build_H", "hierarchy_build_Q", "heomsolve_H", "heomsolve_Q",
+                         "br_tensor_H", "br_tensor_coupling", "brmesolve_H",
+                         "brmesolve_coupling"]
+
+    @pytest.mark.parametrize("case", _CONSTANT_ENTRIES)
+    def test_a_time_dependent_operator_is_a_method_error(self, case):
+        op = q.QobjEvo([q.sigmaz(), [q.sigmax(), np.cos]])
+        with pytest.raises(MethodError, match="must be time-independent"):
+            self._constant_entry(case, op)
+
+    @pytest.mark.parametrize("op", ["x", np.eye(2), [q.sigmaz(), np.eye(2)]],
+                             ids=["str", "ndarray", "list_with_ndarray"])
+    @pytest.mark.parametrize("case", _CONSTANT_ENTRIES)
+    def test_a_non_operator_is_an_argument_error(self, case, op):
+        with pytest.raises(ArgumentError):
+            self._constant_entry(case, op)
+
+    @pytest.mark.parametrize("form", ["list_spec", "QobjEvo"])
+    @pytest.mark.parametrize("solver", ["heomsolve", "brmesolve", "steadystate"])
+    def test_a_constant_spec_gives_the_bytes_of_its_value(self, solver, form):
+        """``[A, B]`` and ``QobjEvo(A + B)`` run as the Qobj ``A + B``; so does a coupling
+        or collapse operator given as ``[Q]`` or ``QobjEvo(Q)``."""
+        A, B = 0.5 * q.sigmaz(), 0.3 * q.sigmax()
+        Q, c = q.sigmaz(), np.sqrt(0.2) * q.sigmam()
+        T, e_ops = [0.0, 0.5, 1.0], [q.sigmaz(), q.sigmax()]
+
+        def run(H, wrap):
+            if solver == "heomsolve":
+                res = q.heomsolve(H, (_HEOM_BATH[0], wrap(Q)), _PSI, T, n_c=2, e_ops=e_ops)
+                return [*res.expect, res.final_ados]
+            if solver == "brmesolve":
+                res = q.brmesolve(H, [(wrap(Q), lambda w: 0.1 * (w > 0)),
+                                      (c + c.dag(), lambda w: 0.05)], _PSI, T, e_ops=e_ops)
+                return res.expect
+            return [q.steadystate(H, [wrap(c), 0.1 * Q]).full()]
+
+        expected = run(A + B, lambda op: op)
+        if form == "list_spec":
+            got = run([A, B], lambda op: [op])
+        else:
+            got = run(q.QobjEvo(A + B), q.QobjEvo)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
 
 def loop_step(self):

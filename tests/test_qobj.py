@@ -53,6 +53,13 @@ class TestKindInference:
         psi = q.Qobj(RNG.normal(size=(5, 1)) + 1j * RNG.normal(size=(5, 1))).unit()
         assert abs(psi.norm() - 1) < 1e-12
 
+    @pytest.mark.parametrize("zero, noun", [
+        (0 * q.basis(2, 0), "norm"), (0 * q.basis(2, 0).dag(), "norm"),
+        (q.qzero(2), "trace"), (q.sigmaz(), "trace")])
+    def test_unit_of_a_zero_object_is_a_range_error(self, zero, noun):
+        with pytest.raises(RangeError, match=f"zero {noun}"):
+            zero.unit()
+
 
 class TestTensorPtrace:
     def test_tensor_dims(self):
