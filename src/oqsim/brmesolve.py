@@ -17,9 +17,9 @@ import numpy as np
 
 from . import data as _d
 from .dimensions import Dimensions
-from .exceptions import RangeError
+from .exceptions import ArgumentError, RangeError
 from .qobj import Qobj
-from .result import SolveResult, check_operators, check_state, constant_operator, normalize_e_ops
+from .result import SolveResult, check_list, check_number, check_operators, constant_operator
 from .solver import MESolver
 
 __all__ = ["BRCoupling", "br_tensor", "brmesolve"]
@@ -34,13 +34,14 @@ class BRCoupling:
 
 
 def _as_couplings(couplings):
+    entries = [(c.op, c.spectrum) if isinstance(c, BRCoupling) else c
+               for c in check_list(couplings, "couplings")]
     out = []
-    for entry in couplings:
-        if isinstance(entry, BRCoupling):
-            out.append(entry)
-        else:
-            op, spec = entry
-            out.append(BRCoupling(op, spec))
+    for op, spectrum in check_list(entries, "couplings", pairs=True):
+        if not callable(spectrum):
+            raise ArgumentError(f"each spectrum in couplings must be callable; "
+                                f"got {type(spectrum).__name__}")
+        out.append(BRCoupling(op, spectrum))
     if not out:
         raise RangeError("need at least one (operator, spectrum) coupling")
     return out
@@ -58,6 +59,7 @@ def br_tensor(H: Qobj, couplings, sec_cutoff: float = 0.1):
     """
     H = constant_operator(H, "br_tensor's H")
     couplings = _as_couplings(couplings)
+    check_number(sec_cutoff, "sec_cutoff")
     w, V = _d.eig_herm(H.data)  # ascending eigenvalues; raises if not Hermitian
     Varr = V.to_array()
     n = len(w)
@@ -100,6 +102,31 @@ def br_tensor(H: Qobj, couplings, sec_cutoff: float = 0.1):
     return R_super, ekets
 
 
+class _BRSolver(MESolver):
+    """An MESolver that steps in the eigenbasis of H: states and e_ops are taken
+    to it on the way in, and states back to the lab basis on the way out."""
+
+    name = "brmesolve"
+
+    def __init__(self, R_super: Qobj, ekets, dims: Dimensions, options):
+        super().__init__(R_super, (), options)
+        self._V = np.column_stack([k.full().ravel() for k in ekets])
+        self._eig_dims, self._op_dims = self._op_dims, dims
+
+    def _to_eig(self, op: Qobj) -> Qobj:
+        return Qobj(self._V.conj().T @ op.full() @ self._V, dims=self._eig_dims)
+
+    def _pack(self, state):
+        return super()._pack(self._to_eig(state))
+
+    def _unpack(self, y):
+        rho = super()._unpack(y)
+        return Qobj(self._V @ rho.full() @ self._V.conj().T, dims=self._op_dims)
+
+    def _expect_row(self, e_op: Qobj):
+        return super()._expect_row(self._to_eig(e_op))
+
+
 def brmesolve(
     H,
     couplings,
@@ -111,35 +138,12 @@ def brmesolve(
 ) -> SolveResult:
     """Evolve a state under the Bloch-Redfield equation.
 
-    The density matrix is propagated in the Hamiltonian eigenbasis and
-    expectation values (and stored states) are transformed back to the lab
-    basis.  ``H`` and the coupling operators are taken as in :func:`br_tensor`; a
-    time-dependent one raises :class:`~oqsim.exceptions.MethodError`.
+    The density matrix is propagated in the Hamiltonian eigenbasis; the
+    result is assembled by :meth:`~oqsim.solver.Solver.run`, with expectation
+    values and stored states in the lab basis.  ``H`` and the coupling
+    operators are taken as in :func:`br_tensor`; a time-dependent one raises
+    :class:`~oqsim.exceptions.MethodError`.
     """
     H = constant_operator(H, "brmesolve's H")
-
     R_super, ekets = br_tensor(H, couplings, sec_cutoff=sec_cutoff)
-    n = H.shape[0]
-    Varr = np.column_stack([k.full().ravel() for k in ekets])
-
-    rho0 = check_state(rho0, H.dims, "oper")
-    labels, ops = normalize_e_ops(e_ops, H.dims)
-
-    def to_eig(op):
-        return Qobj(Varr.conj().T @ op.full() @ Varr, dims=Dimensions([n], [n]))
-
-    def to_lab(rho):
-        return Qobj(Varr @ rho.full() @ Varr.conj().T, dims=rho0.dims)
-
-    ops_eig = {lbl: to_eig(op) for lbl, op in zip(labels, ops)}
-
-    solver = MESolver(R_super, (), options)
-    solver.name = "brmesolve"
-    res = solver.run(to_eig(rho0), tlist, e_ops=ops_eig or None)
-
-    if res.states is not None:
-        res.states = [to_lab(s) for s in res.states]
-        res.final_state = res.states[-1]
-    elif res.final_state is not None:
-        res.final_state = to_lab(res.final_state)
-    return res
+    return _BRSolver(R_super, ekets, H.dims, options).run(rho0, tlist, e_ops=e_ops)

@@ -10,11 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 from .dimensions import Dimensions
-from .exceptions import DimensionMismatchError, RangeError
+from .exceptions import ArgumentError, DimensionMismatchError, RangeError
 from .integrator import IntegratorOptions, check_tlist, integrate
 from .qobj import Qobj
 from .qobjevo import as_evo
-from .result import SolveResult, check_state, normalize_e_ops
+from .result import SolveResult
+from .solver import SESolver, Solver
 
 __all__ = ["FloquetBasis", "floquet_basis", "fsesolve"]
 
@@ -56,10 +57,6 @@ class FloquetBasis:
         j0 = min(int(np.floor(x)), self.n_steps - 1)
         frac = x - j0
         return (1.0 - frac) * self.modes[j0] + frac * self.modes[j0 + 1]
-
-    def expand(self, psi0: Qobj) -> np.ndarray:
-        """Expansion coefficients of ``psi0`` in the t=0 Floquet modes."""
-        return np.linalg.solve(self.modes[0], psi0.full().ravel())
 
     def state_at(self, t: float, coeffs: np.ndarray) -> np.ndarray:
         phases = np.exp(-1j * self.quasienergies * t)
@@ -108,40 +105,32 @@ def floquet_basis(H, T: float, n_t: int = 64, options: IntegratorOptions | None 
     return FloquetBasis(T, grid, eps, modes, U_T, H_evo.dims)
 
 
+class _FloquetSolver(SESolver):
+    """An SESolver whose states come from a Floquet basis, not from stepping."""
+
+    name = "fsesolve"
+
+    def __init__(self, fb: FloquetBasis):
+        if not isinstance(fb, FloquetBasis):
+            raise ArgumentError(f"fsesolve's fb must be a FloquetBasis; got {type(fb).__name__}")
+        Solver.__init__(self, None)  # no generator: the states are read off the basis
+        self.fb = fb
+        self._op_dims = fb.dims
+        self._dims = Dimensions(fb.dims.ket, [1] * len(fb.dims.ket), enr=fb.dims.enr)
+
+    def _propagate(self, y0, tlist, args):
+        coeffs = np.linalg.solve(self.fb.modes[0], y0)  # y0 in the t=0 Floquet modes
+        return (self.fb.state_at(t, coeffs) for t in tlist), None
+
+
 def fsesolve(fb: FloquetBasis, psi0: Qobj, tlist, e_ops=None) -> SolveResult:
     """Closed-system evolution reconstructed from a Floquet basis.
 
     ``psi(t) = sum_a c_a exp(-i eps_a t) Phi_a(t mod T)`` with coefficients
-    fixed by the initial state.  Times must be non-negative.
+    fixed by the initial state.  Times must be non-negative.  The result is
+    :meth:`~oqsim.solver.Solver.run`'s, with zero steps and RHS evaluations.
     """
-    psi0 = check_state(psi0, fb.dims, "ket")
     tlist = check_tlist(tlist)
     if np.any(tlist < 0):
         raise RangeError("fsesolve times must be non-negative")
-
-    coeffs = fb.expand(psi0)
-    labels, ops = normalize_e_ops(e_ops, fb.dims)
-    mats = [op.data.scipy_matrix() for op in ops]
-    real_flags = [op.isherm for op in ops]
-    expect_out = [np.empty(tlist.size, dtype=complex) for _ in ops]
-    store_states = not ops
-    states = [] if store_states else None
-    ket_dims = Dimensions(fb.dims.ket, [1] * len(fb.dims.ket))
-
-    for j, t in enumerate(tlist):
-        psi = fb.state_at(t, coeffs)
-        for series, m in zip(expect_out, mats):
-            series[j] = complex(np.vdot(psi, m @ psi))
-        if store_states:
-            states.append(Qobj(psi.reshape(-1, 1), dims=ket_dims))
-
-    expect_final = [s.real if flag else s for s, flag in zip(expect_out, real_flags)]
-    final_state = states[-1] if states else None
-    return SolveResult(
-        tlist,
-        labels,
-        expect_final,
-        states=states,
-        final_state=final_state,
-        stats={"solver": "fsesolve"},
-    )
+    return _FloquetSolver(fb).run(psi0, tlist, e_ops=e_ops)

@@ -46,7 +46,7 @@ from .exceptions import ArgumentError, RangeError
 from .integrator import DP54Stepper
 from .qobj import Qobj
 from .qobjevo import QobjEvo
-from .result import SolveResult, check_operators, constant_operator
+from .result import SolveResult, check_list, check_number, check_operators, constant_operator
 from .solver import MESolver, Solver, SolverOptions
 from .superop import spost, spre
 
@@ -174,6 +174,7 @@ def _build_generator(H: Qobj, couplings, n_c: int):
     ``damp`` is taken row by row with ``np.dot``: one matrix product sums in
     another order and differs in the last bits.
     """
+    check_number(n_c, "n_c", integer=True)
     d = H.shape[0]
     d2 = d * d
     records = []
@@ -348,10 +349,11 @@ def heomsolve(
     # Like the ADO stack, the final state is always returned.
     opts = replace(SolverOptions.coerce(options), store_final_state=True)
     H = constant_operator(H, "heomsolve's H")
+    check_number(n_k, "n_k", integer=True)
     if isinstance(baths, tuple) and len(baths) == 2 and not isinstance(baths[0], (list, tuple)):
         baths = [baths]
     couplings = []
-    for bath, Q in baths:
+    for bath, Q in check_list(baths, "baths", pairs=True):
         if isinstance(bath, BosonicEnvironment):
             bath = matsubara_decompose(bath, n_k)
         if not isinstance(bath, ExponentSet):

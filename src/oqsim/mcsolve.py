@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import time
 
 import numpy as np
 
@@ -61,7 +60,7 @@ from .exceptions import RangeError, SolverError
 from .integrator import DP54Stepper, advance, check_tlist
 from .qobj import Qobj
 from .qobjevo import QobjEvo, apply_matrix, as_evo
-from .result import MultiTrajResult, check_operators, check_state
+from .result import MultiTrajResult, check_list, check_operators, check_state
 from .solver import SolverOptions, sesolve
 from .trajectory import Ensemble, McOptions, run_map, trajectory_rng
 
@@ -389,6 +388,7 @@ class MCSolver:
     name = "mcsolve"
 
     def __init__(self, H, c_ops, options=None):
+        c_ops = check_list(c_ops, "c_ops")
         if not c_ops:
             raise RangeError("MCSolver needs at least one collapse operator")
         self.options = McOptions.coerce(options)
@@ -432,7 +432,7 @@ def _run_trajectories(drift_evo, channels, psi0, tlist, e_ops, opts: McOptions, 
     if not isinstance(psi0, (list, tuple)):
         components = [(psi0, 1.0)]
     else:
-        components = [(k, float(p)) for k, p in psi0]
+        components = [(k, float(p)) for k, p in check_list(psi0, "psi0", pairs=True)]
         total_p = sum(p for _, p in components)
         if abs(total_p - 1.0) > 1e-8:
             raise RangeError("mixture probabilities must sum to 1")
@@ -565,29 +565,21 @@ def mcsolve(H, psi0, tlist, c_ops=(), e_ops=None, options=None) -> MultiTrajResu
     marker, even where another ket has H's size; else ``DimensionMismatchError``.
     A zero ket raises ``RangeError``, with or without collapse operators.
     Without collapse operators the problem is deterministic and is delegated to
-    :func:`~oqsim.solver.sesolve` with the caller's integrator options
-    (wrapped as a single-trajectory result whose ``stats`` hold the shared
-    trajectory keys and ``delegated``).
+    :func:`~oqsim.solver.sesolve` with the caller's integrator options; its
+    expectation values and, with ``store_states``, its kets make the one
+    record of a single-trajectory ensemble, whose ``stats`` hold the shared
+    trajectory keys and ``delegated``.
     """
     if not c_ops:
         if isinstance(psi0, (list, tuple)):
             raise RangeError("mixed initial states need collapse operators")
-        check_state(psi0, as_evo(H).dims, "ket", nonzero=True)
+        dims = as_evo(H).dims
+        check_state(psi0, dims, "ket", nonzero=True)
         opts = McOptions.coerce(options)
-        t_start = time.perf_counter()
-        res = sesolve(H, psi0, tlist, e_ops=e_ops, options=SolverOptions(integrator=opts.integrator))
-        std = [np.zeros(res.times.size) for _ in res.expect]
-        return MultiTrajResult(
-            res.times,
-            res.e_op_labels,
-            res.expect,
-            std,
-            ntraj_used=1,
-            seeds=[],
-            weights=[1.0],
-            stats={"solver": "mcsolve", "ntraj_requested": opts.ntraj, "ntraj_used": 1,
-                   "stop": "ntraj", "map": opts.map, "delegated": "sesolve",
-                   "run_time": time.perf_counter() - t_start},
-        )
+        ens = Ensemble("mcsolve", opts, check_tlist(tlist), e_ops, dims)
+        res = sesolve(H, psi0, tlist, e_ops=e_ops, options=SolverOptions(
+            store_states=opts.store_states, integrator=opts.integrator))
+        kets = [s.full().ravel() for s in res.states] if opts.store_states else None
+        return ens.result([(1.0, res.expect, None, kets)], True, stats={"delegated": "sesolve"})
     solver = MCSolver(H, c_ops, options)
     return solver.run(psi0, tlist, e_ops=e_ops)

@@ -29,7 +29,7 @@ from .integrator import check_tlist
 from .mcsolve import _Channel, _drift, _run_trajectories
 from .qobj import Qobj
 from .qobjevo import as_evo
-from .result import MultiTrajResult, check_operators
+from .result import MultiTrajResult, check_list, check_operators
 from .trajectory import McOptions
 
 __all__ = ["NmPrepared", "nm_prepare", "nm_mcsolve"]
@@ -96,7 +96,7 @@ def nm_prepare(ops_and_rates) -> NmPrepared:
     distinct time: a right-hand side asks for every shifted rate at one
     ``t``, and each rate is evaluated there once, not once per use.
     """
-    pairs = list(ops_and_rates)
+    pairs = check_list(ops_and_rates, "ops_and_rates", pairs=True)
     if not pairs:
         raise RangeError("need at least one (operator, rate) pair")
     ops, rates = [op for op, _ in pairs], [coefficient(rate) for _, rate in pairs]

@@ -1,9 +1,12 @@
 """Result containers for the dynamics solvers, and the input gate they share:
 every solver checks its initial state, e_ops and jump operators against the
-system's operator dims (ENR marker included) with the functions below, and
-takes an operator it needs constant through :func:`constant_operator`."""
+system's operator dims (ENR marker included) with the functions below, takes
+an operator it needs constant through :func:`constant_operator`, and a list,
+pair or number argument through :func:`check_list` and :func:`check_number`."""
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -13,7 +16,7 @@ from .qobj import Qobj
 from .qobjevo import as_evo
 
 __all__ = ["SolveResult", "MultiTrajResult", "normalize_e_ops", "check_state",
-           "check_operators", "constant_operator"]
+           "check_operators", "constant_operator", "check_list", "check_number"]
 
 
 def check_state(state, dims, kind: str, nonzero=False, hermitian=False) -> Qobj:
@@ -58,6 +61,29 @@ def constant_operator(op, what: str) -> Qobj:
     if not evo.isconstant:
         raise MethodError(f"{what} must be time-independent")
     return evo(0.0)
+
+
+def check_list(value, what: str, pairs=False) -> list:
+    """The entries of ``value``, a list, tuple or other iterable, as a list; with ``pairs``
+    each entry, unpacked into two, as a tuple.  A single operator or another non-iterable,
+    or with ``pairs`` an entry that is not a pair, raises :class:`ArgumentError` naming
+    ``what``."""
+    try:
+        entries = list(value)
+    except TypeError:
+        raise ArgumentError(f"{what} must be a list; got {type(value).__name__}") from None
+    try:
+        return [(a, b) for a, b in entries] if pairs else entries
+    except (TypeError, ValueError):
+        raise ArgumentError(f"each entry of {what} must be a pair") from None
+
+
+def check_number(value, what: str, integer=False) -> None:
+    """Raise :class:`ArgumentError` naming ``what`` unless ``value`` is a real number, or
+    with ``integer`` an integer."""
+    if not isinstance(value, numbers.Integral if integer else numbers.Real):
+        raise ArgumentError(f"{what} must be {'an integer' if integer else 'a real number'}; "
+                            f"got {value!r}")
 
 
 def normalize_e_ops(e_ops, dims):

@@ -47,7 +47,7 @@ from .exceptions import RangeError
 from .integrator import check_tlist
 from .qobj import Qobj
 from .qobjevo import QobjEvo, as_evo, liouvillian_evo
-from .result import MultiTrajResult, check_operators, check_state, constant_operator
+from .result import MultiTrajResult, check_list, check_operators, check_state, constant_operator
 from .superop import spost, spre
 from .trajectory import Ensemble, TrajectoryOptions, run_map, trajectory_rng
 
@@ -138,7 +138,7 @@ class HermitianCoords:
 
 
 def _as_constant_matrices(ops, dims, name):
-    ops = [constant_operator(op, f"each of smesolve's {name}") for op in ops]
+    ops = [constant_operator(op, f"each of smesolve's {name}") for op in check_list(ops, name)]
     check_operators(ops, dims, name)
     return [op.full() for op in ops]
 

@@ -21,7 +21,7 @@ from .integrator import (DP54Stepper, FlatOptions, IntegratorOptions, advance, c
                          propagate_diag)
 from .qobj import Qobj
 from .qobjevo import QobjEvo, as_evo, liouvillian_evo
-from .result import SolveResult, check_state, constant_operator, normalize_e_ops
+from .result import SolveResult, check_list, check_state, constant_operator, normalize_e_ops
 
 __all__ = ["SolverOptions", "Solver", "SESolver", "MESolver", "sesolve", "mesolve"]
 
@@ -69,7 +69,12 @@ class Solver:
         return rhs
 
     def run(self, state0: Qobj, tlist, e_ops=None, args=None) -> SolveResult:
-        """Propagate ``state0`` over ``tlist`` and collect the requested output."""
+        """Propagate ``state0`` over ``tlist`` and collect the requested output.
+
+        Every deterministic solver returns through here: a subclass changes how
+        states are packed and propagated (:meth:`_propagate`), not the output,
+        the e_ops or the ``stats`` keys.
+        """
         t_start = time.perf_counter()
         state0 = check_state(state0, self._op_dims, self.state_kind)
         tlist = check_tlist(tlist)
@@ -82,16 +87,7 @@ class Solver:
         real_flags = [op.isherm for op in ops]
         states_out = [] if store_states else None
 
-        y0 = self._pack(state0)
-        integ = opts.integrator
-        stepper = None
-        if integ.method == "diag_expm":
-            L = constant_operator(self.rhs_evo, "the generator of method diag_expm")
-            ys = propagate_diag(L.full(), y0, tlist, t0=float(tlist[0]))
-        else:
-            holder = {"args": args}
-            stepper = self._stepper(self._rhs(holder), float(tlist[0]), y0, float(tlist[-1]))
-            ys = (y for _, _, y in advance(stepper, tlist, integ.nsteps))
+        ys, stepper = self._propagate(self._pack(state0), tlist, args)
         for j, y in enumerate(ys):
             for series, ev in zip(expect_out, evaluators):
                 series[j] = ev(y)
@@ -120,6 +116,16 @@ class Solver:
             final_state=final_state,
             stats=stats,
         )
+
+    def _propagate(self, y0: np.ndarray, tlist: np.ndarray, args):
+        """``(ys, stepper)``: the packed states at ``tlist``, as an iterable, and the
+        stepper that made them, or None where no stepper ran."""
+        integ = self.options.integrator
+        if integ.method == "diag_expm":
+            L = constant_operator(self.rhs_evo, "the generator of method diag_expm")
+            return propagate_diag(L.full(), y0, tlist, t0=float(tlist[0])), None
+        stepper = self._stepper(self._rhs({"args": args}), float(tlist[0]), y0, float(tlist[-1]))
+        return (y for _, _, y in advance(stepper, tlist, integ.nsteps)), stepper
 
     def _stepper(self, rhs, t0: float, y0: np.ndarray, t_end: float) -> DP54Stepper:
         """The stepper of a run or a step() session; a constant generator steps in power form."""
@@ -195,7 +201,7 @@ class MESolver(Solver):
     name = "mesolve"
 
     def __init__(self, H, c_ops=(), options=None):
-        L = liouvillian_evo(H, c_ops)
+        L = liouvillian_evo(H, check_list(c_ops or (), "c_ops"))
         super().__init__(L, options)
         op_dims = L.dims.ket  # nested [ket_dims, bra_dims] of the operator space
         self._op_dims = Dimensions(op_dims[0], op_dims[1], enr=L.dims.enr)

@@ -12,7 +12,7 @@ import scipy.sparse.linalg as spla
 from .dimensions import Dimensions
 from .exceptions import ConvergenceError, RangeError, SingularMatrixError
 from .qobj import Qobj
-from .result import constant_operator
+from .result import check_list, constant_operator
 from .superop import liouvillian
 
 __all__ = ["steadystate"]
@@ -87,7 +87,7 @@ def steadystate(
     if H_or_L is not None:
         H_or_L = constant_operator(H_or_L, "steadystate's generator")
     L = liouvillian(H_or_L, [constant_operator(c, "a steadystate collapse operator")
-                             for c in c_ops])
+                             for c in check_list(c_ops, "c_ops")])
     op_ket = L.dims.ket[0]
     n = 1
     for d in op_ket:

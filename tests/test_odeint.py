@@ -172,6 +172,19 @@ class TestStepCounters:
         diag = solve({"method": "diag_expm"}).stats
         assert (diag["accepted_steps"], diag["rejected_steps"], diag["rhs_evaluations"]) == (0, 0, 0)
 
+    @pytest.mark.parametrize("name, options", [
+        ("sesolve", None), ("mesolve", None), ("mesolve", {"method": "diag_expm"}),
+        ("brmesolve", None), ("heomsolve", None), ("fsesolve", None),
+    ], ids=["sesolve", "mesolve", "mesolve_diag_expm", "brmesolve", "heomsolve", "fsesolve"])
+    def test_every_deterministic_result_holds_the_shared_keys(self, name, options):
+        stats = _solve(name, options=options).stats
+        shared = {"solver", "rhs_evaluations", "accepted_steps", "rejected_steps", "run_time"}
+        assert shared <= set(stats)
+        assert stats["solver"] == name and stats["run_time"] >= 0
+        if name == "fsesolve" or options:
+            assert (stats["accepted_steps"], stats["rejected_steps"],
+                    stats["rhs_evaluations"]) == (0, 0, 0)
+
 
 def test_power_coefficients_are_the_stability_polynomial():
     # DOPRI5: R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 + z^5/120 + z^6/600; the
@@ -562,6 +575,35 @@ _CONSTANT_H_SOLVERS = ("brmesolve", "heomsolve")
 _KET_SOLVERS = ("sesolve", "mcsolve", "nm_mcsolve", "fsesolve", "SESolver.start")
 
 
+def _malformed_collections(name):
+    """``(argument, call)`` pairs that call solver ``name`` with a list, pair or number
+    argument of the wrong kind: a single operator for a list, an entry that is not a
+    pair, a spectrum that is not callable, or a number that is not one."""
+    T, sx, rate = (0.0, 0.5, 1.0), q.sigmax(), lambda w: 0.1
+    return {
+        "mesolve": [("c_ops", lambda: q.mesolve(_H, _PSI, T, _C[0]))],
+        "mcsolve": [("c_ops", lambda: q.mcsolve(_H, _PSI, T, _C[0], options=_MC)),
+                    ("psi0", lambda: q.mcsolve(_H, [_PSI], T, _C, options=_MC))],
+        "smesolve": [("c_ops", lambda: q.smesolve(_H, _PSI, T, c_ops=_C[0], sc_ops=_C,
+                                                  options=_MC)),
+                     ("sc_ops", lambda: q.smesolve(_H, _PSI, T, sc_ops=_C[0], options=_MC))],
+        "nm_mcsolve": [("ops_and_rates", lambda: q.nm_mcsolve(_H, _PSI, T, [q.sigmam()],
+                                                               options=_MC)),
+                       ("ops_and_rates", lambda: q.nm_mcsolve(_H, _PSI, T, q.sigmam(),
+                                                               options=_MC))],
+        "brmesolve": [("couplings", lambda: q.brmesolve(_H, [sx], _PSI, T)),
+                      ("couplings", lambda: q.brmesolve(_H, sx, _PSI, T)),
+                      ("couplings", lambda: q.brmesolve(_H, [(sx, 0.1)], _PSI, T)),
+                      ("sec_cutoff", lambda: q.brmesolve(_H, [(sx, rate)], _PSI, T,
+                                                         sec_cutoff="a"))],
+        "heomsolve": [("baths", lambda: q.heomsolve(_H, [q.sigmaz()], _PSI, T, n_c=1)),
+                      ("n_c", lambda: q.heomsolve(_H, _HEOM_BATH, _PSI, T, n_c="x")),
+                      ("n_c", lambda: q.heomsolve(_H, _HEOM_BATH, _PSI, T, n_c=1.5)),
+                      ("n_k", lambda: q.heomsolve(_H, _HEOM_BATH, _PSI, T, n_c=1, n_k="a"))],
+        "fsesolve": [("fb", lambda: q.fsesolve(None, _PSI, T))],
+    }.get(name, [])
+
+
 def _foreign_states(name):
     """Initial states that are not on the qubit's space, or not of the kind ``name`` takes:
     another size, the same size with other dims or an ENR marker, a bra, and for a ket
@@ -607,8 +649,15 @@ def test_malformed_input_is_a_typed_error(data):
         kinds += ["e_ops", "state", "e_op_dims"]
     if name in _H_SOLVERS:
         kinds += ["hamiltonian"]
+    if _malformed_collections(name):
+        kinds += ["collections"]
     kind = data.draw(st.sampled_from(kinds), label="kind")
     kwargs = {}
+    if kind == "collections":
+        argument, call = data.draw(st.sampled_from(_malformed_collections(name)), label="call")
+        with no_integration(), pytest.raises(ArgumentError, match=argument):
+            call()
+        return
     if kind == "hamiltonian":
         # Not an operator: a str, an ndarray, or a list spec with a non-Qobj entry.
         cases = [("x", ArgumentError), (np.eye(2), ArgumentError),
@@ -770,6 +819,12 @@ class TestOneInputGate:
                          "hierarchy_build_H", "hierarchy_build_Q", "heomsolve_H", "heomsolve_Q",
                          "br_tensor_H", "br_tensor_coupling", "brmesolve_H",
                          "brmesolve_coupling"]
+
+    @pytest.mark.parametrize("c_ops", [q.sigmam(), q.QobjEvo(q.sigmam()), None],
+                             ids=["Qobj", "QobjEvo", "None"])
+    def test_steadystate_c_ops_that_are_not_a_list_are_an_argument_error(self, c_ops):
+        with pytest.raises(ArgumentError, match="c_ops must be a list"):
+            q.steadystate(_H, c_ops)
 
     @pytest.mark.parametrize("case", _CONSTANT_ENTRIES)
     def test_a_time_dependent_operator_is_a_method_error(self, case):

@@ -1,7 +1,8 @@
 """Source checks: every failure the package raises is a typed ``OqsimError``, the
 trajectory solvers share one ensemble reduction and one stop check,
 ``integrator.advance`` is the only loop that steps a ``DP54Stepper`` or
-replays its recorded steps, and no class derives from ``DP54Stepper``."""
+replays its recorded steps, no class derives from ``DP54Stepper``, and results
+are built in one place per kind of solver."""
 
 import ast
 import pathlib
@@ -15,6 +16,11 @@ BARE = {"ValueError", "TypeError", "RuntimeError", "KeyError", "ZeroDivisionErro
 ENSEMBLE_ONLY = {"WeightedStats", "target_reached"}
 # The stepper calls that advance a DP54Stepper by one step: only integrator.advance makes them.
 STEP_CALLS = {"step", "replay"}
+RESULT_CLASSES = {"SolveResult", "MultiTrajResult", "HEOMResult"}
+# Where a result may be built: the deterministic solvers' ``Solver._result`` and HEOM's
+# override of it, the trajectory solvers' ``Ensemble.result``, and the steadystate table.
+RESULT_BUILDERS = {"solver.py": "_result", "heom.py": "_result", "trajectory.py": "result",
+                   "model.py": "_run_steadystate"}
 
 
 def bare_raises(path: pathlib.Path) -> list[str]:
@@ -133,3 +139,38 @@ def test_the_gate_sees_a_stepper_subclass(tmp_path):
                       "class Other(integrator.DP54Stepper):\n    pass\n\n"
                       "class Plain(object):\n    pass\n")
     assert stepper_subclasses(module) == ["m.py:4 Power", "m.py:8 Other"]
+
+
+def hand_built_results(path: pathlib.Path) -> list[str]:
+    """``file:line name`` of every call of a result class outside the function that
+    ``RESULT_BUILDERS`` names for the module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == RESULT_BUILDERS.get(path.name):
+            allowed |= {id(n) for n in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in allowed:
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(
+                node.func, "id", None)
+            if name in RESULT_CLASSES:
+                found.append((node.lineno, name))
+    return [f"{path.name}:{line} {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_result_path(path):
+    assert hand_built_results(path) == []
+
+
+def test_the_gate_sees_a_hand_built_result(tmp_path):
+    module = tmp_path / "heom.py"
+    module.write_text("class HEOMResult(SolveResult):\n    pass\n\n"
+                      "def _result(*args):\n    return HEOMResult(*args)\n\n"
+                      "def heomsolve(result):\n    return SolveResult(1) or result.MultiTrajResult(2)\n")
+    assert hand_built_results(module) == ["heom.py:8 MultiTrajResult", "heom.py:8 SolveResult"]
+    other = tmp_path / "floquet.py"
+    other.write_text(module.read_text())
+    assert hand_built_results(other) == ["floquet.py:5 HEOMResult", "floquet.py:8 MultiTrajResult",
+                                         "floquet.py:8 SolveResult"]

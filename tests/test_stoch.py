@@ -77,6 +77,17 @@ class TestMcsolve:
         assert res.stats.get("delegated") == "sesolve"
         assert res.ntraj_used == 1
 
+    def test_no_cops_honours_store_states(self):
+        ts, psi = [0.0, 0.5, 1.0], q.basis(2, 0)
+        res = q.mcsolve(q.sigmax(), psi, ts, e_ops=[q.sigmaz()],
+                        options={"store_states": True, "seed": 4})
+        ref = q.sesolve(q.sigmax(), psi, ts, options={"store_states": True})
+        assert len(res.average_states) == len(ts)
+        for rho, ket in zip(res.average_states, ref.states):
+            assert np.max(np.abs(rho.full() - ket.proj().full())) <= 1e-15
+        assert res.final_state is res.average_states[-1]
+        assert res.seeds == [(4, 0)]
+
     def test_no_cops_refuses_a_zero_ket(self):
         # As a trajectory run does: sesolve alone would return all-zero expectations.
         for c_ops in ([q.sigmam()], []):
