@@ -74,7 +74,9 @@ def br_tensor(H: Qobj, couplings, sec_cutoff: float = 0.1):
         S = np.empty((n, n))
         for i in range(n):
             for j in range(n):
-                S[i, j] = float(coup.spectrum(Wab[i, j]))
+                value = coup.spectrum(Wab[i, j])
+                check_number(value, "the value of each spectrum in couplings")
+                S[i, j] = value
         # term1[a,b,c,d] = delta_bd sum_n A_an A_nc S(w_cn)
         M1 = A @ (A * S.T)
         # term3[a,b,c,d] = delta_ac sum_n A_dn A_nb S(w_dn)

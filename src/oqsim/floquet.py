@@ -14,7 +14,7 @@ from .exceptions import ArgumentError, DimensionMismatchError, RangeError
 from .integrator import IntegratorOptions, check_tlist, integrate
 from .qobj import Qobj
 from .qobjevo import as_evo
-from .result import SolveResult
+from .result import SolveResult, check_number
 from .solver import SESolver, Solver
 
 __all__ = ["FloquetBasis", "floquet_basis", "fsesolve"]
@@ -63,21 +63,32 @@ class FloquetBasis:
         return self.mode_at(t) @ (coeffs * phases)
 
 
-def floquet_basis(H, T: float, n_t: int = 64, options: IntegratorOptions | None = None) -> FloquetBasis:
+def floquet_basis(H, T: float, n_t: int = 64,
+                  options: IntegratorOptions | dict | None = None) -> FloquetBasis:
     """Compute the Floquet basis of a T-periodic Hamiltonian.
 
     The propagator is integrated over one period (the caller is responsible
     for ``H(t + T) = H(t)``); its eigenphases give the quasienergies and its
     eigenvectors the modes at t = 0, which are then propagated across an
-    ``n_t``-step grid covering the period.
+    ``n_t``-step grid covering the period.  ``T`` is a positive finite number
+    and ``n_t`` an integer of at least 2.  ``options`` takes the
+    :class:`~oqsim.integrator.IntegratorOptions` keys, as an instance or a
+    flat dict; the keys a dict leaves out, and None, give
+    ``atol = rtol = 1e-12``.
     """
+    check_number(T, "floquet_basis's T")
+    check_number(n_t, "floquet_basis's n_t", integer=True)
+    if not 0 < T < np.inf:
+        raise RangeError(f"floquet_basis's T must be positive and finite; got {T!r}")
     if n_t < 2:
         raise RangeError("need at least two grid steps per period")
+    if options is None or isinstance(options, dict):
+        options = {"atol": 1e-12, "rtol": 1e-12, **(options or {})}
+    opts = IntegratorOptions.coerce(options)
     H_evo = as_evo(H)
     if H_evo.shape[0] != H_evo.shape[1]:
         raise DimensionMismatchError("Hamiltonian must be square")
     dim = H_evo.shape[0]
-    opts = options or IntegratorOptions(atol=1e-12, rtol=1e-12)
 
     grid = np.linspace(0.0, T, n_t + 1)
     eye = np.eye(dim, dtype=np.complex128)

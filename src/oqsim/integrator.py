@@ -88,38 +88,6 @@ __all__ = ["IntegratorOptions", "FlatOptions", "DenseSegment", "DP54Stepper", "a
            "check_tlist", "integrate", "propagate_diag"]
 
 
-@dataclass
-class IntegratorOptions:
-    """Tolerances and limits for the adaptive integrator.
-
-    ``nsteps`` bounds the number of accepted steps between two requested
-    output times; ``max_step`` guards against stepping over short features
-    such as narrow pulses.
-    """
-
-    atol: float = 1e-8
-    rtol: float = 1e-6
-    nsteps: int = 2048
-    max_step: float | None = None
-    first_step: float | None = None
-    method: str = "rk45_adaptive"
-
-    def validated(self) -> "IntegratorOptions":
-        _check_types(self)
-        if self.atol <= 0 or self.rtol <= 0:
-            raise RangeError("atol and rtol must be positive")
-        if self.nsteps < 1:
-            raise RangeError("nsteps must be at least 1")
-        if self.max_step is not None and self.max_step <= 0:
-            raise RangeError("max_step must be positive when set")
-        if self.method not in ("rk45_adaptive", "diag_expm"):
-            raise RangeError(f"unknown integrator method {self.method!r}")
-        return self
-
-
-_INTEGRATOR_KEYS = tuple(f.name for f in fields(IntegratorOptions))
-
-
 @functools.cache
 def _field_types(cls) -> dict:
     """``{field: type}`` of an options dataclass, resolved once per class."""
@@ -175,7 +143,7 @@ class FlatOptions:
 
     @classmethod
     def _has_integrator(cls) -> bool:
-        return any(f.name == "integrator" for f in fields(cls))
+        return "integrator" in _field_types(cls)
 
     @classmethod
     def coerce(cls, options):
@@ -188,11 +156,12 @@ class FlatOptions:
             if unknown:
                 raise OptionError(f"unknown {cls.__name__} key {unknown[0]!r}; "
                                   f"accepted keys: {', '.join(keys)}")
-            integ = {k: v for k, v in options.items() if k in _INTEGRATOR_KEYS}
-            own = {k: v for k, v in options.items() if k not in integ}
             if cls._has_integrator():
-                own["integrator"] = IntegratorOptions(**integ)
-            options = cls(**own)
+                integ = {k: v for k, v in options.items() if k in _INTEGRATOR_KEYS}
+                own = {k: v for k, v in options.items() if k not in integ}
+                options = cls(**own, integrator=IntegratorOptions(**integ))
+            else:
+                options = cls(**options)
         elif not isinstance(options, cls):
             raise OptionError(f"cannot interpret {type(options).__name__} as {cls.__name__}")
         return options.validated()
@@ -204,6 +173,38 @@ class FlatOptions:
         if self._has_integrator():
             self.integrator.validated()
         return self
+
+
+@dataclass
+class IntegratorOptions(FlatOptions):
+    """Tolerances and limits for the adaptive integrator.
+
+    ``nsteps`` bounds the number of accepted steps between two requested
+    output times; ``max_step`` guards against stepping over short features
+    such as narrow pulses.  :meth:`~FlatOptions.coerce` builds them from a flat dict.
+    """
+
+    atol: float = 1e-8
+    rtol: float = 1e-6
+    nsteps: int = 2048
+    max_step: float | None = None
+    first_step: float | None = None
+    method: str = "rk45_adaptive"
+
+    def validated(self) -> "IntegratorOptions":
+        _check_types(self)  # not FlatOptions.validated: every DP54Stepper calls this
+        if self.atol <= 0 or self.rtol <= 0:
+            raise RangeError("atol and rtol must be positive")
+        if self.nsteps < 1:
+            raise RangeError("nsteps must be at least 1")
+        if self.max_step is not None and self.max_step <= 0:
+            raise RangeError("max_step must be positive when set")
+        if self.method not in ("rk45_adaptive", "diag_expm"):
+            raise RangeError(f"unknown integrator method {self.method!r}")
+        return self
+
+
+_INTEGRATOR_KEYS = tuple(f.name for f in fields(IntegratorOptions))
 
 
 # Dormand-Prince 5(4) tableau as exact rationals: stage ``i`` reads row ``i``
@@ -654,10 +655,11 @@ def check_tlist(tlist, uniform: bool = False) -> np.ndarray:
     return t
 
 
-def integrate(rhs, y0, t0: float, t_targets, opts: IntegratorOptions | None = None):
+def integrate(rhs, y0, t0: float, t_targets, opts: IntegratorOptions | dict | None = None):
     """Integrate ``y' = rhs(t, y)`` and report ``y`` at each target time.
 
-    Targets pass :func:`check_tlist`, with ``t_targets[0] >= t0``.  Dense output is
+    Targets pass :func:`check_tlist`, with ``t_targets[0] >= t0``; ``opts`` is
+    an :class:`IntegratorOptions`, a flat dict of its keys or None.  Dense output is
     used to hit the targets without restarting steps.  Returns
     ``(states, final_segment)`` where ``states`` is a list of ndarrays.
 
@@ -671,7 +673,7 @@ def integrate(rhs, y0, t0: float, t_targets, opts: IntegratorOptions | None = No
     StiffnessError
         The adaptive step size underflowed.
     """
-    opts = opts or IntegratorOptions()
+    opts = IntegratorOptions.coerce(opts)
     t_targets = check_tlist(t_targets)
     if t_targets[0] < t0:
         raise RangeError(f"first target {t_targets[0]} precedes t0={t0}")

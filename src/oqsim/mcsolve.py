@@ -60,7 +60,7 @@ from .exceptions import RangeError, SolverError
 from .integrator import DP54Stepper, advance, check_tlist
 from .qobj import Qobj
 from .qobjevo import QobjEvo, apply_matrix, as_evo
-from .result import MultiTrajResult, check_list, check_operators, check_state
+from .result import MultiTrajResult, check_list, check_number, check_operators, check_state
 from .solver import SolverOptions, sesolve
 from .trajectory import Ensemble, McOptions, run_map, trajectory_rng
 
@@ -432,7 +432,10 @@ def _run_trajectories(drift_evo, channels, psi0, tlist, e_ops, opts: McOptions, 
     if not isinstance(psi0, (list, tuple)):
         components = [(psi0, 1.0)]
     else:
-        components = [(k, float(p)) for k, p in check_list(psi0, "psi0", pairs=True)]
+        components = check_list(psi0, "psi0", pairs=True)
+        for _, p in components:
+            check_number(p, "each probability in psi0")
+        components = [(k, float(p)) for k, p in components]
         total_p = sum(p for _, p in components)
         if abs(total_p - 1.0) > 1e-8:
             raise RangeError("mixture probabilities must sum to 1")

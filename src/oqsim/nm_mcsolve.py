@@ -29,7 +29,7 @@ from .integrator import check_tlist
 from .mcsolve import _Channel, _drift, _run_trajectories
 from .qobj import Qobj
 from .qobjevo import as_evo
-from .result import MultiTrajResult, check_list, check_operators
+from .result import MultiTrajResult, check_list, check_operators, constant_operator
 from .trajectory import McOptions
 
 __all__ = ["NmPrepared", "nm_prepare", "nm_mcsolve"]
@@ -99,7 +99,8 @@ def nm_prepare(ops_and_rates) -> NmPrepared:
     pairs = check_list(ops_and_rates, "ops_and_rates", pairs=True)
     if not pairs:
         raise RangeError("need at least one (operator, rate) pair")
-    ops, rates = [op for op, _ in pairs], [coefficient(rate) for _, rate in pairs]
+    ops = [constant_operator(op, "each nm_mcsolve jump operator") for op, _ in pairs]
+    rates = [coefficient(rate) for _, rate in pairs]
     d = ops[0].dims  # every operator is a square one on the space of the first
     check_operators(ops, Dimensions(d.ket, d.ket, enr=d.enr), "jump operator")
 

@@ -46,7 +46,7 @@ import scipy.sparse
 from .exceptions import RangeError
 from .integrator import check_tlist
 from .qobj import Qobj
-from .qobjevo import QobjEvo, as_evo, liouvillian_evo
+from .qobjevo import as_evo, liouvillian_evo
 from .result import MultiTrajResult, check_list, check_operators, check_state, constant_operator
 from .superop import spost, spre
 from .trajectory import Ensemble, TrajectoryOptions, run_map, trajectory_rng
@@ -137,10 +137,10 @@ class HermitianCoords:
         return out
 
 
-def _as_constant_matrices(ops, dims, name):
+def _as_constant_operators(ops, dims, name):
     ops = [constant_operator(op, f"each of smesolve's {name}") for op in check_list(ops, name)]
     check_operators(ops, dims, name)
-    return [op.full() for op in ops]
+    return ops
 
 
 def smesolve(H, rho0: Qobj, tlist, c_ops=(), sc_ops=(), e_ops=None, options=None) -> MultiTrajResult:
@@ -183,14 +183,14 @@ def smesolve(H, rho0: Qobj, tlist, c_ops=(), sc_ops=(), e_ops=None, options=None
 
     rho0 = check_state(rho0, H_evo.dims, "oper", nonzero=True, hermitian=True)
 
-    cs = _as_constant_matrices(c_ops, H_evo.dims, "c_ops")
-    ss = _as_constant_matrices(sc_ops, H_evo.dims, "sc_ops")
+    cs = _as_constant_operators(c_ops, H_evo.dims, "c_ops")
+    ss = _as_constant_operators(sc_ops, H_evo.dims, "sc_ops")
     d = rho0.shape[0]
     coords = HermitianCoords(d)
     # s rho + rho s^dag, and the row of tr[(s + s^dag) rho].
-    meas = [coords.superop((spre(Qobj(m)) + spost(Qobj(m).dag())).data.scipy_matrix())
-            for m in ss]
-    x_rows = np.array([coords.functional(m + m.conj().T).real for m in ss]).reshape(-1, d * d)
+    meas = [coords.superop((spre(s) + spost(s.dag())).data.scipy_matrix()) for s in ss]
+    x_rows = np.array([coords.functional((s + s.dag()).full()).real
+                       for s in ss]).reshape(-1, d * d)
 
     # For constant generators the deterministic part of the substep is applied
     # exactly through a precomputed propagator exp(L dt); only the measurement
@@ -199,12 +199,9 @@ def smesolve(H, rho0: Qobj, tlist, c_ops=(), sc_ops=(), e_ops=None, options=None
     # Hermitian matrices to Hermitian matrices, so its real form is exact and
     # the exponential is taken of that real matrix.  Products with the
     # propagator and the measurement terms are sparse: for a cavity most of
-    # their entries are exact zeros.  The operators enter as plain matrices,
-    # their dims having been checked against H's above.
-    L = liouvillian_evo(
-        QobjEvo([(Qobj(q.full()), c) for q, c in H_evo.terms]),
-        [Qobj(m) for m in cs + ss],
-    )
+    # their entries are exact zeros.  L is built from the caller's operators in
+    # their own storage, so a sparse system gives a sparse generator.
+    L = liouvillian_evo(H_evo, cs + ss)
     L0 = coords.superop(L.terms[0][0].data.scipy_matrix()).toarray()
     if L.isconstant:
         prop = scipy.sparse.csr_array(scipy.linalg.expm(L0 * dt))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .dimensions import Dimensions
-from .exceptions import ConvergenceError, RangeError, SingularMatrixError
+from .exceptions import ConvergenceError, MethodError, RangeError, SingularMatrixError
 from .qobj import Qobj
 from .result import check_list, constant_operator
 from .superop import liouvillian
@@ -19,6 +20,7 @@ __all__ = ["steadystate"]
 
 _POWER_SHIFT = 1e-10
 _POWER_TOL = 1e-12
+_POWER_MAXITER = 100
 _RESIDUAL_TOL = 1e-10
 _DEGENERACY_PROBE_LIMIT = 1024
 
@@ -32,36 +34,27 @@ def _unvec_to_dm(x, n, op_dims) -> Qobj:
     return Qobj(rho / tr, dims=op_dims)
 
 
-def _solve_columns(A_sparse, b, solver, rtol=1e-12, maxiter=5000):
-    if solver == "direct_lu":
-        try:
-            lu = spla.splu(sp.csc_matrix(A_sparse))
-        except RuntimeError as exc:
-            raise SingularMatrixError(f"sparse LU failed: {exc}") from exc
-        return lu.solve(b)
-    if solver == "iterative_gmres":
-        try:
-            ilu = spla.spilu(sp.csc_matrix(A_sparse), drop_tol=1e-10, fill_factor=20)
-            M = spla.LinearOperator(A_sparse.shape, ilu.solve)
-        except RuntimeError:
-            M = None
-        x, info = spla.gmres(A_sparse, b, rtol=rtol, atol=0.0, maxiter=maxiter, M=M)
-        if info != 0:
-            raise ConvergenceError(f"GMRES did not converge (info={info})")
-        return x
-    raise RangeError(f"unknown linear solver {solver!r}")
+def _lu_solve(A):
+    """The ``solve`` of one sparse LU factorization of ``A``."""
+    try:
+        return spla.splu(sp.csc_matrix(A)).solve
+    except RuntimeError as exc:
+        raise SingularMatrixError(f"sparse LU failed: {exc}") from exc
 
 
-def steadystate(
-    H_or_L,
-    c_ops=(),
-    method: str = "direct",
-    solver: str = "direct_lu",
-    *,
-    power_tol: float = _POWER_TOL,
-    power_maxiter: int = 100,
-    residual_tol: float = _RESIDUAL_TOL,
-) -> Qobj:
+def _gmres_solve(A, b):
+    try:
+        ilu = spla.spilu(sp.csc_matrix(A), drop_tol=1e-10, fill_factor=20)
+        M = spla.LinearOperator(A.shape, ilu.solve)
+    except RuntimeError:
+        M = None
+    x, info = spla.gmres(A, b, rtol=1e-12, atol=0.0, maxiter=5000, M=M)
+    if info != 0:
+        raise ConvergenceError(f"GMRES did not converge (info={info})")
+    return x
+
+
+def steadystate(H_or_L, c_ops=(), method: str = "direct", solver: str = "direct_lu") -> Qobj:
     """Unique steady state of ``d rho/dt = L rho``.
 
     ``H_or_L`` (a Hamiltonian, a Liouvillian or None) and ``c_ops`` may be
@@ -72,42 +65,48 @@ def steadystate(
     -------
     ``direct``
         Solve ``L x = 0`` with the trace condition substituted for the row of
-        L carrying the largest diagonal magnitude (right-hand side 1).
+        L carrying the largest diagonal magnitude (right-hand side 1), by sparse
+        LU (``solver="direct_lu"``) or ILU-preconditioned GMRES (``"iterative_gmres"``).
     ``power``
-        Inverse power iteration on ``L - sigma I`` with a tiny shift, reusing
-        one LU factorization across sweeps, until ``||L x|| < power_tol``.
+        Inverse power iteration on ``L - _POWER_SHIFT I``, reusing one sparse LU
+        across at most ``_POWER_MAXITER`` sweeps, until ``||L x|| < _POWER_TOL``.
+        Any solver but ``direct_lu`` raises :class:`~oqsim.exceptions.MethodError`.
     ``svd``
         Null vector from a dense singular value decomposition.
 
-    The returned density operator is Hermitian with unit trace and satisfies
-    ``||L vec(rho)||_2 <= residual_tol * ||L||_F``; otherwise
+    An unknown ``method`` or ``solver`` raises :class:`RangeError` before
+    anything is built.  The returned density operator is Hermitian with unit
+    trace and satisfies ``||L vec(rho)||_2 <= _RESIDUAL_TOL * ||L||_F``; otherwise
     :class:`ConvergenceError` is raised.  If the null space looks degenerate a
     warning is emitted and an arbitrary element is returned.
     """
+    if method not in ("direct", "power", "svd"):
+        raise RangeError(f"unknown steadystate method {method!r}")
+    if solver not in ("direct_lu", "iterative_gmres"):
+        raise RangeError(f"unknown linear solver {solver!r}")
+    if method == "power" and solver != "direct_lu":
+        raise MethodError(f"the power method needs solver='direct_lu'; got {solver!r}")
     if H_or_L is not None:
         H_or_L = constant_operator(H_or_L, "steadystate's generator")
     L = liouvillian(H_or_L, [constant_operator(c, "a steadystate collapse operator")
                              for c in check_list(c_ops, "c_ops")])
-    op_ket = L.dims.ket[0]
-    n = 1
-    for d in op_ket:
-        n *= d
+    n = math.prod(L.dims.ket[0])
     op_dims = Dimensions(L.dims.ket[0], L.dims.ket[1], enr=L.dims.enr)
     Lmat = sp.csr_matrix(L.data.scipy_matrix())
     size = n * n
     Lnorm = spla.norm(Lmat, "fro")
     if Lnorm == 0.0:
         raise SingularMatrixError("generator is identically zero")
+    pop_rows = np.arange(n) * (n + 1)  # the populations rho_aa in vec(rho)
 
     if method == "direct":
         # The left null vector of L is vec(identity), so the trace condition
-        # may only replace a population row (index a*(n+1)); pick the one with
-        # the largest diagonal magnitude.
-        pop_rows = np.arange(n) * (n + 1)
+        # may only replace a population row; pick the one with the largest
+        # diagonal magnitude.
         diag = np.abs(Lmat.diagonal()[pop_rows])
         row = int(pop_rows[int(np.argmax(diag))])
         trace_row = sp.csr_matrix(
-            (np.ones(n), (np.zeros(n, dtype=int), np.arange(n) * (n + 1))),
+            (np.ones(n), (np.zeros(n, dtype=int), pop_rows)),
             shape=(1, size),
         )
         A = sp.vstack(
@@ -115,35 +114,25 @@ def steadystate(
         )
         b = np.zeros(size, dtype=np.complex128)
         b[row] = 1.0
-        x = _solve_columns(A, b, solver)
+        x = _lu_solve(A)(b) if solver == "direct_lu" else _gmres_solve(A, b)
     elif method == "power":
         shifted = Lmat - _POWER_SHIFT * sp.identity(size, dtype=np.complex128, format="csr")
-        if solver == "direct_lu":
-            try:
-                lu = spla.splu(sp.csc_matrix(shifted))
-            except RuntimeError as exc:
-                raise SingularMatrixError(f"sparse LU failed: {exc}") from exc
-            solve = lu.solve
-        else:
-            def solve(v):
-                return _solve_columns(shifted, v, "iterative_gmres")
+        solve = _lu_solve(shifted)
         x = np.zeros(size, dtype=np.complex128)
-        x[np.arange(n) * (n + 1)] = 1.0
+        x[pop_rows] = 1.0
         x /= np.linalg.norm(x)
-        for _ in range(power_maxiter):
+        for _ in range(_POWER_MAXITER):
             x = solve(x)
             x /= np.linalg.norm(x)
-            if np.linalg.norm(Lmat @ x) < power_tol:
+            if np.linalg.norm(Lmat @ x) < _POWER_TOL:
                 break
         else:
             raise ConvergenceError(
-                f"inverse power iteration did not reach ||L x|| < {power_tol}"
+                f"inverse power iteration did not reach ||L x|| < {_POWER_TOL}"
             )
-    elif method == "svd":
+    else:
         _, s, vh = scipy.linalg.svd(Lmat.toarray())
         x = vh[-1].conj()
-    else:
-        raise RangeError(f"unknown steadystate method {method!r}")
 
     if method != "svd":  # probe a small generator's null space as the svd method does
         small = size <= _DEGENERACY_PROBE_LIMIT
@@ -154,8 +143,8 @@ def steadystate(
 
     rho = _unvec_to_dm(x, n, op_dims)
     residual = np.linalg.norm(Lmat @ rho.full().flatten(order="F"))
-    if residual > residual_tol * Lnorm:
+    if residual > _RESIDUAL_TOL * Lnorm:
         raise ConvergenceError(
-            f"steady-state residual {residual:.3e} exceeds {residual_tol:.1e} * ||L||"
+            f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e} * ||L||"
         )
     return rho

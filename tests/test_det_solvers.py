@@ -1,10 +1,14 @@
 """Deterministic solvers: sesolve, mesolve, Bloch-Redfield, steadystate, Floquet."""
 
+import importlib
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import oqsim as q
-from oqsim.exceptions import ConvergenceError, MethodError, NotHermitianError, StepLimitError
+from oqsim.exceptions import (ConvergenceError, MethodError, NotHermitianError, RangeError,
+                              StepLimitError)
 
 RNG = np.random.default_rng(42)
 TIGHT = {"atol": 1e-12, "rtol": 1e-11}
@@ -363,6 +367,29 @@ class TestSteadystate:
             0.5 * q.sigmaz(), [np.sqrt(0.3) * q.sigmam()], solver="iterative_gmres"
         )
         assert abs(q.expect(q.sigmaz(), rho) + 1) < 1e-8
+
+    def test_power_with_gmres_is_a_method_error_before_any_factorization(self, monkeypatch):
+        """Inverse power iteration needs the one sparse LU that it reuses across sweeps."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a factorization started before the pair was refused")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
+        monkeypatch.setattr(scipy.sparse.linalg, "spilu", refuse)
+        with pytest.raises(MethodError, match="direct_lu"):
+            q.steadystate(0.5 * q.sigmaz(), [np.sqrt(0.3) * q.sigmam()], method="power",
+                          solver="iterative_gmres")
+
+    @pytest.mark.parametrize("method, solver", [("svd", "bogus"), ("direct", "bogus"),
+                                                ("power", "bogus"), ("bogus", "direct_lu")])
+    def test_an_unknown_method_or_solver_is_a_range_error_before_the_build(
+            self, monkeypatch, method, solver):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the generator was built before the names were checked")
+
+        monkeypatch.setattr(importlib.import_module("oqsim.steadystate"), "liouvillian", refuse)
+        with pytest.raises(RangeError, match="unknown"):
+            q.steadystate(0.5 * q.sigmaz(), [np.sqrt(0.3) * q.sigmam()], method=method,
+                          solver=solver)
 
     def test_matches_long_time_mesolve(self):
         g = 1.0

@@ -330,7 +330,8 @@ class TestOptionsValidation:
             q.mesolve(q.sigmaz(), q.basis(2, 0), [0.0, 1.0], options={"progress": True})
 
     def test_option_keys_are_pinned(self):
-        # A new knob needs a deliberate edit here: 8 + 15 + 8 = 31 keys.
+        # A new knob needs a deliberate edit here: 8 + 15 + 8 = 31 keys; the 6
+        # IntegratorOptions keys are among them.
         assert SolverOptions.option_keys() == (
             "store_states", "store_final_state", "atol", "rtol", "nsteps", "max_step",
             "first_step", "method",
@@ -344,6 +345,30 @@ class TestOptionsValidation:
             "ntraj", "target_tol", "timeout", "seed", "map", "keep_runs_results",
             "store_states", "dt_sub",
         )
+        assert IntegratorOptions.option_keys() == (
+            "atol", "rtol", "nsteps", "max_step", "first_step", "method",
+        )
+
+    def test_floquet_basis_and_integrate_take_a_dict(self):
+        """A dict is read like an IntegratorOptions; floquet_basis reads one over its own
+        defaults, atol = rtol = 1e-12."""
+        def decay(opts):
+            ys, _ = integrate(lambda t, y: -y, np.array([1.0 + 0j]), 0.0, [1.0, 2.0], opts)
+            return [y.tobytes() for y in ys]
+
+        assert decay({"rtol": 1e-8}) == decay(IntegratorOptions(rtol=1e-8))
+        assert decay({}) == decay(None) == decay(IntegratorOptions())
+
+        def basis(options):
+            fb = q.floquet_basis([q.sigmaz(), [q.sigmax(), np.cos]], 2 * np.pi, n_t=8,
+                                 options=options)
+            return fb.quasienergies.tobytes(), fb.modes.tobytes()
+
+        assert basis({"atol": 1e-9}) == basis(IntegratorOptions(atol=1e-9, rtol=1e-12))
+        assert basis({}) == basis(None) == basis(IntegratorOptions(atol=1e-12, rtol=1e-12))
+        for call in (lambda: decay({"rtoll": 1e-8}), lambda: basis({"rtoll": 1e-8})):
+            with pytest.raises(OptionError, match="rtoll"):
+                call()
 
     def test_non_dict_is_option_error(self):
         with pytest.raises(OptionError, match="list"):
@@ -413,6 +438,11 @@ class TestInputGate:
     def test_smesolve_needs_a_uniform_grid(self):
         with no_integration(), pytest.raises(RangeError, match="uniform"):
             q.smesolve(_H, _PSI, [0.0, 0.1, 0.3], sc_ops=_C, e_ops=_E, options=_MC)
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, np.inf, np.nan])
+    def test_floquet_basis_needs_a_positive_finite_period(self, T):
+        with no_integration(), pytest.raises(RangeError, match="positive and finite"):
+            q.floquet_basis(_H, T)
 
     def test_fsesolve_keeps_its_non_negative_rule(self):
         fb = q.floquet_basis(_H, 1.0, n_t=8)
@@ -543,8 +573,7 @@ def _solve(name, tlist=(0.0, 0.5, 1.0), options=None, e_ops=None, state=_PSI, H=
     if name == "fsesolve":
         return q.fsesolve(_floquet_basis(), state, tlist, e_ops=e_ops)
     if name == "integrate":
-        integ = IntegratorOptions(**opts)
-        return integrate(lambda t, y: -1j * y, np.array([1.0 + 0j]), 0.0, tlist, integ)
+        return integrate(lambda t, y: -1j * y, np.array([1.0 + 0j]), 0.0, tlist, opts)
     raise AssertionError(name)
 
 
@@ -578,29 +607,38 @@ _KET_SOLVERS = ("sesolve", "mcsolve", "nm_mcsolve", "fsesolve", "SESolver.start"
 def _malformed_collections(name):
     """``(argument, call)`` pairs that call solver ``name`` with a list, pair or number
     argument of the wrong kind: a single operator for a list, an entry that is not a
-    pair, a spectrum that is not callable, or a number that is not one."""
+    pair, a spectrum that is not callable or returns no number, or a number that is not
+    one."""
     T, sx, rate = (0.0, 0.5, 1.0), q.sigmax(), lambda w: 0.1
     return {
         "mesolve": [("c_ops", lambda: q.mesolve(_H, _PSI, T, _C[0]))],
         "mcsolve": [("c_ops", lambda: q.mcsolve(_H, _PSI, T, _C[0], options=_MC)),
-                    ("psi0", lambda: q.mcsolve(_H, [_PSI], T, _C, options=_MC))],
+                    ("psi0", lambda: q.mcsolve(_H, [_PSI], T, _C, options=_MC)),
+                    ("psi0", lambda: q.mcsolve(_H, [(_PSI, "a")], T, _C, options=_MC))],
         "smesolve": [("c_ops", lambda: q.smesolve(_H, _PSI, T, c_ops=_C[0], sc_ops=_C,
                                                   options=_MC)),
                      ("sc_ops", lambda: q.smesolve(_H, _PSI, T, sc_ops=_C[0], options=_MC))],
         "nm_mcsolve": [("ops_and_rates", lambda: q.nm_mcsolve(_H, _PSI, T, [q.sigmam()],
                                                                options=_MC)),
                        ("ops_and_rates", lambda: q.nm_mcsolve(_H, _PSI, T, q.sigmam(),
-                                                               options=_MC))],
+                                                               options=_MC)),
+                       ("operator", lambda: q.nm_mcsolve(_H, _PSI, T, [("x", 0.5)],
+                                                         options=_MC))],
         "brmesolve": [("couplings", lambda: q.brmesolve(_H, [sx], _PSI, T)),
                       ("couplings", lambda: q.brmesolve(_H, sx, _PSI, T)),
                       ("couplings", lambda: q.brmesolve(_H, [(sx, 0.1)], _PSI, T)),
                       ("sec_cutoff", lambda: q.brmesolve(_H, [(sx, rate)], _PSI, T,
-                                                         sec_cutoff="a"))],
+                                                         sec_cutoff="a")),
+                      ("spectrum", lambda: q.brmesolve(_H, [(sx, lambda w: "a")], _PSI, T)),
+                      ("spectrum", lambda: q.brmesolve(_H, [(sx, lambda w: 1j)], _PSI, T))],
         "heomsolve": [("baths", lambda: q.heomsolve(_H, [q.sigmaz()], _PSI, T, n_c=1)),
                       ("n_c", lambda: q.heomsolve(_H, _HEOM_BATH, _PSI, T, n_c="x")),
                       ("n_c", lambda: q.heomsolve(_H, _HEOM_BATH, _PSI, T, n_c=1.5)),
                       ("n_k", lambda: q.heomsolve(_H, _HEOM_BATH, _PSI, T, n_c=1, n_k="a"))],
-        "fsesolve": [("fb", lambda: q.fsesolve(None, _PSI, T))],
+        "fsesolve": [("fb", lambda: q.fsesolve(None, _PSI, T)),
+                     ("floquet_basis's T", lambda: q.floquet_basis(_H, "x")),
+                     ("floquet_basis's n_t", lambda: q.floquet_basis(_H, 1.0, n_t="x")),
+                     ("floquet_basis's n_t", lambda: q.floquet_basis(_H, 1.0, n_t=8.0))],
     }.get(name, [])
 
 
@@ -643,8 +681,8 @@ def test_malformed_input_is_a_typed_error(data):
         return
     types_ = _option_types(name)
     kinds = ["tlist"]
-    if types_:  # integrate takes an IntegratorOptions, not a mapping with keys
-        kinds += ["option"] if name == "integrate" else ["option", "unknown_key"]
+    if types_:
+        kinds += ["option", "unknown_key"]
     if name != "integrate":
         kinds += ["e_ops", "state", "e_op_dims"]
     if name in _H_SOLVERS:
@@ -811,6 +849,7 @@ class TestOneInputGate:
             "br_tensor_coupling": lambda: q.br_tensor(_H, [(op, rate)]),
             "brmesolve_H": lambda: _solve("brmesolve", H=op),
             "brmesolve_coupling": lambda: q.brmesolve(_H, [(op, rate)], _PSI, T),
+            "nm_mcsolve_jump_op": lambda: q.nm_mcsolve(_H, _PSI, T, [(op, 0.5)], options=_MC),
         }
         with no_integration():
             return calls[case]()
@@ -818,7 +857,7 @@ class TestOneInputGate:
     _CONSTANT_ENTRIES = ["steadystate_H", "steadystate_c_op", "smesolve_c_op", "smesolve_sc_op",
                          "hierarchy_build_H", "hierarchy_build_Q", "heomsolve_H", "heomsolve_Q",
                          "br_tensor_H", "br_tensor_coupling", "brmesolve_H",
-                         "brmesolve_coupling"]
+                         "brmesolve_coupling", "nm_mcsolve_jump_op"]
 
     @pytest.mark.parametrize("c_ops", [q.sigmam(), q.QobjEvo(q.sigmam()), None],
                              ids=["Qobj", "QobjEvo", "None"])
@@ -863,6 +902,18 @@ class TestOneInputGate:
             got = run([A, B], lambda op: [op])
         else:
             got = run(q.QobjEvo(A + B), q.QobjEvo)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+    @pytest.mark.parametrize("wrap", [lambda op: [op], q.QobjEvo], ids=["list_spec", "QobjEvo"])
+    def test_nm_mcsolve_runs_a_constant_jump_operator_spec_as_its_value(self, wrap):
+        c, rate = np.sqrt(0.2) * q.sigmam(), lambda t: 0.5 * np.cos(t)
+
+        def run(op):
+            res = q.nm_mcsolve(_H, _PSI, self.T, [(op, rate), (q.sigmaz(), 0.1)],
+                               e_ops=[q.sigmaz()], options=_MC)
+            return [*res.expect, res.trace]
+
+        got, expected = run(wrap(c)), run(c)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
 

@@ -902,6 +902,22 @@ def _jc_rate_functions(lam=1.0):
 
 
 class TestSmesolve:
+    def test_the_generator_keeps_the_operators_storage(self, monkeypatch):
+        """CSR operators give a CSR Liouvillian: no operator is copied to a dense matrix."""
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(liouvillian_evo(*args, **kwargs))
+            return built[-1]
+
+        liouvillian_evo = sme_module.liouvillian_evo
+        monkeypatch.setattr(sme_module, "liouvillian_evo", spy)
+        a = q.destroy(6)
+        H = [a.dag() @ a, [a + a.dag(), lambda t: np.cos(t)]]
+        q.smesolve(H, q.basis(6, 1), [0.0, 0.1], c_ops=[0.2 * a.dag() @ a], sc_ops=[a],
+                   options={"ntraj": 2, "seed": 1})
+        assert [op.data.fmt for op, _ in built[0].terms] == ["csr", "csr"]
+
     def test_no_monitoring_matches_mesolve(self):
         kappa = 1.0
         N = 8
