@@ -99,7 +99,7 @@ def br_tensor(H: Qobj, couplings, sec_cutoff: float = 0.1):
 
     pair = [[n], [n]]
     R_super = Qobj(_d.from_array(gen, "dense"), dims=Dimensions(pair, pair))
-    ket_dims = Dimensions(H.dims.ket, [1] * len(H.dims.ket))
+    ket_dims = Dimensions(H.dims.ket, [1] * len(H.dims.ket), enr=H.dims.enr)
     ekets = [Qobj(Varr[:, k].reshape(-1, 1), dims=ket_dims) for k in range(n)]
     return R_super, ekets
 

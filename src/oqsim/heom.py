@@ -34,13 +34,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import replace
-from itertools import combinations_with_replacement
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import data as _d
 from .dimensions import Dimensions
+from .enr import EnrSpace
 from .environment import BosonicEnvironment, ExponentSet, _same_rate, matsubara_decompose
 from .exceptions import ArgumentError, RangeError
 from .integrator import DP54Stepper
@@ -53,12 +53,11 @@ from .superop import spost, spre
 __all__ = ["AdoIndexSet", "HEOMResult", "hierarchy_build", "heomsolve", "heom_cutoff_hint"]
 
 
-class AdoIndexSet:
-    """Enumeration of hierarchy multi-indices with ``sum(n) <= cutoff``.
-
-    Ordering is graded lexicographic (total excitation first, then
-    lexicographic), so index 0 is the zero multi-index -- the system density
-    matrix -- and each truncation level is a contiguous prefix.
+class AdoIndexSet(EnrSpace):
+    """The hierarchy multi-indices with ``sum(n) <= cutoff``: the ENR space
+    ``EnrSpace([cutoff + 1] * n_exponents, cutoff)``, whose ``labels`` are its
+    states.  Index 0 is the zero multi-index -- the system density matrix --
+    and each truncation level is a contiguous prefix.
     """
 
     def __init__(self, n_exponents: int, cutoff: int):
@@ -66,19 +65,10 @@ class AdoIndexSet:
             raise RangeError("hierarchy cutoff must be non-negative")
         if n_exponents < 0:
             raise RangeError("exponent count must be non-negative")
+        super().__init__([cutoff + 1] * n_exponents, cutoff)
         self.n_exponents = n_exponents
         self.cutoff = cutoff
-        labels = []
-        for total in range(cutoff + 1):
-            labels.extend(sorted(_compositions(total, n_exponents)))
-        self.labels = labels
-        self._index = {lab: i for i, lab in enumerate(labels)}
-
-    def __len__(self):
-        return len(self.labels)
-
-    def index(self, label) -> int:
-        return self._index[tuple(label)]
+        self.labels = self.states
 
     def up(self, label, k: int):
         """Multi-index with entry k raised, or None when it leaves the cutoff."""
@@ -95,19 +85,6 @@ class AdoIndexSet:
         out = list(label)
         out[k] -= 1
         return tuple(out)
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of ``parts`` non-negative ints summing to ``total``."""
-    if parts == 0:
-        return [()] if total == 0 else []
-    out = []
-    for slots in combinations_with_replacement(range(parts), total):
-        lab = [0] * parts
-        for s in slots:
-            lab[s] += 1
-        out.append(tuple(lab))
-    return out
 
 
 class HEOMResult(SolveResult):
@@ -138,15 +115,6 @@ def _exponent_records(exps: ExponentSet):
     return [tuple(rec) for rec in recs]
 
 
-def _label_keys(labels: np.ndarray, n_c: int):
-    """Mixed-radix key of each label (one base ``n_c + 1`` digit per exponent)
-    and the weight of each digit; Python ints once the keys outgrow int64."""
-    base = n_c + 1
-    dtype = np.int64 if base ** labels.shape[1] <= 2**63 else object
-    weights = np.array([base**k for k in range(labels.shape[1])], dtype=dtype)
-    return labels.astype(dtype) @ weights, weights
-
-
 def _build_generator(H: Qobj, couplings, n_c: int):
     """Assemble the sparse hierarchy generator for [(Q, exponent records)...].
 
@@ -158,10 +126,9 @@ def _build_generator(H: Qobj, couplings, n_c: int):
         + sum_k D_k (x) n_k (-i cR_k comm_k + cI_k anti_k)
 
     ``U_k`` links each ADO to its neighbour with entry k raised, ``D_k`` to
-    the one with entry k lowered, and ``damp_a = n_a . v``.  Neighbours come
-    from mixed-radix label keys: raising entry k adds ``(n_c + 1)**k`` to the
-    key, so one ``searchsorted`` into the sorted keys per exponent yields
-    every up pair, and the same pairs reversed are the down pairs.
+    the one with entry k lowered, and ``damp_a = n_a . v``.  The up pairs of
+    exponent k are :meth:`~oqsim.enr.EnrSpace.ladder`'s, and the same pairs
+    reversed are the down pairs.
 
     The lowering block of an "R" record is its commutator part alone, of an
     "I" record its anticommutator part, and of an "RI" record both, as two
@@ -189,7 +156,7 @@ def _build_generator(H: Qobj, couplings, n_c: int):
 
     ados = AdoIndexSet(len(records), n_c)
     n_ado = len(ados)
-    labels = np.array(ados.labels, dtype=np.int64).reshape(n_ado, len(records))
+    labels = ados.array
 
     from .superop import liouvillian
 
@@ -219,13 +186,9 @@ def _build_generator(H: Qobj, couplings, n_c: int):
     cols.append(a * d2 + i)
     vals.append(diag[a, i])
 
-    keys, weights = _label_keys(labels, n_c)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    lower = np.flatnonzero(labels.sum(axis=1) < n_c)
     for k, (kind, cR, cI, _) in enumerate(records):
         comm, anti = per_bath_ops[k]
-        upper = order[np.searchsorted(sorted_keys, keys[lower] + weights[k])]
+        lower, upper = ados.ladder(k)
         add_blocks(lower, upper, comm.row, comm.col, comm.data * -1j)
         # Lowering entry k of ``upper`` reaches ``lower``; the entry's value
         # n = 1..n_c picks the block.

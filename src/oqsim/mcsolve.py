@@ -509,25 +509,12 @@ def _run_trajectories(drift_evo, channels, psi0, tlist, e_ops, opts: McOptions, 
 
     done = run_map(run_one, jobs, timeout=opts.timeout,
                    stop_check=lambda done: ens.stop_check(done, records))
-    pairs, ensemble = weigh(done), records(done)
+    pairs = weigh(done)
     w_total = sum(w for w, _ in pairs)
-
-    trace = trace_std = None
-    if martingale_cont is not None:
-        trace = np.zeros(tlist.size)
-        trace_sq = np.zeros(tlist.size)
-        for w, _, mu, _ in ensemble:
-            trace += w * mu.real
-            trace_sq += w * mu.real**2
-        trace /= w_total
-        trace_sq /= w_total
-        trace_std = np.sqrt(np.maximum(trace_sq - trace**2, 0.0))
-
     accepted, rejected, replayed = (sum(traj.steps[i] for _, traj in pairs) for i in range(3))
     stats = {"jumps": sum(len(traj.jumps) for _, traj in pairs), "accepted_steps": accepted,
              "rejected_steps": rejected, "replayed_steps": replayed}
-    return ens.result(ensemble, len(done) == len(jobs), stats=stats, trace=trace,
-                      trace_std=trace_std,
+    return ens.result(records(done), len(done) == len(jobs), stats=stats,
                       photocurrent=_photocurrent(pairs, len(channels), tlist, w_total))
 
 

@@ -122,7 +122,7 @@ def negativity(rho: Qobj, subsys: int = 0) -> float:
     if len(rho.dims.ket) < 2:
         raise DimensionMismatchError("negativity requires a composite state")
     if not 0 <= subsys < len(rho.dims.ket):
-        raise IndexError(f"subsystem {subsys} out of range")
+        raise RangeError(f"subsystem {subsys} out of range")
     pt = _partial_transpose(rho, subsys)
     sv = np.linalg.svd(pt, compute_uv=False)
     return float((np.sum(sv) - 1.0) / 2)

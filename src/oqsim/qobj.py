@@ -342,7 +342,7 @@ def ptrace(q: Qobj, keep) -> Qobj:
         keep = [int(keep)]
     keep = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= nd for k in keep):
-        raise IndexError(f"subsystem index out of range in {keep}; have {nd} subsystems")
+        raise RangeError(f"subsystem index out of range in {keep}; have {nd} subsystems")
     if keep == list(range(nd)):
         return q.copy()
     arr = q.full().reshape(dims + dims)

@@ -13,7 +13,8 @@ states)``: the ensemble weight, the raw expectation series (one per e_op),
 the martingale factor on the output grid or ``None``, and the kets or density
 matrices on the output grid or ``None``.  Records are summed in the order the
 solver lists them, so that order is part of the output bits.  A record enters
-the means as ``expect[k] * mu`` and the states as ``(weight * mu[j]) * rho``,
+the means as ``expect[k] * mu``, the martingale trace (``trace``,
+``trace_std``) as ``Re mu`` and the states as ``(weight * mu[j]) * rho``,
 a ket ``psi`` as ``rho = outer(psi, psi*)``; without ``mu`` the factor is
 left out, and since a weight of ``1.0`` is exact, an unweighted ensemble keeps
 the bits of a plain sum.  ``stats["stop"]`` says why the run ended:
@@ -158,13 +159,14 @@ def run_map(fn, indices, timeout: float | None = None, check_every: int = 50, st
 class WeightedStats:
     """Weighted ensemble mean / population standard deviation per e_op.
 
+    ``dtype`` is the dtype of the means: ``float`` for a real series.
     The error convention used by the acceptance checks is
     ``sigma_err = std / sqrt(ntraj)``.
     """
 
-    def __init__(self, n_eops: int, n_times: int):
+    def __init__(self, n_eops: int, n_times: int, dtype=complex):
         self.w_sum = 0.0
-        self.mean = [np.zeros(n_times, dtype=complex) for _ in range(n_eops)]
+        self.mean = [np.zeros(n_times, dtype=dtype) for _ in range(n_eops)]
         self.sq = [np.zeros(n_times) for _ in range(n_eops)]
         self.n = 0
 
@@ -224,6 +226,13 @@ class Ensemble:
         """
         opts, real_flags = self.opts, [op.isherm for op in self.ops]
         avg, std = self.reduce(records).finalize()
+        if records and records[0][2] is not None:
+            # The martingale trace: the weighted mean and spread of Re mu itself, kept
+            # real, since a complex mean is divided in complex arithmetic (other bits).
+            traces = WeightedStats(1, self.tlist.size, dtype=float)
+            for w, _, mu, _ in records:
+                traces.add(w, [mu.real])
+            (fields["trace"],), (fields["trace_std"],) = traces.finalize()
         runs_expect = average_states = None
         if opts.keep_runs_results:
             runs_expect = [np.array([(e[k].real if flag else e[k]) for _, e, _, _ in records])

@@ -290,6 +290,15 @@ class TestBlochRedfield:
         R2, _ = q.br_tensor(H, coups, sec_cutoff=1e9)
         assert np.max(np.abs(R1.full() - R2.full())) == 0.0
 
+    def test_eigenkets_keep_the_enr_marker(self):
+        a1, a2 = q.enr_destroy([2, 3], 2)
+        n1 = a1.dag() @ a1
+        H = n1 + 0.5 * a2.dag() @ a2 + 0.1 * (a1.dag() @ a2 + a2.dag() @ a1)
+        _, kets = q.br_tensor(H, [(a1 + a1.dag(), flat_spectrum(0.1))])
+        assert all(k.dims.enr == H.dims.enr for k in kets)
+        v = kets[-1].full().ravel()
+        assert q.expect(n1, kets[-1]) == pytest.approx(np.vdot(v, n1.full() @ v).real, abs=1e-14)
+
     def test_non_hermitian_coupling_rejected(self):
         with pytest.raises(NotHermitianError):
             q.br_tensor(q.sigmaz(), [(q.sigmam(), flat_spectrum(1.0))])

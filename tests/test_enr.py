@@ -1,11 +1,16 @@
 """Excitation-number-restricted spaces."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oqsim as q
+from oqsim import data as _d
+from oqsim.enr import EnrSpace
 from oqsim.exceptions import RangeError
 
 RNG = np.random.default_rng(5)
@@ -45,8 +50,73 @@ class TestEnrSpace:
         assert space.states[0] == (0, 0)
         assert space.index((0, 0)) == 0
 
+    def test_needs_a_subsystem(self):
+        with pytest.raises(RangeError):
+            q.enr_space([], 2)
+        assert EnrSpace([], 2).states == [()]
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.lists(st.integers(1, 5), min_size=1, max_size=4), n_exc=st.integers(0, 5))
+    def test_states_and_ladder_match_brute_force(self, dims, n_exc):
+        space = EnrSpace(dims, n_exc)
+        states = brute_force_states(dims, n_exc)
+        assert space.states == states
+        for k in range(len(dims)):
+            pairs = [(i, states.index(s[:k] + (s[k] + 1,) + s[k + 1:]))
+                     for i, s in enumerate(states)
+                     if s[k] + 1 < dims[k] and sum(s) < n_exc]
+            lower, upper = space.ladder(k)
+            assert list(zip(lower.tolist(), upper.tolist())) == pairs
+
+
+def dense_destroy(dims, n_exc):
+    """Reference annihilation operators: one dense array each, filled by a double loop."""
+    space = q.enr_space(dims, n_exc)
+    ops = []
+    for i in range(len(space.dims)):
+        arr = np.zeros((space.size, space.size), dtype=np.complex128)
+        for src, occ in enumerate(space.states):
+            if occ[i] > 0:
+                target = list(occ)
+                target[i] -= 1
+                arr[space.index(target), src] = np.sqrt(occ[i])
+        ops.append(arr)
+    return ops
+
+
+def payload(m):
+    """The arrays a DataMatrix stores, dtypes and layout included."""
+    raw = m.scipy_matrix()
+    if m.fmt == "csr":
+        return [raw.indptr, raw.indices, raw.data]
+    if m.fmt == "dia":
+        return [raw.offsets, raw.data]
+    return [raw, np.array(raw.flags.f_contiguous)]
+
 
 class TestEnrOperators:
+    @pytest.mark.parametrize("fmt", ["csr", "dense", "dia"])
+    @pytest.mark.parametrize("dims,n_exc", [([2, 2], 1), ([3, 3, 3], 2), ([2, 5], 3),
+                                            ([1, 3, 2], 2), ([4], 0), ([3, 4, 2, 3], 4)])
+    def test_destroy_equals_the_dense_reference(self, dims, n_exc, fmt):
+        ops = q.enr_destroy(dims, n_exc, dtype=fmt)
+        for op, ref in zip(ops, dense_destroy(dims, n_exc), strict=True):
+            assert op.dtype == fmt
+            got, want = payload(op.data), payload(_d.from_array(ref, fmt))
+            assert [a.dtype for a in got] == [a.dtype for a in want]
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+    def test_destroy_allocates_no_dense_square(self):
+        # 3003 states: one dense complex square is 144 MB.
+        tracemalloc.start()
+        try:
+            ops = q.enr_destroy([7] * 8, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [op.data.nnz for op in ops] == [1287] * 8
+        assert peak < 20e6
+
     def test_first_destroy_is_paper_projector(self):
         a1, _ = q.enr_destroy([2, 2], 1)
         expected = np.zeros((3, 3), dtype=complex)

@@ -151,6 +151,17 @@ class TestAdoIndexSet:
         totals = [sum(lab) for lab in ados.labels]
         assert totals == sorted(totals)
 
+    def test_labels_are_the_enr_states(self):
+        for n, nc in ((7, 6), (7, 8), (9, 6), (1, 0)):
+            assert AdoIndexSet(n, nc).labels == q.enr_space([nc + 1] * n, nc).states
+        assert AdoIndexSet(0, 3).labels == [()]
+
+    def test_outside_label_is_a_range_error(self):
+        ados = AdoIndexSet(3, 2)
+        assert ados.index((0, 2, 0)) == ados.labels.index((0, 2, 0))
+        with pytest.raises(RangeError):
+            ados.index((1, 1, 1))
+
     def test_neighbor_maps_inverse(self):
         ados = AdoIndexSet(4, 3)
         for lab in ados.labels:

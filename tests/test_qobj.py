@@ -108,7 +108,7 @@ class TestTensorPtrace:
 
     def test_ptrace_index_error(self):
         rho = q.tensor(rand_dm(2), rand_dm(2))
-        with pytest.raises(IndexError):
+        with pytest.raises(RangeError):
             q.ptrace(rho, [2])
 
 
@@ -374,6 +374,10 @@ class TestMetrics:
 
     def test_negativity_bell(self):
         assert q.negativity(q.bell_state("00").proj()) == pytest.approx(0.5, abs=1e-10)
+
+    def test_negativity_subsystem_out_of_range(self):
+        with pytest.raises(RangeError):
+            q.negativity(q.bell_state("00").proj(), 2)
 
     def test_metric_dispatch(self):
         rho = rand_dm(2)

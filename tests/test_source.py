@@ -11,7 +11,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "oqsim"
 BARE = {"ValueError", "TypeError", "RuntimeError", "KeyError", "ZeroDivisionError",
-        "AttributeError"}
+        "AttributeError", "IndexError"}
 # Owned by trajectory.Ensemble; no other module may reduce or stop an ensemble.
 ENSEMBLE_ONLY = {"WeightedStats", "target_reached"}
 # The stepper calls that advance a DP54Stepper by one step: only integrator.advance makes them.
